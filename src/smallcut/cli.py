@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import deque
 
-from .graphs import Graph, generate, min_cut_oracle, edge_pairs
+from .graphs import Graph, dumps, eccentricities, edge_pairs, generate, loads, min_cut_oracle
 from .runtime import BandwidthError, RoundLimitError, SimulatorConfig, measure_diameter
 from .three_cuts import PipelineResult, run_full_pipeline
 
@@ -33,39 +32,19 @@ class InputError(Exception):
 
 
 def load_graph(path: str) -> Graph:
-    """Read the plain-text format ``gen`` writes: a header line with the
-    vertex and edge counts, then one ``u v`` pair per line."""
+    """Read a graph file in the :func:`smallcut.graphs.loads` format."""
     try:
         with open(path, encoding="utf-8") as fh:
-            rows = [
-                line.split() for line in fh
-                if line.strip() and not line.lstrip().startswith("#")
-            ]
+            return loads(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    if not rows or len(rows[0]) != 2:
-        raise InputError(f"{path}: expected a 'n m' header line")
-    try:
-        n, m = map(int, rows[0])
-        edges = [(int(a), int(b)) for a, b in rows[1:]]
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if len(edges) != m:
-        raise InputError(f"{path}: header claims {m} edges, file has {len(edges)}")
-    try:
-        return Graph(n, edges)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
 def dump_graph(g: Graph, path: str, comment: str = "") -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u} {v}" for u, v in g.edges)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(dumps(g, comment))
 
 
 def graph_from_args(args) -> Graph:
@@ -92,19 +71,8 @@ def pick_root(g: Graph, spec: str) -> int:
         if not 0 <= root < g.n:
             raise InputError(f"root {root} out of range for {g.n} vertices")
         return root
-    best = (g.n + 1, 0)
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        best = min(best, (max(dist), s))
-    return best[1]
+    ecc = eccentricities(g)
+    return ecc.index(min(ecc))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +191,10 @@ def _bench_row(family: str, n: int, trials: int, round_limit: int) -> dict:
     g = generate(family, n)
     d = measure_diameter(g)
     config = SimulatorConfig(strict_bandwidth=True, round_limit=round_limit)
+    root = pick_root(g, "auto")
     baseline = None
     for _ in range(max(1, trials)):
-        res = run_full_pipeline(g, root=pick_root(g, "auto"), config=config, force_battery=True)
+        res = run_full_pipeline(g, root=root, config=config, force_battery=True)
         probe = (res.small_rounds, res.battery_rounds, res.engine.stats.total_messages)
         if baseline is None:
             baseline = probe

@@ -80,16 +80,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    @classmethod
-    def from_edge_list(cls, pairs: Iterable[tuple[int, int]], n: int | None = None) -> Graph:
-        """Build a graph from vertex pairs, inferring ``n`` when omitted."""
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("no edges given")
-        if n is None:
-            n = 1 + max(max(u, v) for u, v in pairs)
-        return cls(n, pairs)
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -113,40 +103,34 @@ def _pairs_connected(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
 
 
 def loads(text: str) -> Graph:
-    """Parse the edge-list format: one ``u v`` pair per line.
+    """Parse the graph text format.
 
-    Blank lines are skipped and everything after a ``#`` is a comment.
-    The vertex count is inferred as one past the largest id, so the
-    format can only describe graphs without isolated vertices — which is
-    all of them here, since disconnected graphs are rejected anyway.
+    Everything after a ``#`` is a comment and blank lines are skipped.
+    The first line left is the header ``n m`` (vertex and edge counts),
+    and each further line is one edge ``u v``.
     """
-    pairs: list[tuple[int, int]] = []
+    rows: list[tuple[int, int]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {ln}: expected 'u v', got {raw!r}")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            a, b = map(int, parts)
         except ValueError:
-            raise ValueError(f"line {ln}: endpoints must be integers, got {raw!r}") from None
-    if not pairs:
-        raise ValueError("no edges found")
-    lo = min(min(u, v) for u, v in pairs)
-    if lo < 0:
-        raise ValueError(f"negative vertex id {lo}")
-    return Graph.from_edge_list(pairs)
+            raise ValueError(f"line {ln}: expected two integers, got {raw!r}") from None
+        rows.append((a, b))
+    if not rows:
+        raise ValueError("missing the 'n m' header line")
+    (n, m), edges = rows[0], rows[1:]
+    if len(edges) != m:
+        raise ValueError(f"header claims {m} edges, file has {len(edges)}")
+    return Graph(n, edges)
 
 
-def load(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
-
-
-def dumps(g: Graph) -> str:
-    lines = [f"# n={g.n} m={g.m}"]
+def dumps(g: Graph, comment: str = "") -> str:
+    """The text form :func:`loads` reads, with an optional comment line."""
+    lines = [f"# {comment}"] if comment else []
+    lines.append(f"{g.n} {g.m}")
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
 
@@ -292,6 +276,25 @@ def min_cut_oracle(g: Graph, limit: int | None = None) -> OracleResult:
     assert best >= 1
     ordered = tuple(sorted(cuts, key=lambda f: edge_pairs(g, f)))
     return OracleResult(best, ordered)
+
+
+def _bfs_levels(g: Graph, root: int) -> list[int]:
+    """Hop distance from ``root`` to every vertex."""
+    level = [-1] * g.n
+    level[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in g.adj[u]:
+            if level[w] == -1:
+                level[w] = level[u] + 1
+                queue.append(w)
+    return level
+
+
+def eccentricities(g: Graph) -> list[int]:
+    """Each vertex's largest hop distance to any other, by BFS from all."""
+    return [max(_bfs_levels(g, s)) for s in range(g.n)]
 
 
 def _unit_max_flow(g: Graph, s: int, t: int, limit: int) -> int:
@@ -511,15 +514,7 @@ class RootedTree:
     def bfs(cls, g: Graph, root: int = 0) -> RootedTree:
         if not 0 <= root < g.n:
             raise ValueError(f"root {root} out of range")
-        level = [-1] * g.n
-        level[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if level[w] == -1:
-                    level[w] = level[u] + 1
-                    queue.append(w)
+        level = _bfs_levels(g, root)
         parent: list[int | None] = [None] * g.n
         for v in range(g.n):
             if v == root:

@@ -23,12 +23,11 @@ every run bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, eccentricities
 
 
 def word_size_bits(n: int) -> int:
@@ -68,15 +67,13 @@ class SimulatorConfig:
     ``word_bits`` is the bandwidth budget in words per edge per
     direction per round (the multiplier on the ceil(log2 n)-bit word).
     ``strict_bandwidth`` turns on per-value range validation.
-    ``round_limit`` caps any single phase.  ``seed`` feeds the per-node
-    random streams; nothing in this package draws from them, but the
-    engine stays deterministic for programs that do.
+    ``round_limit`` caps any single phase.  No protocol draws
+    randomness, so every run is deterministic.
     """
 
     word_bits: int = 2
     strict_bandwidth: bool = False
     round_limit: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.word_bits < 1:
@@ -148,7 +145,7 @@ class NodeHandle:
     else must arrive as messages.
     """
 
-    __slots__ = ("id", "n", "ports", "_engine", "_by_edge", "_rng")
+    __slots__ = ("id", "n", "ports", "_engine", "_by_edge")
 
     def __init__(self, engine: Engine, v: int):
         self.id = v
@@ -156,7 +153,6 @@ class NodeHandle:
         self.ports: tuple[tuple[int, int], ...] = engine.g.inc[v]
         self._engine = engine
         self._by_edge = {eid: nbr for nbr, eid in self.ports}
-        self._rng: random.Random | None = None
 
     def send(self, eid: int, *words: int) -> None:
         """Queue words on an incident edge; the engine paces the wire."""
@@ -171,12 +167,6 @@ class NodeHandle:
     @property
     def round(self) -> int:
         return self._engine.round
-
-    @property
-    def rng(self) -> random.Random:
-        if self._rng is None:
-            self._rng = random.Random(f"{self._engine.config.seed}/{self.id}")
-        return self._rng
 
 
 class WordProgram:
@@ -320,19 +310,5 @@ def run_protocol(
 
 
 def measure_diameter(g: Graph) -> int:
-    """Largest shortest-path distance, by breadth-first search everywhere."""
-    best = 0
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        far = max(dist)
-        assert far >= 0, "graphs are connected by construction"
-        best = max(best, far)
-    return best
+    """Largest shortest-path distance between any two vertices."""
+    return max(eccentricities(g))

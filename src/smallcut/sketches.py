@@ -54,8 +54,10 @@ __all__ = [
     "branching_numbers",
     "SketchMeta",
     "SketchTree",
+    "ENTRY_WORDS",
+    "encode_entries",
+    "decode_entries",
     "reference_k_sketch",
-    "WireEntry",
     "WireView",
     "SketchUpResult",
     "distributed_k_sketch",
@@ -217,10 +219,39 @@ def branching_number(ct: CanonicalTree, b: int) -> int:
 
 
 class SketchMeta(NamedTuple):
+    """One sketch node: host-tree parent, ``eta``, ``gamma`` and the
+    branching number ``xi``.  The wire does not carry ``xi`` (it is
+    recomputable from structure), so decoded entries leave it ``None``."""
+
     parent: int | None
     eta: int
     gamma: int
-    xi: int
+    xi: int | None = None
+
+
+#: Words one sketch entry takes on the wire.
+ENTRY_WORDS = 4
+
+
+def encode_entries(meta: Mapping[int, SketchMeta], n: int) -> tuple[int, ...]:
+    """Flat word list: ``(id, parent, eta, gamma)`` per node in id order.
+
+    The root's missing parent is encoded as ``n`` (one past any vertex id).
+    """
+    words: list[int] = []
+    for u in sorted(meta):
+        m = meta[u]
+        words.extend((u, n if m.parent is None else m.parent, m.eta, m.gamma))
+    return tuple(words)
+
+
+def decode_entries(words: Sequence[int], n: int) -> dict[int, SketchMeta]:
+    """Inverse of :func:`encode_entries`, without the branching numbers."""
+    meta: dict[int, SketchMeta] = {}
+    for i in range(0, len(words), ENTRY_WORDS):
+        u, p, eta_u, gamma_u = words[i : i + ENTRY_WORDS]
+        meta[u] = SketchMeta(None if p == n else p, eta_u, gamma_u)
+    return meta
 
 
 @dataclass(frozen=True)
@@ -266,20 +297,8 @@ class SketchTree:
             stack.extend(reversed(kids[u]))
         return tuple(order)
 
-    def serialize(self, n: int) -> tuple[int, ...]:
-        """Flat word list: preorder ``(id, parent, eta, gamma)`` per node.
-
-        The root's missing parent is encoded as ``n`` (one past any vertex
-        id).  Branching numbers are omitted: recomputable from structure.
-        """
-        words: list[int] = []
-        for u in self.nodes:
-            m = self.meta[u]
-            words.extend((u, n if m.parent is None else m.parent, m.eta, m.gamma))
-        return tuple(words)
-
     def bit_size(self, n: int) -> int:
-        return len(self.serialize(n)) * word_size_bits(n)
+        return len(encode_entries(self.meta, n)) * word_size_bits(n)
 
     def dump(self) -> str:
         """Stable text form: one ``id parent eta gamma xi`` line per node."""
@@ -342,17 +361,12 @@ def reference_k_sketch(
 # distributed layer: wire format
 
 
-class WireEntry(NamedTuple):
-    parent: int | None
-    eta: int
-    gamma: int
-    flag: bool
-
-
 @dataclass(frozen=True)
 class WireView:
     """One sketch as it travelled over an edge.
 
+    ``flagged`` holds the entries whose truncation flag is set: the
+    sender cut nodes below them, so consumers drop their descendants.
     ``branch_below_root`` reports that the sender's canonical tree had a
     branch node other than the root.  Consumers need the hint when
     truncation erased every visible branch: the first-branch rule labels
@@ -361,41 +375,39 @@ class WireView:
 
     owner: int
     self_witnessed: bool
-    entries: dict[int, WireEntry]
+    entries: dict[int, SketchMeta]
     branch_below_root: bool = False
+    flagged: frozenset[int] = frozenset()
 
 
-def _encode_view(view: WireView, n: int) -> list[int]:
-    words = [len(view.entries), int(view.self_witnessed), int(view.branch_below_root)]
-    for u in sorted(view.entries):
-        e = view.entries[u]
-        words.extend((u, n if e.parent is None else e.parent, e.eta, e.gamma, int(e.flag)))
-    return words
+#: Words of a view's header: entry count, self-witness bit, branch bit.
+_VIEW_HEAD = 3
 
 
-def _decode_entries(words: Sequence[int], n: int) -> dict[int, WireEntry]:
-    entries: dict[int, WireEntry] = {}
-    for i in range(0, len(words), 5):
-        u, p, eta_u, gamma_u, flag = words[i : i + 5]
-        entries[u] = WireEntry(None if p == n else p, eta_u, gamma_u, bool(flag))
-    return entries
+def _encode_view(sketch: SketchTree, flagged: frozenset[int], branch: bool, n: int) -> list[int]:
+    """Header, the entries, then one truncation-flag word per entry."""
+    meta = sketch.meta
+    return [
+        len(meta), int(sketch.self_witnessed), int(branch),
+        *encode_entries(meta, n),
+        *(int(u in flagged) for u in sorted(meta)),
+    ]
 
 
-def view_of(
-    sketch: SketchTree,
-    flags: Mapping[int, bool] | None = None,
-    branch_below_root: bool = False,
-) -> WireView:
-    """Wire form of a finished sketch (truncation flags default to clear)."""
-    flags = flags or {}
+def _view_body_words(head: Sequence[int]) -> int:
+    return (ENTRY_WORDS + 1) * head[0]
+
+
+def _decode_view(owner: int, head: Sequence[int], body: Sequence[int], n: int) -> WireView:
+    count, self_bit, branch_bit = head
+    entries = decode_entries(body[: ENTRY_WORDS * count], n)
+    flags = body[ENTRY_WORDS * count :]
     return WireView(
-        owner=sketch.owner,
-        self_witnessed=sketch.self_witnessed,
-        entries={
-            u: WireEntry(m.parent, m.eta, m.gamma, flags.get(u, False))
-            for u, m in sketch.meta.items()
-        },
-        branch_below_root=branch_below_root,
+        owner,
+        bool(self_bit),
+        entries,
+        bool(branch_bit),
+        frozenset(u for u, f in zip(entries, flags) if f),
     )
 
 
@@ -406,22 +418,21 @@ def view_of(
 class _Source(NamedTuple):
     """One ingredient of a merge plus the trust metadata attached to it.
 
-    ``riders`` are ids that may sit in ``entries`` merely because they lie
-    on the ingredient's own spine — their presence alone does not prove
-    membership in the canonical tree being assembled here.  The sender's
-    ``self_witnessed`` bit vouches for the ids in ``certify_on_self``.
+    ``riders`` are ids that may sit in the view's entries merely because
+    they lie on the ingredient's own spine — their presence alone does not
+    prove membership in the canonical tree being assembled here.  The
+    sender's ``self_witnessed`` bit vouches for the ids in
+    ``certify_on_self``.
     """
 
-    entries: Mapping[int, WireEntry]
+    view: WireView
     riders: frozenset[int]
     certify_on_self: frozenset[int]
-    self_witnessed: bool
-    branch_bit: bool
 
 
 class _MergeResult(NamedTuple):
     sketch: SketchTree
-    out_flags: dict[int, bool]
+    flagged: frozenset[int]
     branch_bit: bool
 
 
@@ -463,7 +474,7 @@ def _merge_sources(
 
     parent: dict[int, int | None] = {}
     eta: dict[int, int] = {}
-    flag_in: dict[int, bool] = {}
+    flag_in: set[int] = set()
     certified: set[int] = set()
 
     def _add(u: int, p: int | None, e: int) -> None:
@@ -476,19 +487,19 @@ def _merge_sources(
         else:
             parent[u] = p
             eta[u] = e
-            flag_in[u] = False
 
     prev: int | None = None
     for u in spine:
         _add(u, prev, spine_eta[u])
         prev = u
     for src in sources:
-        for u in sorted(src.entries):
-            e = src.entries[u]
+        entries = src.view.entries
+        for u in sorted(entries):
+            e = entries[u]
             _add(u, e.parent, e.eta)
-            flag_in[u] = flag_in[u] or e.flag
-        certified.update(set(src.entries) - src.riders)
-        if src.self_witnessed:
+        flag_in |= src.view.flagged
+        certified.update(set(entries) - src.riders)
+        if src.view.self_witnessed:
             certified.update(src.certify_on_self)
     for path in own_paths:
         prev = None
@@ -538,7 +549,7 @@ def _merge_sources(
     # canonical tree labelled the root 1.  Non-root path nodes compute 1
     # under either reading, so only the root needs the override.
     has_branch = any(len(ch) >= 2 for ch in children.values())
-    evidence = any(src.branch_bit for src in sources)
+    evidence = any(src.view.branch_below_root for src in sources)
     if not has_branch and evidence and len(children[root]) == 1:
         xi[root] = 1
     # Only witness-backed branches may be advertised upward.  A branch here
@@ -565,15 +576,13 @@ def _merge_sources(
         if p in dropped:
             assert _eligible(u), "removal closure escaped the owner's subtree"
             dropped.add(u)
-        elif flag_in.get(p, False) and _eligible(u):
+        elif p in flag_in and _eligible(u):
             dropped.add(u)
         elif xi[u] > k and _eligible(u):
             dropped.add(u)
     kept = keep - dropped
-    out_flags: dict[int, bool] = {}
-    for u in kept:
-        fired = any(structure[w] == u for w in dropped)
-        out_flags[u] = flag_in.get(u, False) or fired
+    fired = {structure[w] for w in dropped}
+    flagged = frozenset(u for u in kept if u in flag_in or u in fired)
 
     if len(kept) > SIZE_BOUND_FACTOR * (1 << k) * max(depth_hint, 1):
         raise ProtocolError(
@@ -586,7 +595,7 @@ def _merge_sources(
         if u in spine_set:
             total = own_spine_gamma.get(u, 0)
             for src in sources:
-                e = src.entries.get(u)
+                e = src.view.entries.get(u)
                 if e is not None:
                     total += e.gamma
             if spine_gamma_table is not None and total != spine_gamma_table[u]:
@@ -603,13 +612,13 @@ def _merge_sources(
             else:
                 gamma_u = own_gamma.get(u, 0)
                 for src in sources:
-                    e = src.entries.get(u)
+                    e = src.view.entries.get(u)
                     if e is not None:
                         gamma_u += e.gamma
         meta[u] = SketchMeta(structure[u], eta[u], gamma_u, xi[u])
 
     sketch = SketchTree(owner=v, k=k, meta=meta, self_witnessed=self_witnessed)
-    return _MergeResult(sketch, out_flags, branch_out)
+    return _MergeResult(sketch, flagged, branch_out)
 
 
 def _chain_has(structure: Mapping[int, int | None], u: int, target: int) -> bool:
@@ -632,8 +641,8 @@ class SketchUpResult:
     sketches: tuple[SketchTree, ...]
     #: per node: child id -> the sketch received from that child
     child_views: tuple[dict[int, WireView], ...]
-    #: per node: truncation flags attached to its own outgoing sketch
-    out_flags: tuple[dict[int, bool], ...]
+    #: per node: entries flagged as truncated in its own outgoing sketch
+    out_flags: tuple[frozenset[int], ...]
     #: per node: whether its canonical tree branched below the root
     out_branch: tuple[bool, ...]
 
@@ -657,7 +666,7 @@ class _SketchUp(WordProgram):
         self.me = info[node.id]
         self.views: dict[int, WireView] = {}
         self.result: SketchTree | None = None
-        self.flags: dict[int, bool] = {}
+        self.flags: frozenset[int] = frozenset()
         self.branch_bit = False
         self._waiting = len(self.me.children)
 
@@ -668,21 +677,16 @@ class _SketchUp(WordProgram):
             self._finish_up()
 
     def _await_header(self, cid: int, eid: int) -> None:
-        def on_header(words: tuple[int, ...]) -> None:
-            count, self_bit, branch_bit = words
-
+        def on_header(head: tuple[int, ...]) -> None:
             def on_body(body: tuple[int, ...]) -> None:
-                entries = _decode_entries(body, self.node.n)
-                self._got_view(
-                    cid, WireView(cid, bool(self_bit), entries, bool(branch_bit))
-                )
+                self._got_view(cid, _decode_view(cid, head, body, self.node.n))
 
-            if count:
-                self.expect(eid, 5 * count, on_body)
+            if head[0]:
+                self.expect(eid, _view_body_words(head), on_body)
             else:
-                self._got_view(cid, WireView(cid, bool(self_bit), {}, bool(branch_bit)))
+                on_body(())
 
-        self.expect(eid, 3, on_header)
+        self.expect(eid, _VIEW_HEAD, on_header)
 
     def _got_view(self, cid: int, view: WireView) -> None:
         self.views[cid] = view
@@ -695,11 +699,11 @@ class _SketchUp(WordProgram):
             self.info, self.state, self.annotated, self.k, self.node.id, self.views
         )
         self.result = merged.sketch
-        self.flags = merged.out_flags
+        self.flags = merged.flagged
         self.branch_bit = merged.branch_bit
         if not self.me.is_root:
-            wire = view_of(self.result, self.flags, self.branch_bit)
-            self.send(self.me.parent_eid, *_encode_view(wire, self.node.n))
+            words = _encode_view(self.result, self.flags, self.branch_bit, self.node.n)
+            self.send(self.me.parent_eid, *words)
         self.finish()
 
 
@@ -732,17 +736,8 @@ def _merge_node_sketch(
     for cid in sorted(views):
         if cid == exclude:
             continue
-        view = views[cid]
         rho_child = frozenset(rho_v) | {cid}
-        sources.append(
-            _Source(
-                entries=view.entries,
-                riders=rho_child,
-                certify_on_self=frozenset((cid,)),
-                self_witnessed=view.self_witnessed,
-                branch_bit=view.branch_below_root,
-            )
-        )
+        sources.append(_Source(views[cid], rho_child, frozenset((cid,))))
 
     return _merge_sources(
         root=info.root,
@@ -797,7 +792,7 @@ def distributed_k_sketch(
         k=k,
         sketches=tuple(p.result for p in programs),
         child_views=tuple(dict(p.views) for p in programs),
-        out_flags=tuple(dict(p.flags) for p in programs),
+        out_flags=tuple(p.flags for p in programs),
         out_branch=tuple(p.branch_bit for p in programs),
     )
 
@@ -839,31 +834,23 @@ class _ReducedDown(WordProgram):
     def _await_blob(self) -> None:
         eid = self.me.parent_eid
 
-        def on_header(words: tuple[int, ...]) -> None:
-            count, self_bit, branch_bit = words
-
-            def deliver(entries: dict[int, WireEntry], body: tuple[int, ...]) -> None:
+        def on_header(head: tuple[int, ...]) -> None:
+            def deliver(body: tuple[int, ...]) -> None:
                 owner = self.me.alpha(self.me.level - 1 - len(self.received))
-                self.received.append(
-                    WireView(owner, bool(self_bit), entries, bool(branch_bit))
-                )
+                self.received.append(_decode_view(owner, head, body, self.node.n))
                 for _cid, ceid in self.me.children:
-                    self.send(ceid, count, self_bit, branch_bit, *body)
+                    self.send(ceid, *head, *body)
                 if len(self.received) < self._expected:
                     self._await_blob()
                 else:
                     self.finish()
 
-            if count:
-                self.expect(
-                    eid,
-                    5 * count,
-                    lambda body: deliver(_decode_entries(body, self.node.n), body),
-                )
+            if head[0]:
+                self.expect(eid, _view_body_words(head), deliver)
             else:
-                deliver({}, ())
+                deliver(())
 
-        self.expect(eid, 3, on_header)
+        self.expect(eid, _VIEW_HEAD, on_header)
 
 
 def _strata_merge(
@@ -878,17 +865,15 @@ def _strata_merge(
         assert view.owner == me.alpha(j)
         sources.append(
             _Source(
-                entries=view.entries,
+                view,
                 riders=frozenset(me.ancestors[: j + 1]),
                 certify_on_self=frozenset(me.ancestors[i : j + 1]),
-                self_witnessed=view.self_witnessed,
-                branch_bit=view.branch_below_root,
             )
         )
     spine_eta: dict[int, int] = {}
     for src in sources:
         for u in rho_v:
-            e = src.entries.get(u)
+            e = src.view.entries.get(u)
             if e is not None:
                 spine_eta.setdefault(u, e.eta)
     missing = [u for u in rho_v if u not in spine_eta]
@@ -910,7 +895,7 @@ def _strata_merge(
     # crossing can go missing: non-tree contributions always travel with
     # their witness path (or the whole region dies under a truncation
     # flag), and no further tree edge leaves the source region downward.
-    if x in sketch.meta and x not in sources[-1].entries:
+    if x in sketch.meta and x not in sources[-1].view.entries:
         m = sketch.meta[x]
         sketch.meta[x] = m._replace(gamma=m.gamma + 1)
     return sketch
@@ -946,8 +931,9 @@ def distributed_reduced_sketch(
                 merged = _merge_node_sketch(
                     info, state, annotated, k, v, up.child_views[v], exclude=cid
                 )
-                wire = view_of(merged.sketch, merged.out_flags, merged.branch_bit)
-                per_edge[eid] = _encode_view(wire, n)
+                per_edge[eid] = _encode_view(
+                    merged.sketch, merged.flagged, merged.branch_bit, n
+                )
         blobs.append(per_edge)
 
     programs = [

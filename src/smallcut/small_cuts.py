@@ -10,8 +10,9 @@ Size-2 cuts split into three shapes, each decided by a local test:
 * one tree edge plus one other edge -- exactly the nodes with ``eta(v) = 2``;
 * two nested tree edges -- a subtree-crossing count drops both boundaries
   to one;
-* two disjoint tree edges -- found by folding a small four-field algebra
-  (:class:`Zeta`) that tracks where a subtree's outgoing edges land.
+* two disjoint tree edges -- found by folding the landing algebra
+  (:func:`landing_combine` over :class:`Zeta`) that tracks where a
+  subtree's outgoing edges land.
 
 Detected cuts are collected by the observer, never shipped over the
 simulated network.
@@ -23,8 +24,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import Graph, boundary, edge_pairs
-from .runtime import Engine, WordProgram
-from .trees import BfsInfo, SemigroupSpec, broadcast_t1, trsf_compute
+from .runtime import Engine
+from .trees import (
+    BfsInfo,
+    ListExchange,
+    SemigroupSpec,
+    broadcast_t1,
+    nontree_exchange,
+    trsf_compute,
+)
 
 LABEL_ETA_PRE = "eta:pre"
 LABEL_ZETA_PRE = "zeta:pre"
@@ -70,29 +78,41 @@ def zeta_candidate(w: int, parent: int, eta: int, gamma: int) -> Zeta:
     return Zeta(TAG_CANDIDATE, w, parent, eta, gamma)
 
 
-def zeta_combine(z1: Zeta, z2: Zeta) -> Zeta:
-    """Merge two fold elements (commutative and associative)."""
-    if z1.tag == TAG_IDENTITY:
-        return z2
-    if z2.tag == TAG_IDENTITY:
-        return z1
-    if z1.tag == TAG_ABSORBING or z2.tag == TAG_ABSORBING:
-        return ZETA_ABSORBING
-    if (z1.w, z1.parent, z1.eta) == (z2.w, z2.parent, z2.eta):
-        return Zeta(TAG_CANDIDATE, z1.w, z1.parent, z1.eta, z1.gamma + z2.gamma)
-    return ZETA_ABSORBING
+def landing_combine(a, b):
+    """Merge two elements of a landing algebra (commutative, associative).
+
+    The elements are ``Zeta``-shaped named tuples: a leading ``tag`` and a
+    trailing ``gamma`` count.  Two candidates merge only when every other
+    field agrees, and their counts then add; any disagreement absorbs.
+    """
+    if a.tag == TAG_IDENTITY:
+        return b
+    if b.tag == TAG_IDENTITY or a.tag == TAG_ABSORBING:
+        return a
+    if b.tag == TAG_ABSORBING:
+        return b
+    if a[:-1] == b[:-1]:
+        return a._replace(gamma=a.gamma + b.gamma)
+    return type(a)(TAG_ABSORBING)
 
 
-def _encode_zeta(z: Zeta) -> tuple[int, ...]:
-    if z.tag == TAG_CANDIDATE:
-        return (TAG_CANDIDATE, z.w, z.parent, z.eta, z.gamma)
-    return (z.tag,)
+def landing_spec(name: str, cls, atomic) -> SemigroupSpec:
+    """Fold of the landing algebra over elements of the named tuple ``cls``.
 
-
-def _decode_zeta(words: tuple[int, ...]) -> Zeta:
-    if words[0] == TAG_CANDIDATE:
-        return Zeta(TAG_CANDIDATE, *words[1:])
-    return Zeta(words[0])
+    A candidate travels as all of its fields, tag first; the identity and
+    absorbing elements as the tag alone.
+    """
+    tail = len(cls._fields) - 1
+    return SemigroupSpec(
+        name=name,
+        combine=landing_combine,
+        atomic=atomic,
+        encode=lambda z: tuple(z) if z.tag == TAG_CANDIDATE else (z.tag,),
+        decode=lambda words: cls(*words),
+        head_words=1,
+        tail_words=lambda head: tail if head[0] == TAG_CANDIDATE else 0,
+        identity=cls(TAG_IDENTITY),
+    )
 
 
 @dataclass(frozen=True)
@@ -124,43 +144,6 @@ class EtaState:
     anc_eta: tuple[dict[int, int], ...]
 
 
-class _ListExchange(WordProgram):
-    """Stream a fixed word list over selected edges, collect the replies."""
-
-    def __init__(self, node, outgoing: dict[int, tuple[int, ...]],
-                 incoming: dict[int, int]):
-        super().__init__(node)
-        self._outgoing = outgoing
-        self._incoming = incoming
-        self.received: dict[int, tuple[int, ...]] = {}
-
-    def start(self) -> None:
-        for eid, words in sorted(self._outgoing.items()):
-            if words:
-                self.node.send(eid, *words)
-        self._waiting = len(self._incoming)
-        for eid, nwords in self._incoming.items():
-            if nwords == 0:
-                self.received[eid] = ()
-                self._waiting -= 1
-            else:
-                self.expect(eid, nwords, self._stash(eid))
-        if self._waiting == 0:
-            self.finish()
-
-    def _stash(self, eid: int):
-        def handler(words: tuple[int, ...]) -> None:
-            self.received[eid] = words
-            self._waiting -= 1
-            if self._waiting == 0:
-                self.finish()
-
-        return handler
-
-    def output(self) -> dict[int, tuple[int, ...]]:
-        return self.received
-
-
 class PreEta(NamedTuple):
     """Ancestor lists as heard from every neighbour, plus the crossing counts."""
 
@@ -181,13 +164,13 @@ def preprocess_eta(engine: Engine, info: BfsInfo) -> PreEta:
         nb = info[a]
         outgoing = {eid: nb.ancestors for _, eid in g.inc[a]}
         incoming = {eid: nb.neighbor_levels[eid] + 1 for _, eid in g.inc[a]}
-        programs.append(_ListExchange(engine.handles[a], outgoing, incoming))
+        programs.append(ListExchange(engine.handles[a], outgoing, incoming))
     engine.run_phase(LABEL_ETA_PRE, programs)
 
     own_cross = []
     neighbor_ancestors = []
     for a in range(g.n):
-        heard = programs[a].output()
+        heard = programs[a].received
         by_eid = {eid: tuple(words) for eid, words in heard.items()}
         neighbor_ancestors.append(by_eid)
         sets = [set(words) for words in by_eid.values()]
@@ -253,35 +236,19 @@ def preprocess_zeta(
     Returns, per node, a map from non-tree edge id to the neighbour's
     annotated ancestor list in root-to-node order.
     """
-    g = engine.g
-    programs = []
-    for a in range(g.n):
-        nb = info[a]
-        child_eids = {eid for _, eid in nb.children}
-        words = []
-        for lvl, u in enumerate(nb.ancestors):
-            words.extend((lvl, state.anc_eta[a][u], u))
-        outgoing = {}
-        incoming = {}
-        for _, eid in g.inc[a]:
-            if eid == nb.parent_eid or eid in child_eids:
-                continue
-            outgoing[eid] = tuple(words)
-            incoming[eid] = 3 * (nb.neighbor_levels[eid] + 1)
-        programs.append(_ListExchange(engine.handles[a], outgoing, incoming))
-    engine.run_phase(LABEL_ZETA_PRE, programs)
+    def words(a: int) -> list[int]:
+        return [x for lvl, u in enumerate(info[a].ancestors) for x in (lvl, state.anc_eta[a][u], u)]
 
-    annotated = []
-    for a in range(g.n):
-        heard = programs[a].output()
-        per_edge = {}
-        for eid, words in heard.items():
-            per_edge[eid] = tuple(
-                (words[i], words[i + 1], words[i + 2])
-                for i in range(0, len(words), 3)
-            )
-        annotated.append(per_edge)
-    return tuple(annotated)
+    heard = nontree_exchange(
+        engine, info, LABEL_ZETA_PRE, words, lambda level: 3 * (level + 1)
+    )
+    return tuple(
+        {
+            eid: tuple(zip(ws[0::3], ws[1::3], ws[2::3]))
+            for eid, ws in per_edge.items()
+        }
+        for per_edge in heard
+    )
 
 
 def _zeta_atom(node_state, l: int) -> Zeta:
@@ -319,16 +286,7 @@ def compute_zeta(
     if annotated is None:
         annotated = preprocess_zeta(engine, info, state)
     n = engine.g.n
-    spec = SemigroupSpec(
-        name="zeta",
-        combine=zeta_combine,
-        atomic=_zeta_atom,
-        encode=_encode_zeta,
-        decode=_decode_zeta,
-        head_words=1,
-        tail_words=lambda head: 4 if head[0] == TAG_CANDIDATE else 0,
-        identity=ZETA_IDENTITY,
-    )
+    spec = landing_spec("zeta", Zeta, _zeta_atom)
     states = [(info[a], annotated[a]) for a in range(n)]
     run = trsf_compute(engine, info, spec, states)
     tables = tuple(
@@ -386,52 +344,3 @@ def detect_2cuts(
     for r in found:
         unique.setdefault(r.edges, r)
     return sorted(unique.values(), key=lambda r: r.edges)
-
-
-@dataclass(frozen=True)
-class SmallCutResult:
-    """Outcome of the size-1/2 stage for one rooted run."""
-
-    lambda_detected: int | None
-    reports: tuple[CutReport, ...]
-    state: EtaState
-    zeta: tuple[dict[int, Zeta], ...] | None
-    induced: tuple[CutReport, ...]
-
-
-def run_small_cut_stage(
-    engine: Engine,
-    info: BfsInfo,
-    verbose: bool = False,
-    always_continue: bool = False,
-) -> SmallCutResult:
-    """Run the full size-1 then size-2 search on an existing BFS tree.
-
-    Stops after the bridge test when a bridge exists (the two-edge
-    reports would not be minimum cuts then), unless asked to continue
-    for diagnostics.  ``verbose`` additionally exposes every induced cut
-    the detectors saw, regardless of the minimum.
-    """
-    pre = preprocess_eta(engine, info)
-    state = compute_eta(engine, info, pre)
-    bridges = detect_1cuts(state)
-
-    zeta = None
-    pairs: list[CutReport] = []
-    if not bridges or verbose or always_continue:
-        zeta = compute_zeta(engine, info, state)
-        pairs = detect_2cuts(engine.g, state, zeta)
-
-    if bridges:
-        lam, reports = 1, bridges
-    elif pairs:
-        lam, reports = 2, pairs
-    else:
-        lam, reports = None, []
-    return SmallCutResult(
-        lambda_detected=lam,
-        reports=tuple(reports),
-        state=state,
-        zeta=zeta,
-        induced=tuple(bridges + pairs) if verbose else (),
-    )

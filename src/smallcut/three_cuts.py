@@ -38,22 +38,35 @@ from .small_cuts import (
     TAG_IDENTITY,
     CutReport,
     EtaState,
-    _ListExchange,
     compute_eta,
     compute_zeta,
     detect_1cuts,
     detect_2cuts,
+    landing_combine,
+    landing_spec,
     preprocess_eta,
     preprocess_zeta,
 )
 from .sketches import (
+    ENTRY_WORDS,
     ReducedSketchResult,
+    SketchMeta,
     SketchTree,
     SketchUpResult,
+    decode_entries,
     distributed_k_sketch,
     distributed_reduced_sketch,
+    encode_entries,
 )
-from .trees import BfsInfo, SemigroupSpec, broadcast_t1, broadcast_t2, build_bfs, trsf_compute
+from .trees import (
+    BfsInfo,
+    SemigroupSpec,
+    broadcast_t1,
+    broadcast_t2,
+    build_bfs,
+    nontree_exchange,
+    trsf_compute,
+)
 
 LABEL_HCAST = "hcast"
 LABEL_PIVOT_PRE = "pivot:pre"
@@ -245,21 +258,17 @@ def detect_case4(
 # cases 3 and 6: partner candidates live in the k=3 sketches
 
 
-def _mini(sk: SketchTree) -> dict[int, tuple[int | None, int, int]]:
-    return {u: (m.parent, m.eta, m.gamma) for u, m in sk.meta.items()}
-
-
-def _on_chain(meta: Mapping[int, tuple[int | None, int, int]], u: int, target: int) -> bool:
+def _on_chain(meta: Mapping[int, SketchMeta], u: int, target: int) -> bool:
     """Is ``target`` equal to ``u`` or an ancestor of it, per the sketch?"""
     w: int | None = u
     while w is not None:
         if w == target:
             return True
-        w = meta[w][0]
+        w = meta[w].parent
     return False
 
 
-def _sketch_disjoint(meta: Mapping[int, tuple[int | None, int, int]], x: int, y: int) -> bool:
+def _sketch_disjoint(meta: Mapping[int, SketchMeta], x: int, y: int) -> bool:
     return not _on_chain(meta, x, y) and not _on_chain(meta, y, x)
 
 
@@ -277,11 +286,12 @@ def detect_case3(g: Graph, state: EtaState, sketches: SketchUpResult) -> list[Cu
     for v in range(g.n):
         if v == info.root:
             continue
-        meta = _mini(sketches.sketches[v])
+        meta = sketches.sketches[v].meta
         ev = state.eta[v]
-        for u, (_, eu, guv) in sorted(meta.items()):
+        for u, m in sorted(meta.items()):
             if u == v or not _sketch_disjoint(meta, u, v):
                 continue
+            eu, guv = m.eta, m.gamma
             if (ev - 2 == guv == eu - 1) or (ev - 1 == guv == eu - 2):
                 r = _witness_report(g, tree, (v, u), CASE3, v)
                 if r:
@@ -290,24 +300,17 @@ def detect_case3(g: Graph, state: EtaState, sketches: SketchUpResult) -> list[Cu
 
 
 @dataclass(frozen=True)
-class ChainSketch:
-    """A sketch as decoded from the wire: just structure and counts."""
-
-    owner: int
-    meta: dict[int, tuple[int | None, int, int]]  # parent, eta, gamma
-
-
-@dataclass(frozen=True)
 class SketchExchange:
     """Who knows whose sketch after the downcast and the edge swap.
 
     ``chain[x]`` maps every ancestor of x (x included) to that
-    ancestor's k=3 sketch; ``across[x]`` holds, per incident non-tree
-    edge, the same chain as seen from the other endpoint.
+    ancestor's k=3 sketch entries as decoded from the wire; ``across[x]``
+    holds, per incident non-tree edge, the same chain as seen from the
+    other endpoint.
     """
 
-    chain: tuple[dict[int, ChainSketch], ...]
-    across: tuple[dict[int, dict[int, ChainSketch]], ...]
+    chain: tuple[dict[int, dict[int, SketchMeta]], ...]
+    across: tuple[dict[int, dict[int, dict[int, SketchMeta]]], ...]
 
 
 def _agree_max(engine: Engine, info: BfsInfo, values: Sequence[int], name: str) -> int:
@@ -330,19 +333,15 @@ def _agree_max(engine: Engine, info: BfsInfo, values: Sequence[int], name: str) 
 
 
 def _encode_block(owner: int | None, sk: SketchTree, n: int, width: int) -> list[int]:
-    words = list(sk.serialize(n))
     head = [len(sk.meta)] if owner is None else [owner, len(sk.meta)]
-    block = head + words
+    block = head + list(encode_entries(sk.meta, n))
     assert len(block) <= width
     return block + [0] * (width - len(block))
 
 
-def _decode_meta(words: Sequence[int], count: int, n: int) -> dict[int, tuple[int | None, int, int]]:
-    meta: dict[int, tuple[int | None, int, int]] = {}
-    for i in range(count):
-        u, p, eta_u, gamma_u = words[4 * i : 4 * i + 4]
-        meta[u] = (None if p == n else p, eta_u, gamma_u)
-    return meta
+def _decode_block(words: Sequence[int], at: int, n: int) -> dict[int, SketchMeta]:
+    """The entries of the block whose count sits at ``words[at]``."""
+    return decode_entries(words[at + 1 : at + 1 + ENTRY_WORDS * words[at]], n)
 
 
 def sketch_exchange(
@@ -359,47 +358,28 @@ def sketch_exchange(
     cap = _agree_max(
         engine, info, [len(sketches.sketches[v].meta) for v in range(g.n)], "skwidth"
     )
-    w_down = 1 + 4 * cap
+    w_down = 1 + ENTRY_WORDS * cap
     lists = [_encode_block(None, sketches.sketches[v], n, w_down) for v in range(g.n)]
     received = broadcast_t2(engine, info, lists, w_down, label=LABEL_SKETCH_CAST)
+    chain = [
+        {a: _decode_block(blk, 0, n) for a, blk in received[x].items()} for x in range(g.n)
+    ]
 
-    chain: list[dict[int, ChainSketch]] = []
-    for x in range(g.n):
-        per_anc = {}
-        for a, blk in received[x].items():
-            per_anc[a] = ChainSketch(a, _decode_meta(blk[1:], blk[0], n))
-        chain.append(per_anc)
+    w_x = 2 + ENTRY_WORDS * cap
 
-    w_x = 2 + 4 * cap
-    programs = []
-    for x in range(g.n):
-        nb = info[x]
-        child_eids = {eid for _, eid in nb.children}
-        words: list[int] = []
-        for a in nb.ancestors:
-            sk = sketches.sketches[a]
-            words.extend(_encode_block(a, sk, n, w_x))
-        outgoing = {}
-        incoming = {}
-        for _, eid in g.inc[x]:
-            if eid == nb.parent_eid or eid in child_eids:
-                continue
-            outgoing[eid] = tuple(words)
-            incoming[eid] = w_x * (nb.neighbor_levels[eid] + 1)
-        programs.append(_ListExchange(engine.handles[x], outgoing, incoming))
-    engine.run_phase(LABEL_SKETCH_XCH, programs)
+    def words(x: int) -> list[int]:
+        return [w for a in info[x].ancestors for w in _encode_block(a, sketches.sketches[a], n, w_x)]
 
-    across: list[dict[int, dict[int, ChainSketch]]] = []
-    for x in range(g.n):
-        per_edge: dict[int, dict[int, ChainSketch]] = {}
-        for eid, words in programs[x].output().items():
-            theirs: dict[int, ChainSketch] = {}
-            for off in range(0, len(words), w_x):
-                blk = words[off : off + w_x]
-                owner, count = blk[0], blk[1]
-                theirs[owner] = ChainSketch(owner, _decode_meta(blk[2:], count, n))
-            per_edge[eid] = theirs
-        across.append(per_edge)
+    heard = nontree_exchange(
+        engine, info, LABEL_SKETCH_XCH, words, lambda level: w_x * (level + 1)
+    )
+    across = [
+        {
+            eid: {ws[off]: _decode_block(ws, off + 1, n) for off in range(0, len(ws), w_x)}
+            for eid, ws in per_edge.items()
+        }
+        for per_edge in heard
+    ]
     return SketchExchange(chain=tuple(chain), across=tuple(across))
 
 
@@ -430,7 +410,7 @@ def detect_case6(
     for v in range(g.n):
         if v == info.root:
             continue
-        meta = _mini(sketches.sketches[v])
+        meta = sketches.sketches[v].meta
         ev = state.eta[v]
         partners = [
             u
@@ -438,11 +418,11 @@ def detect_case6(
             if u != v and _sketch_disjoint(meta, u, v)
         ]
         for i, x in enumerate(partners):
-            _, ex, gvx = meta[x]
+            ex, gvx = meta[x].eta, meta[x].gamma
             for y in partners[i + 1 :]:
                 if not _sketch_disjoint(meta, x, y):
                     continue
-                _, ey, gvy = meta[y]
+                ey, gvy = meta[y].eta, meta[y].gamma
                 if ev - 1 == gvx + gvy and ex - 1 == gvx and ey - 1 == gvy:
                     r = _witness_report(g, tree, (v, x, y), CASE6, v)
                     if r:
@@ -454,7 +434,7 @@ def detect_case6(
             for v in info[w].ancestors:
                 if v == info.root:
                     continue
-                sv = own[v].meta
+                sv = own[v]
                 ev = state.anc_eta[w][v]
                 cands = [
                     u
@@ -464,15 +444,15 @@ def detect_case6(
                 for x in cands:
                     if x not in theirs:
                         continue
-                    sx = theirs[x].meta
-                    _, ex, gvx = sv[x]
+                    sx = theirs[x]
+                    ex, gvx = sv[x].eta, sv[x].gamma
                     for y in cands:
                         if y == x or not _sketch_disjoint(sv, x, y):
                             continue
                         if y not in sx or not _sketch_disjoint(sx, x, y):
                             continue
-                        _, ey, gvy = sv[y]
-                        gxy = sx[y][2]
+                        ey, gvy = sv[y].eta, sv[y].gamma
+                        gxy = sx[y].gamma
                         if (
                             gxy > 0
                             and ev - 1 == gvx + gvy
@@ -512,11 +492,10 @@ def detect_case7(
             if ex - 1 != h:
                 continue
             ev = state.anc_eta[x][v]
-            meta = _mini(sk)
-            for u, (_, eu, gu) in sorted(meta.items()):
+            for u, m in sorted(sk.meta.items()):
                 if u in anc:
                     continue
-                if ev - 1 == h + gu and eu - 1 == gu:
+                if ev - 1 == h + m.gamma and m.eta - 1 == m.gamma:
                     r = _witness_report(g, tree, (v, x, u), CASE7, x)
                     if r:
                         out.append(r)
@@ -588,30 +567,6 @@ LAYER_IDENTITY = LayerCand(TAG_IDENTITY)
 LAYER_ABSORBING = LayerCand(TAG_ABSORBING)
 
 
-def layer_combine(a: LayerCand, b: LayerCand) -> LayerCand:
-    if a.tag == TAG_IDENTITY:
-        return b
-    if b.tag == TAG_IDENTITY:
-        return a
-    if a.tag == TAG_ABSORBING or b.tag == TAG_ABSORBING:
-        return LAYER_ABSORBING
-    if a[:6] == b[:6]:
-        return a._replace(gamma=a.gamma + b.gamma)
-    return LAYER_ABSORBING
-
-
-def _encode_layer(z: LayerCand) -> tuple[int, ...]:
-    if z.tag != TAG_CANDIDATE:
-        return (z.tag,)
-    return (z.tag, z.w, z.parent, z.stay, z.eta, z.lca_level, z.gamma)
-
-
-def _decode_layer(words: tuple[int, ...]) -> LayerCand:
-    if words[0] != TAG_CANDIDATE:
-        return LayerCand(words[0])
-    return LayerCand(*words)
-
-
 def preprocess_pivot(
     engine: Engine,
     info: BfsInfo,
@@ -625,38 +580,23 @@ def preprocess_pivot(
     *other* side's chain.  Row l of the triangle describes the level-l
     ancestor, one entry per level strictly between the root and l.
     """
-    g = engine.g
-    programs = []
-    for q in range(g.n):
-        nb = info[q]
-        child_eids = {eid for _, eid in nb.children}
-        words: list[int] = []
-        for l in range(1, nb.level + 1):
-            w = nb.ancestors[l]
-            words.extend(hcast[q][w][: l - 1])
-        outgoing = {}
-        incoming = {}
-        for _, eid in g.inc[q]:
-            if eid == nb.parent_eid or eid in child_eids:
-                continue
-            lq = nb.neighbor_levels[eid]
-            outgoing[eid] = tuple(words)
-            incoming[eid] = lq * (lq - 1) // 2
-        programs.append(_ListExchange(engine.handles[q], outgoing, incoming))
-    engine.run_phase(LABEL_PIVOT_PRE, programs)
+    def words(q: int) -> list[int]:
+        return [h for l, w in enumerate(info[q].ancestors) if l for h in hcast[q][w][: l - 1]]
 
+    heard = nontree_exchange(
+        engine, info, LABEL_PIVOT_PRE, words, lambda level: level * (level - 1) // 2
+    )
     tri = []
-    for q in range(g.n):
-        per_edge: dict[int, dict[int, tuple[int, ...]]] = {}
-        for eid, words in programs[q].output().items():
+    for q, per_edge in enumerate(heard):
+        rows_by_edge: dict[int, dict[int, tuple[int, ...]]] = {}
+        for eid, ws in per_edge.items():
             rows: dict[int, tuple[int, ...]] = {}
             off = 0
-            lq = info[q].neighbor_levels[eid]
-            for l in range(1, lq + 1):
-                rows[l] = tuple(words[off : off + l - 1])
+            for l in range(1, info[q].neighbor_levels[eid] + 1):
+                rows[l] = tuple(ws[off : off + l - 1])
                 off += l - 1
-            per_edge[eid] = rows
-        tri.append(per_edge)
+            rows_by_edge[eid] = rows
+        tri.append(rows_by_edge)
     return tuple(tri)
 
 
@@ -690,7 +630,7 @@ def _layer_atom(pivot_level: int, node_state, l: int) -> LayerCand:
             j - 1,
             1,
         )
-        acc = layer_combine(acc, cand)
+        acc = landing_combine(acc, cand)
     return acc
 
 
@@ -739,15 +679,8 @@ def layered_min_cut(
     two: list[dict[int, dict[int, LayerCand]]] = [dict() for _ in range(g.n)]
     states = [(info[a], annotated[a], tri[a]) for a in range(g.n)]
     for i in range(info.depth):
-        spec = SemigroupSpec(
-            name=f"layer{i}",
-            combine=layer_combine,
-            atomic=lambda st, l, _i=i: _layer_atom(_i, st, l),
-            encode=_encode_layer,
-            decode=_decode_layer,
-            head_words=1,
-            tail_words=lambda head: 6 if head[0] == TAG_CANDIDATE else 0,
-            identity=LAYER_IDENTITY,
+        spec = landing_spec(
+            f"layer{i}", LayerCand, lambda st, l, _i=i: _layer_atom(_i, st, l)
         )
         run = trsf_compute(engine, info, spec, states, min_level=i + 1)
         for a in range(g.n):
@@ -1028,8 +961,9 @@ def run_battery(
 
     sk3 = distributed_k_sketch(engine, info, state, 3, annotated)
     reports += detect_case3(g, state, sk3)
-    exchange = sketch_exchange(engine, info, sk3)
-    reports += detect_case6(g, state, sk3, exchange)
+    # The exchange is the battery's largest object; nothing after case 6
+    # reads it, so it is not kept alive past that detector.
+    reports += detect_case6(g, state, sk3, sketch_exchange(engine, info, sk3))
 
     red2 = distributed_reduced_sketch(engine, info, state, 2, annotated)
     reports += detect_case7(g, state, red2)

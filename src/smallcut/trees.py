@@ -336,13 +336,12 @@ def broadcast_t2(
     info: BfsInfo,
     lists: Sequence[Sequence[int]],
     width: int,
-    pad: int = 0,
     label: str = LABEL_BCAST2,
 ) -> list[dict[int, tuple[int, ...]]]:
     """Deliver each node's word list to its entire subtree.
 
-    Lists are padded to the fixed ``width`` so that receivers can frame
-    the incoming stream without headers; callers use position metadata
+    Lists are zero-padded to the fixed ``width`` so that receivers can
+    frame the incoming stream without headers; callers use position metadata
     (every receiver knows each ancestor's level) to ignore the padding.
     Cost is one pipelined pass of ``width`` words per ancestor, i.e.
     quadratic in depth when ``width`` is itself of depth order.
@@ -352,12 +351,80 @@ def broadcast_t2(
         lst = list(lst)
         if len(lst) > width:
             raise ValueError(f"node {v} list length {len(lst)} exceeds width {width}")
-        padded.append(lst + [pad] * (width - len(lst)))
+        padded.append(lst + [0] * (width - len(lst)))
     programs = [
         _Downcast(h, info[v], padded[v], width) for v, h in enumerate(engine.handles)
     ]
     engine.run_phase(label, programs)
     return [dict(p.received) for p in programs]
+
+
+# ---------------------------------------------------------------------------
+# Exchanges between neighbours
+
+
+class ListExchange(WordProgram):
+    """Stream a fixed word list over selected edges, collect the replies.
+
+    ``outgoing`` maps edge ids to the words sent there, ``incoming``
+    edge ids to the number of words expected back.
+    """
+
+    def __init__(self, node: NodeHandle, outgoing: dict[int, tuple[int, ...]],
+                 incoming: dict[int, int]):
+        super().__init__(node)
+        self._outgoing = outgoing
+        self._incoming = incoming
+        self.received: dict[int, tuple[int, ...]] = {}
+
+    def start(self) -> None:
+        for eid, words in sorted(self._outgoing.items()):
+            if words:
+                self.node.send(eid, *words)
+        self._waiting = len(self._incoming)
+        for eid, nwords in self._incoming.items():
+            if nwords == 0:
+                self.received[eid] = ()
+                self._waiting -= 1
+            else:
+                self.expect(eid, nwords, self._stash(eid))
+        if self._waiting == 0:
+            self.finish()
+
+    def _stash(self, eid: int):
+        def handler(words: tuple[int, ...]) -> None:
+            self.received[eid] = words
+            self._waiting -= 1
+            if self._waiting == 0:
+                self.finish()
+
+        return handler
+
+
+def nontree_exchange(
+    engine: Engine,
+    info: BfsInfo,
+    label: str,
+    words: Callable[[int], Sequence[int]],
+    incoming: Callable[[int], int],
+) -> list[dict[int, tuple[int, ...]]]:
+    """Swap word lists across every non-tree edge, both ways at once.
+
+    Node ``v`` sends ``words(v)`` over each incident non-tree edge and
+    expects ``incoming(l)`` words back from a neighbour at level ``l``.
+    ``words`` is called only for nodes that have a non-tree edge.
+    Returns, per node, a map from non-tree edge id to the words heard.
+    """
+    programs = []
+    for v, handle in enumerate(engine.handles):
+        nb = info[v]
+        tree_eids = {eid for _, eid in nb.children} | {nb.parent_eid}
+        nontree = [eid for _, eid in handle.ports if eid not in tree_eids]
+        mine = tuple(words(v)) if nontree else ()
+        expected = {eid: incoming(nb.neighbor_levels[eid]) for eid in nontree}
+        programs.append(ListExchange(handle, dict.fromkeys(nontree, mine), expected))
+    engine.run_phase(label, programs)
+    return [p.received for p in programs]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +607,6 @@ def trsf_compute(
     spec: SemigroupSpec,
     states: Sequence[object],
     min_level: int = 0,
-    validate: bool = True,
 ) -> TrsfRun:
     """Fold atomic values over every subtree, one wave up the tree.
 
@@ -551,7 +617,9 @@ def trsf_compute(
     at that level, which is how per-pivot instances reuse this engine.
     Records that fit one round follow the strict wave schedule; the
     returned ``emit_log`` records (node, level, phase round) for every
-    emission so callers can audit the discipline.
+    emission so callers can audit the discipline.  Afterwards the
+    combine operation is checked for commutativity and associativity on
+    a sample of the folded elements.
     """
     if not 0 <= min_level <= max(info.depth, 0):
         raise ValueError(f"min_level {min_level} outside tree depth {info.depth}")
@@ -571,6 +639,5 @@ def trsf_compute(
         f = None if p.f is _TrsfProgram._UNSET else p.f
         results.append(TrsfNodeResult(partials=dict(p.acc), from_child=p.from_child, f=f))
         seen.extend(p.acc.values())
-    if validate:
-        _check_algebra(spec, seen)
+    _check_algebra(spec, seen)
     return TrsfRun(results=results, emit_log=log, strict_schedule=strict)

@@ -19,7 +19,7 @@ from smallcut.cli import (
     EXIT_VERIFY,
     load_graph,
 )
-from smallcut.graphs import OracleResult, generate, min_cut_oracle, edge_pairs
+from smallcut.graphs import OracleResult, dumps, generate, min_cut_oracle, edge_pairs
 from smallcut.runtime import BandwidthError
 
 
@@ -38,6 +38,12 @@ def test_gen_roundtrip(tmp_path):
     ref = generate("prism", 8)
     assert (g.n, g.m) == (ref.n, ref.m)
     assert sorted(g.edges) == sorted(ref.edges)
+
+
+def test_dumps_output_passes_verify(tmp_path):
+    path = tmp_path / "prism.txt"
+    path.write_text(dumps(generate("prism", 8)))
+    assert run_cli("verify", "--graph", str(path)) == EXIT_OK
 
 
 def test_load_graph_skips_comments(tmp_path):

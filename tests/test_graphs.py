@@ -200,21 +200,25 @@ def test_random_family_is_deterministic_per_seed():
 def test_serialization_round_trip():
     g = k3()
     text = dumps(g)
-    assert text == "# n=3 m=3\n0 1\n0 2\n1 2\n"
+    assert text == "3 3\n0 1\n0 2\n1 2\n"
     again = loads(text)
     assert again.n == g.n and again.edges == g.edges
+    assert dumps(g, "k3") == "# k3\n" + text
+    assert loads(dumps(g, "k3")).edges == g.edges
 
 
 def test_loads_rejects_malformed_input():
-    assert loads("0 1 # chord\n# full line comment\n\n1 2\n").m == 2
-    with pytest.raises(ValueError, match="line 1"):
-        loads("0 1 2\n")
+    assert loads("3 2\n0 1 # chord\n# full line comment\n\n1 2\n").m == 2
+    with pytest.raises(ValueError, match="line 2"):
+        loads("3 1\n0 1 2\n")
     with pytest.raises(ValueError, match="integers"):
-        loads("a b\n")
-    with pytest.raises(ValueError, match="no edges"):
+        loads("3 1\na b\n")
+    with pytest.raises(ValueError, match="header"):
         loads("# nothing\n")
-    with pytest.raises(ValueError, match="negative"):
-        loads("-1 2\n")
+    with pytest.raises(ValueError, match="claims 2 edges"):
+        loads("3 2\n0 1\n")
+    with pytest.raises(ValueError, match="outside"):
+        loads("3 1\n-1 2\n")
 
 
 def test_bfs_tree_on_square():

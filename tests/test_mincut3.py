@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from smallcut.graphs import Graph, boundary, generate, min_cut_oracle, edge_pairs
 from smallcut.runtime import Engine, SimulatorConfig
-from smallcut.small_cuts import compute_eta, preprocess_eta, preprocess_zeta
+from smallcut.small_cuts import compute_eta, landing_combine, preprocess_eta, preprocess_zeta
 from smallcut.three_cuts import (
     CASE1,
     CASE2,
@@ -27,7 +27,6 @@ from smallcut.three_cuts import (
     compute_cut_details,
     convergecast_details,
     detect_case5,
-    layer_combine,
     layered_min_cut,
     downcast_h,
     run_battery,
@@ -395,24 +394,24 @@ elements = st.one_of(st.just(LAYER_IDENTITY), st.just(LAYER_ABSORBING), cands)
 
 @given(elements, elements)
 def test_layer_combine_commutes(a, b):
-    assert layer_combine(a, b) == layer_combine(b, a)
+    assert landing_combine(a, b) == landing_combine(b, a)
 
 
 @settings(max_examples=300)
 @given(elements, elements, elements)
 def test_layer_combine_associates(a, b, c):
-    assert layer_combine(layer_combine(a, b), c) == layer_combine(a, layer_combine(b, c))
+    assert landing_combine(landing_combine(a, b), c) == landing_combine(a, landing_combine(b, c))
 
 
 @given(elements)
 def test_layer_combine_identity_and_absorption(z):
-    assert layer_combine(LAYER_IDENTITY, z) == z
-    assert layer_combine(LAYER_ABSORBING, z) == LAYER_ABSORBING
+    assert landing_combine(LAYER_IDENTITY, z) == z
+    assert landing_combine(LAYER_ABSORBING, z) == LAYER_ABSORBING
 
 
 @given(cands, cands)
 def test_layer_combine_merges_only_exact_matches(a, b):
-    out = layer_combine(a, b)
+    out = landing_combine(a, b)
     if a[:6] == b[:6]:
         assert out == a._replace(gamma=a.gamma + b.gamma)
     else:

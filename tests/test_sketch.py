@@ -16,6 +16,7 @@ from smallcut.sketches import (
     build_canonical,
     distributed_k_sketch,
     distributed_reduced_sketch,
+    encode_entries,
     first_branch_node,
     reference_k_sketch,
 )
@@ -172,7 +173,7 @@ def test_reference_c4_frozen():
     sk = reference_k_sketch(t, C4, 1, 3)
     assert sk.dump() == "0 -1 0 0 2\n1 0 2 2 2\n3 0 2 1 2"
     assert sk.nodes == (0, 1, 3)
-    assert sk.serialize(4) == (0, 4, 0, 0, 1, 0, 2, 2, 3, 0, 2, 1)
+    assert encode_entries(sk.meta, 4) == (0, 4, 0, 0, 1, 0, 2, 2, 3, 0, 2, 1)
     assert sk.bit_size(4) == 12 * word_size_bits(4)
     assert not sk.self_witnessed
 

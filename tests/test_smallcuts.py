@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,10 +29,9 @@ from smallcut.small_cuts import (
     compute_zeta,
     detect_1cuts,
     detect_2cuts,
+    landing_combine,
     preprocess_eta,
-    run_small_cut_stage,
     zeta_candidate,
-    zeta_combine,
 )
 from smallcut.trees import build_bfs
 
@@ -42,9 +43,17 @@ def start(g, root=0):
     return engine, build_bfs(engine, root)
 
 
-def stage(g, root=0, **kw):
+def stage(g, root=0):
+    """The size-1/2 stage in pipeline order: pairs only when no bridge."""
     engine, info = start(g, root)
-    return engine, run_small_cut_stage(engine, info, **kw)
+    state = compute_eta(engine, info, preprocess_eta(engine, info))
+    zeta, reports = None, detect_1cuts(state)
+    lam = 1 if reports else None
+    if not reports:
+        zeta = compute_zeta(engine, info, state)
+        reports = detect_2cuts(g, state, zeta)
+        lam = 2 if reports else None
+    return engine, SimpleNamespace(lambda_detected=lam, reports=tuple(reports), zeta=zeta)
 
 
 def report_edge_sets(g, reports):
@@ -165,11 +174,11 @@ def test_bridge_reports():
 
 def test_combine_frozen_cases():
     z = zeta_candidate(3, 0, 2, 1)
-    assert zeta_combine(ZETA_IDENTITY, z) == z
-    assert zeta_combine(z, ZETA_IDENTITY) == z
-    assert zeta_combine(ZETA_ABSORBING, z) == ZETA_ABSORBING
-    assert zeta_combine(z, zeta_candidate(3, 0, 2, 2)) == zeta_candidate(3, 0, 2, 3)
-    assert zeta_combine(z, zeta_candidate(4, 0, 2, 1)) == ZETA_ABSORBING
+    assert landing_combine(ZETA_IDENTITY, z) == z
+    assert landing_combine(z, ZETA_IDENTITY) == z
+    assert landing_combine(ZETA_ABSORBING, z) == ZETA_ABSORBING
+    assert landing_combine(z, zeta_candidate(3, 0, 2, 2)) == zeta_candidate(3, 0, 2, 3)
+    assert landing_combine(z, zeta_candidate(4, 0, 2, 1)) == ZETA_ABSORBING
 
 
 zeta_elements = st.one_of(
@@ -188,8 +197,8 @@ zeta_elements = st.one_of(
 
 @given(zeta_elements, zeta_elements, zeta_elements)
 def test_combine_is_commutative_and_associative(a, b, c):
-    assert zeta_combine(a, b) == zeta_combine(b, a)
-    assert zeta_combine(zeta_combine(a, b), c) == zeta_combine(a, zeta_combine(b, c))
+    assert landing_combine(a, b) == landing_combine(b, a)
+    assert landing_combine(landing_combine(a, b), c) == landing_combine(a, landing_combine(b, c))
 
 
 def test_fold_atoms_on_fixed_graphs():
@@ -227,7 +236,7 @@ def test_fold_matches_centralized_property(seed, root_pick):
             direct = zeta_ref(g, ref, ref.desc(a), v)
             folded = ZETA_IDENTITY
             for x in sorted(ref.desc(a)):
-                folded = zeta_combine(folded, zeta_ref(g, ref, {x}, v))
+                folded = landing_combine(folded, zeta_ref(g, ref, {x}, v))
             assert tables[a][v] == direct == folded
 
 
@@ -263,11 +272,10 @@ def test_bridge_gates_pair_reports():
     assert len(result.reports) == 3
     assert result.zeta is None  # stopped early
 
-    engine, verbose = stage(p4, verbose=True)
-    assert verbose.lambda_detected == 1
-    assert len(verbose.reports) == 3
-    induced_pairs = [r for r in verbose.induced if r.size == 2]
-    assert induced_pairs, "verbose mode should surface induced two-edge cuts"
+    # The pair detector itself still sees every induced two-edge cut.
+    engine, info = start(p4)
+    state = compute_eta(engine, info, preprocess_eta(engine, info))
+    induced_pairs = detect_2cuts(p4, state, compute_zeta(engine, info, state))
     assert {r.edges for r in induced_pairs} == {
         ((0, 1), (1, 2)),
         ((1, 2), (2, 3)),
