@@ -4,7 +4,8 @@ Everything downstream runs over one rooted BFS spanning tree.  This
 module builds that tree distributedly (``build_bfs``), provides the two
 pipelined dissemination patterns — every node's one-word message to its
 whole subtree (``broadcast_t1``) and every node's word *list* to its
-subtree (``broadcast_t2``) — and implements the generic bottom-up fold
+subtree (``broadcast_t2``) — plus the swap of word lists across every
+non-tree edge (``nontree_exchange``), and implements the generic bottom-up fold
 engine (``trsf_compute``) that evaluates, for every node ``v``, the
 semigroup fold of per-node atomic values over the subtree below ``v``,
 while every node ``a`` also learns the partial folds of its own subtree
