@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .graphs import Graph, eccentricities
 
@@ -80,16 +80,6 @@ class SimulatorConfig:
             raise ValueError("word_bits must be at least 1")
         if self.round_limit < 1:
             raise ValueError("round_limit must be at least 1")
-
-
-class Message(NamedTuple):
-    """One drained frame: the words crossing one edge one way in one round."""
-
-    edge: int
-    src: int
-    dst: int
-    payload: tuple[int, ...]
-    bit_size: int
 
 
 @dataclass
@@ -239,8 +229,8 @@ class Engine:
         self.stats = RoundStats()
         self.handles = tuple(NodeHandle(self, v) for v in range(g.n))
         self._outbox: dict[tuple[int, int], deque[int]] = {}
-        self._pending: list[Message] = []
-        self._programs: Sequence[WordProgram] | None = None
+        # drained frames awaiting delivery: (destination, edge id, words)
+        self._pending: list[tuple[int, int, tuple[int, ...]]] = []
 
     def _send(self, handle: NodeHandle, eid: int, words: tuple[int, ...]) -> None:
         if eid not in handle._by_edge:
@@ -263,7 +253,6 @@ class Engine:
         """Run programs (one per vertex) until the phase goes quiescent."""
         if len(programs) != self.g.n:
             raise ValueError(f"need one program per vertex, got {len(programs)}")
-        self._programs = programs
         budget = self.config.word_bits
         for p in programs:
             p.start()
@@ -273,8 +262,8 @@ class Engine:
                 raise RoundLimitError(label, self.config.round_limit)
             phase_rounds += 1
             self.round += 1
-            for msg in self._pending:
-                programs[msg.dst].on_chunk(msg.edge, msg.payload)
+            for dst, eid, payload in self._pending:
+                programs[dst].on_chunk(eid, payload)
             self._pending = []
             for p in programs:
                 p.tick()
@@ -289,12 +278,10 @@ class Engine:
                     del self._outbox[key]
                 u, v = self.g.edges[eid]
                 dst = v if src == u else u
-                bits = take * self.word_size
-                self._pending.append(Message(eid, src, dst, payload, bits))
+                self._pending.append((dst, eid, payload))
                 messages += 1
-                max_bits = max(max_bits, bits)
+                max_bits = max(max_bits, take * self.word_size)
             self.stats.record_round(label, messages, max_bits)
-        self._programs = None
 
 
 def run_protocol(

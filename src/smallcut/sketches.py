@@ -42,7 +42,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, RootedTree, boundary, gamma, non_tree_eids
 from .runtime import Engine, ProtocolError, WordProgram, word_size_bits
-from .small_cuts import EtaState, preprocess_zeta
+from .small_cuts import EtaState
 from .trees import BfsInfo
 
 __all__ = [
@@ -641,10 +641,6 @@ class SketchUpResult:
     sketches: tuple[SketchTree, ...]
     #: per node: child id -> the sketch received from that child
     child_views: tuple[dict[int, WireView], ...]
-    #: per node: entries flagged as truncated in its own outgoing sketch
-    out_flags: tuple[frozenset[int], ...]
-    #: per node: whether its canonical tree branched below the root
-    out_branch: tuple[bool, ...]
 
 
 class _SketchUp(WordProgram):
@@ -666,8 +662,6 @@ class _SketchUp(WordProgram):
         self.me = info[node.id]
         self.views: dict[int, WireView] = {}
         self.result: SketchTree | None = None
-        self.flags: frozenset[int] = frozenset()
-        self.branch_bit = False
         self._waiting = len(self.me.children)
 
     def start(self) -> None:
@@ -699,10 +693,8 @@ class _SketchUp(WordProgram):
             self.info, self.state, self.annotated, self.k, self.node.id, self.views
         )
         self.result = merged.sketch
-        self.flags = merged.flagged
-        self.branch_bit = merged.branch_bit
         if not self.me.is_root:
-            words = _encode_view(self.result, self.flags, self.branch_bit, self.node.n)
+            words = _encode_view(merged.sketch, merged.flagged, merged.branch_bit, self.node.n)
             self.send(self.me.parent_eid, *words)
         self.finish()
 
@@ -769,31 +761,25 @@ def distributed_k_sketch(
     info: BfsInfo,
     state: EtaState,
     k: int,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]] | None = None,
-    label: str | None = None,
+    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
 ) -> SketchUpResult:
     """Run the bottom-up sketch wave; node ``v`` ends up holding ``S_k(v)``.
 
-    ``annotated`` is the non-tree neighbour ancestor exchange — pass the
-    output of :func:`smallcut.small_cuts.preprocess_zeta` to reuse an
-    exchange that already ran; omitting it runs one here.
+    ``annotated`` is the non-tree neighbour ancestor exchange, the output
+    of :func:`smallcut.small_cuts.preprocess_zeta`.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if annotated is None:
-        annotated = preprocess_zeta(engine, info, state)
     programs = [
         _SketchUp(handle, info, state, annotated, k) for handle in engine.handles
     ]
-    engine.run_phase(label or f"{LABEL_SKETCH}{k}", programs)
+    engine.run_phase(f"{LABEL_SKETCH}{k}", programs)
     for p in programs:
         assert p.result is not None
     return SketchUpResult(
         k=k,
         sketches=tuple(p.result for p in programs),
         child_views=tuple(dict(p.views) for p in programs),
-        out_flags=tuple(p.flags for p in programs),
-        out_branch=tuple(p.branch_bit for p in programs),
     )
 
 
@@ -905,22 +891,18 @@ def distributed_reduced_sketch(
     engine: Engine,
     info: BfsInfo,
     state: EtaState,
-    k: int = 2,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]] | None = None,
-    up: SketchUpResult | None = None,
+    k: int,
+    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
 ) -> ReducedSketchResult:
     """Compute ``S_k(v \\ x)`` at every node ``x`` for each proper ancestor.
 
-    Three steps: reuse (or run) the plain wave at ``k`` so every node holds
-    its children's wire views; re-merge locally at each internal node
-    leaving one child out; cast the per-child results down and let every
+    Three steps: run the plain wave at ``k`` so every node holds its
+    children's wire views; re-merge locally at each internal node leaving
+    one child out; cast the per-child results down and let every
     descendant union the received strata per ancestor.  The root is not a
     meaningful cut side, so its leave-one-out sketches are never built.
     """
-    if annotated is None:
-        annotated = preprocess_zeta(engine, info, state)
-    if up is None or up.k != k:
-        up = distributed_k_sketch(engine, info, state, k, annotated)
+    up = distributed_k_sketch(engine, info, state, k, annotated)
 
     n = engine.g.n
     blobs: list[dict[int, list[int]]] = []

@@ -128,6 +128,16 @@ class CutReport:
         return len(self.edges)
 
 
+def dedupe_reports(reports: list[CutReport], case_rank: dict[str, int]) -> list[CutReport]:
+    """One report per cut, sorted by edges: the lowest-ranked case wins,
+    then the lowest detecting node."""
+    reports.sort(key=lambda r: (case_rank[r.case], r.detected_by, r.edges))
+    unique: dict[tuple, CutReport] = {}
+    for r in reports:
+        unique.setdefault(r.edges, r)
+    return sorted(unique.values(), key=lambda r: r.edges)
+
+
 @dataclass(frozen=True)
 class EtaState:
     """Everything the size-1/2 tests need, as each node ends up knowing it.
@@ -196,12 +206,12 @@ def compute_eta(engine: Engine, info: BfsInfo, pre: PreEta) -> EtaState:
     states = [
         [pre.own_cross[a][v] for v in info[a].ancestors] for a in range(n)
     ]
-    run = trsf_compute(engine, info, spec, states)
+    folds = trsf_compute(engine, info, spec, states)
 
-    eta = tuple(run.results[a].f for a in range(n))
+    eta = tuple(folds[a].f for a in range(n))
     anc_eta = tuple(broadcast_t1(engine, info, list(eta)))
     subtree_cross = tuple(
-        {info[a].ancestors[l]: val for l, val in run.results[a].partials.items()}
+        {info[a].ancestors[l]: val for l, val in folds[a].partials.items()}
         for a in range(n)
     )
 
@@ -288,9 +298,9 @@ def compute_zeta(
     n = engine.g.n
     spec = landing_spec("zeta", Zeta, _zeta_atom)
     states = [(info[a], annotated[a]) for a in range(n)]
-    run = trsf_compute(engine, info, spec, states)
+    folds = trsf_compute(engine, info, spec, states)
     tables = tuple(
-        {info[a].ancestors[l]: z for l, z in run.results[a].partials.items()}
+        {info[a].ancestors[l]: z for l, z in folds[a].partials.items()}
         for a in range(n)
     )
     for table in tables:
@@ -339,8 +349,4 @@ def detect_2cuts(
                 pair = tuple(sorted({other, own_edge}))
                 found.append(CutReport(pair, CASE_DISJOINT, a))
 
-    found.sort(key=lambda r: (_CASE_RANK[r.case], r.detected_by, r.edges))
-    unique: dict[tuple, CutReport] = {}
-    for r in found:
-        unique.setdefault(r.edges, r)
-    return sorted(unique.values(), key=lambda r: r.edges)
+    return dedupe_reports(found, _CASE_RANK)

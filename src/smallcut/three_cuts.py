@@ -40,6 +40,7 @@ from .small_cuts import (
     EtaState,
     compute_eta,
     compute_zeta,
+    dedupe_reports,
     detect_1cuts,
     detect_2cuts,
     landing_combine,
@@ -109,14 +110,6 @@ def _witness_report(
     if len(eids) != 3:
         return None
     return CutReport(edge_pairs(g, eids), case, by)
-
-
-def _dedupe(reports: list[CutReport]) -> list[CutReport]:
-    reports.sort(key=lambda r: (_CASE_RANK[r.case], r.detected_by, r.edges))
-    unique: dict[tuple, CutReport] = {}
-    for r in reports:
-        unique.setdefault(r.edges, r)
-    return sorted(unique.values(), key=lambda r: r.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +317,7 @@ def _agree_max(engine: Engine, info: BfsInfo, values: Sequence[int], name: str) 
         decode=lambda words: words[0],
         identity=0,
     )
-    run = trsf_compute(engine, info, spec, list(values))
-    folded = [run.results[v].f for v in range(engine.g.n)]
+    folded = [r.f for r in trsf_compute(engine, info, spec, list(values))]
     maps = broadcast_t1(engine, info, folded, label=f"{name}:cast")
     agreed = {maps[v][info.root] for v in range(engine.g.n)}
     assert len(agreed) == 1
@@ -682,13 +674,13 @@ def layered_min_cut(
         spec = landing_spec(
             f"layer{i}", LayerCand, lambda st, l, _i=i: _layer_atom(_i, st, l)
         )
-        run = trsf_compute(engine, info, spec, states, min_level=i + 1)
+        folds = trsf_compute(engine, info, spec, states, min_level=i + 1)
         for a in range(g.n):
             if info[a].level < i + 1:
                 continue
             cands = {
                 l: z
-                for l, z in run.results[a].partials.items()
+                for l, z in folds[a].partials.items()
                 if z.is_candidate()
             }
             if cands:
@@ -974,7 +966,7 @@ def run_battery(
     reports += detect_case5(g, state, cc)
 
     return BatteryResult(
-        reports=tuple(_dedupe(reports)),
+        reports=tuple(dedupe_reports(reports, _CASE_RANK)),
         one_details=tuple(ones),
         two_details=tuple(twos),
         scan=scan,

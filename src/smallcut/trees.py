@@ -11,19 +11,17 @@ semigroup fold of per-node atomic values over the subtree below ``v``,
 while every node ``a`` also learns the partial folds of its own subtree
 toward each of its ancestors.
 
-The fold engine is wave-scheduled: a node at level ``l_v`` stays silent
-for ``depth - l_v`` rounds and then emits one record per round, for
-ancestor levels in increasing order.  When a record fits one round's
-budget this reproduces the canonical schedule exactly (a node at level
-``l_v`` sends the record for ancestor level ``l`` in phase round
-``depth - l_v + l + 1``), and the engine asserts that discipline.
-Larger or variable-size elements fall back to eager data-driven
-emission and let the per-edge queues pace the wire.
+Every fold record goes up as soon as it is complete, and the per-edge
+queues pace the wire: a node's partial toward ancestor level ``l`` is
+sent once all of its children have reported theirs.  When a record
+fits one round's budget, a fold restricted to levels ``>= min_level``
+takes ``depth - min_level + 1`` rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .graphs import RootedTree
@@ -77,8 +75,13 @@ class BfsInfo:
     def __getitem__(self, v: int) -> NodeBfs:
         return self.nodes[v]
 
-    def tree(self) -> RootedTree:
+    @cached_property
+    def _tree(self) -> RootedTree:
         return RootedTree([nb.parent for nb in self.nodes], self.root)
+
+    def tree(self) -> RootedTree:
+        """The centralized tree, built once and shared by every observer."""
+        return self._tree
 
 
 class _LevelProgram(WordProgram):
@@ -180,49 +183,16 @@ class _DepthProgram(WordProgram):
         self.finish()
 
 
-class _AncestorProgram(WordProgram):
-    """Pipeline ancestor ids downward: own id first, then the parent's stream."""
-
-    def __init__(self, node: NodeHandle, level: int, parent_eid: int | None,
-                 children: tuple[tuple[int, int], ...]):
-        super().__init__(node)
-        self.level = level
-        self.parent_eid = parent_eid
-        self.children = children
-        self._chain = [node.id]  # self upward, as words arrive
-
-    def start(self):
-        for _, eid in self.children:
-            self.send(eid, self.node.id)
-        if self.parent_eid is None:
-            self.finish()
-        else:
-            self.expect(self.parent_eid, 1, self._word)
-
-    def _word(self, rec):
-        self._chain.append(rec[0])
-        for _, eid in self.children:
-            self.send(eid, rec[0])
-        if len(self._chain) <= self.level:
-            self.expect(self.parent_eid, 1, self._word)
-        else:
-            self.finish()
-
-    @property
-    def ancestors(self) -> tuple[int, ...]:
-        return tuple(reversed(self._chain))
-
-
 def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
     """Grow a rooted BFS tree and give every node its place in it.
 
     ``root=None`` means the lowest-id policy, which with contiguous ids
     is always vertex 0.  Four sub-phases run under the ``bfs`` label:
     level flooding with lowest-proposer parent adoption, child
-    registration, depth agreement, and pipelined ancestor-list
-    dissemination.  Afterwards every node knows its level, parent,
-    children, full ancestor list, the tree depth, and the level of each
-    neighbor.
+    registration, depth agreement, and ancestor-list dissemination (the
+    broadcast relay, with each node's own id as its block).  Afterwards
+    every node knows its level, parent, children, full ancestor list,
+    the tree depth, and the level of each neighbor.
     """
     g = engine.g
     if root is None:
@@ -241,7 +211,7 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
     ]
     engine.run_phase(LABEL_BFS, depths)
     ancs = [
-        _AncestorProgram(h, levels[v].level, levels[v].parent_eid, kids[v])
+        _Downcast(h, levels[v].level, levels[v].parent_eid, kids[v], (v,), 1)
         for v, h in enumerate(engine.handles)
     ]
     engine.run_phase(LABEL_BFS, ancs)
@@ -256,7 +226,7 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
             parent=levels[v].parent,
             parent_eid=levels[v].parent_eid,
             children=kids[v],
-            ancestors=ancs[v].ancestors,
+            ancestors=tuple(reversed(ancs[v].stream)) + (v,),
             depth=depths[v].depth,
             neighbor_levels=levels[v].neighbor_levels,
         )
@@ -278,39 +248,58 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
 
 
 class _Downcast(WordProgram):
-    """Shared shape of both broadcasts: own block first, then relay."""
+    """Shared shape of every downward relay: own block first, then relay.
 
-    def __init__(self, node: NodeHandle, nb: NodeBfs, block: Sequence[int], width: int):
+    ``stream`` collects the parent's words as they arrive: the blocks of
+    all ancestors, nearest ancestor first.
+    """
+
+    def __init__(self, node: NodeHandle, level: int, parent_eid: int | None,
+                 children: tuple[tuple[int, int], ...], block: Sequence[int], width: int):
         super().__init__(node)
-        self.nb = nb
+        self.level = level
+        self.parent_eid = parent_eid
+        self.children = children
         self.block = tuple(block)
         self.width = width
-        self.received: dict[int, tuple[int, ...]] = {nb.id: self.block}
-        self._stream: list[int] = []
+        self.stream: list[int] = []
 
     def start(self):
         assert len(self.block) == self.width
-        for _, eid in self.nb.children:
+        for _, eid in self.children:
             self.send(eid, *self.block)
-        if self.nb.parent_eid is None:
+        if self.parent_eid is None:
             self.finish()
         else:
-            self.expect(self.nb.parent_eid, 1, self._word)
+            self.expect(self.parent_eid, 1, self._word)
 
     def _word(self, rec):
         w = rec[0]
-        self._stream.append(w)
-        for _, eid in self.nb.children:
+        self.stream.append(w)
+        for _, eid in self.children:
             self.send(eid, w)
-        if len(self._stream) < self.nb.level * self.width:
-            self.expect(self.nb.parent_eid, 1, self._word)
+        if len(self.stream) < self.level * self.width:
+            self.expect(self.parent_eid, 1, self._word)
         else:
-            # Blocks arrive nearest ancestor first.
-            for i in range(self.nb.level):
-                who = self.nb.ancestors[self.nb.level - 1 - i]
-                chunk = tuple(self._stream[i * self.width:(i + 1) * self.width])
-                self.received[who] = chunk
             self.finish()
+
+
+def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
+                       blocks: Sequence[Sequence[int]],
+                       width: int) -> list[dict[int, tuple[int, ...]]]:
+    """Relay every node's block to its subtree; key what arrived by ancestor."""
+    programs = [
+        _Downcast(h, info[v].level, info[v].parent_eid, info[v].children, blocks[v], width)
+        for v, h in enumerate(engine.handles)
+    ]
+    engine.run_phase(label, programs)
+    received = []
+    for nb, p in zip(info.nodes, programs):
+        got = {nb.id: p.block}
+        for i, who in enumerate(reversed(nb.ancestors[:-1])):
+            got[who] = tuple(p.stream[i * width:(i + 1) * width])
+        received.append(got)
+    return received
 
 
 def broadcast_t1(
@@ -325,11 +314,8 @@ def broadcast_t1(
     (including ``u`` itself) to that ancestor's word.  Pipelining keeps
     the cost linear in the tree depth.
     """
-    programs = [
-        _Downcast(h, info[v], (values[v],), 1) for v, h in enumerate(engine.handles)
-    ]
-    engine.run_phase(label, programs)
-    return [{who: blk[0] for who, blk in p.received.items()} for p in programs]
+    received = _relay_to_subtrees(engine, info, label, [(x,) for x in values], 1)
+    return [{who: blk[0] for who, blk in got.items()} for got in received]
 
 
 def broadcast_t2(
@@ -353,11 +339,7 @@ def broadcast_t2(
         if len(lst) > width:
             raise ValueError(f"node {v} list length {len(lst)} exceeds width {width}")
         padded.append(lst + [0] * (width - len(lst)))
-    programs = [
-        _Downcast(h, info[v], padded[v], width) for v, h in enumerate(engine.handles)
-    ]
-    engine.run_phase(label, programs)
-    return [dict(p.received) for p in programs]
+    return _relay_to_subtrees(engine, info, label, padded, width)
 
 
 # ---------------------------------------------------------------------------
@@ -472,32 +454,21 @@ class TrsfNodeResult:
     f: object = None
 
 
-@dataclass
-class TrsfRun:
-    results: list[TrsfNodeResult]
-    emit_log: list[tuple[int, int, int]]  # (node, ancestor level, phase round)
-    strict_schedule: bool
-
-
 class _TrsfProgram(WordProgram):
     _UNSET = object()
 
     def __init__(self, node: NodeHandle, nb: NodeBfs, spec: SemigroupSpec,
-                 state: object, lo: int, strict: bool,
-                 log: list[tuple[int, int, int]]):
+                 state: object, lo: int):
         super().__init__(node)
         self.nb = nb
         self.spec = spec
         self.state = state
         self.lo = lo
-        self.strict = strict
-        self.log = log
         self.acc: dict[int, object] = {}
         self.pending: dict[int, set[int]] = {}
         self.from_child: dict[int, dict[int, object]] = {}
         self.f: object = self._UNSET
         self.next_l = lo
-        self._round = 0
 
     def start(self):
         lv = self.nb.level
@@ -536,45 +507,20 @@ class _TrsfProgram(WordProgram):
             self._await_record(eid, cid)
         self._settle()
 
-    def tick(self):
-        self._round += 1
-        self._settle()
-
-    def _ready(self, l: int) -> bool:
-        return not self.pending[l]
-
     def _settle(self):
         lv = self.nb.level
         if lv < self.lo:
             if not self.done:
                 self.finish()
             return
-        if self.strict:
-            # One record per round, on the wave schedule; readiness at the
-            # scheduled round is the wave-safety property itself.
-            if (
-                self.next_l < lv
-                and self._round == self.nb.depth - lv + (self.next_l - self.lo) + 1
-            ):
-                assert self._ready(self.next_l), (
-                    f"node {self.nb.id} not ready for level {self.next_l} "
-                    f"at its scheduled round"
-                )
-                self._emit(self.next_l)
-                self.next_l += 1
-        else:
-            while self.next_l < lv and self._ready(self.next_l):
-                self._emit(self.next_l)
-                self.next_l += 1
-        if self.f is self._UNSET and self._ready(lv):
+        while self.next_l < lv and not self.pending[self.next_l]:
+            words = self.spec.encode(self.acc[self.next_l])
+            self.send(self.nb.parent_eid, self.next_l, *words)
+            self.next_l += 1
+        if self.f is self._UNSET and not self.pending[lv]:
             self.f = self.acc[lv]
         if not self.done and self.next_l >= lv and self.f is not self._UNSET:
             self.finish()
-
-    def _emit(self, l: int):
-        words = (l,) + tuple(self.spec.encode(self.acc[l]))
-        self.send(self.nb.parent_eid, *words)
-        self.log.append((self.nb.id, l, self._round))
 
 
 def _check_algebra(spec: SemigroupSpec, seen: list[object]) -> None:
@@ -608,7 +554,7 @@ def trsf_compute(
     spec: SemigroupSpec,
     states: Sequence[object],
     min_level: int = 0,
-) -> TrsfRun:
+) -> list[TrsfNodeResult]:
     """Fold atomic values over every subtree, one wave up the tree.
 
     Every node ``a`` at level ``l_a >= min_level`` ends up with its
@@ -616,19 +562,16 @@ def trsf_compute(
     (the one at ``l_a`` being the node's own subtree value ``f``).
     ``min_level`` restricts the fold to the forest of subtrees rooted
     at that level, which is how per-pivot instances reuse this engine.
-    Records that fit one round follow the strict wave schedule; the
-    returned ``emit_log`` records (node, level, phase round) for every
-    emission so callers can audit the discipline.  Afterwards the
-    combine operation is checked for commutativity and associativity on
-    a sample of the folded elements.
+    A node sends each partial up as soon as all its children's records
+    for that level are in; the per-edge queues pace the wire, so a fold
+    whose records fit one round's budget takes ``depth - min_level + 1``
+    rounds.  Afterwards the combine operation is checked for
+    commutativity and associativity on a sample of the folded elements.
     """
     if not 0 <= min_level <= max(info.depth, 0):
         raise ValueError(f"min_level {min_level} outside tree depth {info.depth}")
-    fixed = spec.tail_words is None
-    strict = fixed and (1 + spec.head_words) <= engine.config.word_bits
-    log: list[tuple[int, int, int]] = []
     programs = [
-        _TrsfProgram(h, info[v], spec, states[v], min_level, strict, log)
+        _TrsfProgram(h, info[v], spec, states[v], min_level)
         for v, h in enumerate(engine.handles)
     ]
     engine.run_phase(f"trsf:{spec.name}", programs)
@@ -641,4 +584,4 @@ def trsf_compute(
         results.append(TrsfNodeResult(partials=dict(p.acc), from_child=p.from_child, f=f))
         seen.extend(p.acc.values())
     _check_algebra(spec, seen)
-    return TrsfRun(results=results, emit_log=log, strict_schedule=strict)
+    return results

@@ -155,11 +155,10 @@ def test_subtree_sizes_by_counting_fold():
     g = generate("cycle", 4)
     engine = strict_engine(g)
     info = build_bfs(engine, 0)
-    run = trsf_compute(engine, info, counting_spec(), [None] * 4)
-    assert run.strict_schedule
+    folds = trsf_compute(engine, info, counting_spec(), [None] * 4)
     ref = info.tree()
     for v in range(4):
-        assert run.results[v].f == len(ref.desc(v))
+        assert folds[v].f == len(ref.desc(v))
     assert engine.stats.per_phase["trsf:size"].rounds == info.depth + 1
 
 
@@ -174,15 +173,15 @@ def test_max_id_fold():
         encode=lambda x: (x,),
         decode=lambda w: w[0],
     )
-    run = trsf_compute(engine, info, spec, list(range(g.n)))
+    folds = trsf_compute(engine, info, spec, list(range(g.n)))
     ref = info.tree()
     for v in range(g.n):
-        assert run.results[v].f == max(ref.desc(v))
+        assert folds[v].f == max(ref.desc(v))
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 10_000))
-def test_fold_partials_and_wave_schedule(seed):
+def test_fold_partials_and_round_count(seed):
     g = generate("random_connected", 12, seed=seed, p=0.3)
     engine = strict_engine(g)
     info = build_bfs(engine, 0)
@@ -195,35 +194,34 @@ def test_fold_partials_and_wave_schedule(seed):
         encode=lambda x: (x,),
         decode=lambda w: w[0],
     )
-    run = trsf_compute(engine, info, spec, [None] * g.n)
+    folds = trsf_compute(engine, info, spec, [None] * g.n)
     ref = info.tree()
     for v in range(g.n):
         size = len(ref.desc(v))
-        assert run.results[v].f == size * (info[v].level + 1)
-        for l, val in run.results[v].partials.items():
+        assert folds[v].f == size * (info[v].level + 1)
+        for l, val in folds[v].partials.items():
             assert val == size * (l + 1)
         for c, _ in info[v].children:
             csize = len(ref.desc(c))
             for l in range(0, info[v].level + 1):
-                assert run.results[v].from_child[c][l] == csize * (l + 1)
-    assert run.strict_schedule
-    for node, l, rnd in run.emit_log:
-        assert rnd == info.depth - info[node].level + l + 1
+                assert folds[v].from_child[c][l] == csize * (l + 1)
+    assert engine.stats.per_phase["trsf:weighted"].rounds == info.depth + 1
 
 
 def test_fold_with_min_level_restricts_to_deep_forest():
     g = generate("path", 6)
     engine = strict_engine(g)
     info = build_bfs(engine, 0)
-    run = trsf_compute(engine, info, counting_spec("deep"), [None] * 6, min_level=2)
+    folds = trsf_compute(engine, info, counting_spec("deep"), [None] * 6, min_level=2)
     ref = info.tree()
     for v in range(6):
         if info[v].level < 2:
-            assert run.results[v].f is None
-            assert run.results[v].partials == {}
+            assert folds[v].f is None
+            assert folds[v].partials == {}
         else:
-            assert run.results[v].f == len(ref.desc(v))
-            assert sorted(run.results[v].partials) == list(range(2, info[v].level + 1))
+            assert folds[v].f == len(ref.desc(v))
+            assert sorted(folds[v].partials) == list(range(2, info[v].level + 1))
+    assert engine.stats.per_phase["trsf:deep"].rounds == info.depth - 2 + 1
 
 
 def test_variable_length_fold_collects_subtree_ids():
@@ -240,11 +238,10 @@ def test_variable_length_fold_collects_subtree_ids():
         tail_words=lambda head: head[0],
         identity=(),
     )
-    run = trsf_compute(engine, info, spec, list(range(g.n)))
-    assert not run.strict_schedule
+    folds = trsf_compute(engine, info, spec, list(range(g.n)))
     ref = info.tree()
     for v in range(g.n):
-        assert run.results[v].f == tuple(sorted(ref.desc(v)))
+        assert folds[v].f == tuple(sorted(ref.desc(v)))
 
 
 def test_fold_rejects_broken_algebra():
@@ -276,6 +273,6 @@ def test_fold_rejects_broken_algebra():
 def test_fold_single_vertex():
     engine = strict_engine(Graph(1, []))
     info = build_bfs(engine, 0)
-    run = trsf_compute(engine, info, counting_spec(), [None])
-    assert run.results[0].f == 1
-    assert run.results[0].partials == {0: 1}
+    folds = trsf_compute(engine, info, counting_spec(), [None])
+    assert folds[0].f == 1
+    assert folds[0].partials == {0: 1}
