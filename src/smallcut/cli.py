@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .graphs import Graph, dumps, eccentricities, edge_pairs, generate, loads, min_cut_oracle
+from .graphs import Graph, dumps, edge_pairs, generate, loads, min_cut_oracle
 from .runtime import BandwidthError, RoundLimitError, SimulatorConfig, measure_diameter
 from .three_cuts import PipelineResult, run_full_pipeline
 
@@ -71,8 +71,7 @@ def pick_root(g: Graph, spec: str) -> int:
         if not 0 <= root < g.n:
             raise InputError(f"root {root} out of range for {g.n} vertices")
         return root
-    ecc = eccentricities(g)
-    return ecc.index(min(ecc))
+    return g.eccentricities.index(min(g.eccentricities))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import math
 import os
 import random
 from collections import deque
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 ORACLE_LIMIT_ENV = "MINCUT_ORACLE_LIMIT"
@@ -79,6 +80,11 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
+
+    @cached_property
+    def eccentricities(self) -> tuple[int, ...]:
+        """Each vertex's largest hop distance to any other, by BFS from all."""
+        return tuple(max(_bfs_levels(self, s)) for s in range(self.n))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -290,11 +296,6 @@ def _bfs_levels(g: Graph, root: int) -> list[int]:
                 level[w] = level[u] + 1
                 queue.append(w)
     return level
-
-
-def eccentricities(g: Graph) -> list[int]:
-    """Each vertex's largest hop distance to any other, by BFS from all."""
-    return [max(_bfs_levels(g, s)) for s in range(g.n)]
 
 
 def _unit_max_flow(g: Graph, s: int, t: int, limit: int) -> int:

@@ -15,10 +15,11 @@ rounds automatically, and the budget holds by construction.  Strict
 mode adds value validation: a word must stay below ``max(4, n^2)``, so
 a protocol cannot smuggle unbounded payloads through single words.
 
-A phase ends at quiescence: every program has raised its ``done`` flag,
-no queue holds words, and nothing is in flight.  Deliveries within a
-round are dispatched in ``(sender id, edge id)`` order, which makes
-every run bit-for-bit reproducible.
+A phase ends when the wire is empty: no queue holds words and nothing
+is in flight.  A program that still waits on an ``expect`` at that
+point can never be served, so the engine raises ``ProtocolError``.
+Deliveries within a round are dispatched in ``(sender id, edge id)``
+order, which makes every run bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import Graph, eccentricities
+from .graphs import Graph
 
 
 def word_size_bits(n: int) -> int:
@@ -52,7 +53,7 @@ class BandwidthError(ProtocolError):
 
 
 class RoundLimitError(ProtocolError):
-    """A phase failed to go quiescent within the configured round budget."""
+    """A phase kept the wire busy beyond the configured round budget."""
 
     def __init__(self, label: str, limit: int):
         super().__init__(f"phase {label!r} did not finish within {limit} rounds")
@@ -165,23 +166,16 @@ class WordProgram:
     Subclasses override ``start`` (runs before the first round) and
     register reception handlers with ``expect``; the base class
     reassembles fixed-length records from the per-edge word streams and
-    fires each handler exactly once when its record is complete.  A
-    program signals local completion with ``finish()``; handlers may
-    still fire afterwards (completion is provisional until the whole
-    phase is quiescent).
+    fires each handler exactly once when its record is complete.
     """
 
     def __init__(self, node: NodeHandle):
         self.node = node
-        self.done = False
         self._buf: dict[int, deque[int]] = {}
         self._want: dict[int, deque[tuple[int, Callable[[tuple[int, ...]], None]]]] = {}
 
     def start(self) -> None:
         pass
-
-    def tick(self) -> None:
-        """Called once per round, after that round's deliveries."""
 
     def output(self):
         return None
@@ -190,12 +184,10 @@ class WordProgram:
         self.node.send(eid, *words)
 
     def expect(self, eid: int, nwords: int, handler: Callable[[tuple[int, ...]], None]) -> None:
-        assert nwords >= 1
+        if nwords < 1:
+            raise ProtocolError(f"node {self.node.id} expected a record of {nwords} words")
         self._want.setdefault(eid, deque()).append((nwords, handler))
         self._drain_buffer(eid)
-
-    def finish(self) -> None:
-        self.done = True
 
     def on_chunk(self, eid: int, words: tuple[int, ...]) -> None:
         self._buf.setdefault(eid, deque()).extend(words)
@@ -250,14 +242,14 @@ class Engine:
             self._outbox.setdefault((handle.id, eid), deque()).extend(words)
 
     def run_phase(self, label: str, programs: Sequence[WordProgram]) -> None:
-        """Run programs (one per vertex) until the phase goes quiescent."""
+        """Run programs (one per vertex) until the wire is empty."""
         if len(programs) != self.g.n:
             raise ValueError(f"need one program per vertex, got {len(programs)}")
         budget = self.config.word_bits
         for p in programs:
             p.start()
         phase_rounds = 0
-        while self._pending or self._outbox or not all(p.done for p in programs):
+        while self._pending or self._outbox:
             if phase_rounds >= self.config.round_limit:
                 raise RoundLimitError(label, self.config.round_limit)
             phase_rounds += 1
@@ -265,8 +257,6 @@ class Engine:
             for dst, eid, payload in self._pending:
                 programs[dst].on_chunk(eid, payload)
             self._pending = []
-            for p in programs:
-                p.tick()
             messages = 0
             max_bits = 0
             for key in sorted(self._outbox):
@@ -282,6 +272,11 @@ class Engine:
                 messages += 1
                 max_bits = max(max_bits, take * self.word_size)
             self.stats.record_round(label, messages, max_bits)
+        for p in programs:
+            if any(p._want.values()):
+                raise ProtocolError(
+                    f"phase {label!r} went quiet while node {p.node.id} still expects words"
+                )
 
 
 def run_protocol(
@@ -298,4 +293,4 @@ def run_protocol(
 
 def measure_diameter(g: Graph) -> int:
     """Largest shortest-path distance between any two vertices."""
-    return max(eccentricities(g))
+    return max(g.eccentricities)

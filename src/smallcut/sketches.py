@@ -696,7 +696,6 @@ class _SketchUp(WordProgram):
         if not self.me.is_root:
             words = _encode_view(merged.sketch, merged.flagged, merged.branch_bit, self.node.n)
             self.send(self.me.parent_eid, *words)
-        self.finish()
 
 
 def _merge_node_sketch(
@@ -814,8 +813,6 @@ class _ReducedDown(WordProgram):
             self.send(eid, *self.blobs[eid])
         if self._expected:
             self._await_blob()
-        else:
-            self.finish()
 
     def _await_blob(self) -> None:
         eid = self.me.parent_eid
@@ -828,8 +825,6 @@ class _ReducedDown(WordProgram):
                     self.send(ceid, *head, *body)
                 if len(self.received) < self._expected:
                     self._await_blob()
-                else:
-                    self.finish()
 
             if head[0]:
                 self.expect(eid, _view_body_words(head), deliver)

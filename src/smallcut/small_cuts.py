@@ -286,15 +286,14 @@ def compute_zeta(
     engine: Engine,
     info: BfsInfo,
     state: EtaState,
-    annotated=None,
+    annotated: tuple[dict[int, tuple[tuple[int, int, int], ...]], ...],
 ) -> tuple[dict[int, Zeta], ...]:
     """Fold the landing algebra over each subtree.
 
-    Returns, per node a, a map v -> fold over desc(a) for every ancestor
-    v of a (including a itself).
+    ``annotated`` is what :func:`preprocess_zeta` heard.  Returns, per
+    node a, a map v -> fold over desc(a) for every ancestor v of a
+    (including a itself).
     """
-    if annotated is None:
-        annotated = preprocess_zeta(engine, info, state)
     n = engine.g.n
     spec = landing_spec("zeta", Zeta, _zeta_atom)
     states = [(info[a], annotated[a]) for a in range(n)]

@@ -805,8 +805,6 @@ class _DetailWave(WordProgram):
                     self.send(up, *self._phi())
         for cid, eid in self.nb.children:
             self._await(cid, eid, lv + 1)
-        if kids == 0:
-            self.finish()
 
     def _await(self, cid: int, eid: int, cohort: int):
         self.expect(eid, self.width, lambda blk: self._block(cid, eid, cohort, blk))
@@ -824,8 +822,6 @@ class _DetailWave(WordProgram):
             self.send(self.nb.parent_eid, *(best[1] if best else self._phi()))
         if cohort < self.depth:
             self._await(cid, eid, cohort + 1)
-        if all(p == 0 for p in self._pend.values()) and not self.done:
-            self.finish()
 
 
 def _run_wave(engine, info, blocks, width, key_at, label):

@@ -21,11 +21,11 @@ takes ``depth - min_level + 1`` rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 from .graphs import RootedTree
-from .runtime import Engine, NodeHandle, WordProgram
+from .runtime import Engine, NodeHandle, ProtocolError, WordProgram
 
 LABEL_BFS = "bfs"
 LABEL_BCAST1 = "broadcast1"
@@ -85,7 +85,11 @@ class BfsInfo:
 
 
 class _LevelProgram(WordProgram):
-    """Flood levels outward; adopt the smallest proposer as parent."""
+    """Flood levels outward; adopt the first proposer heard as parent.
+
+    Flooding delivers all proposals of the winning level in one round, in
+    sender-id order, so the first one heard is the smallest proposer's.
+    """
 
     def __init__(self, node: NodeHandle, root: int):
         super().__init__(node)
@@ -94,7 +98,6 @@ class _LevelProgram(WordProgram):
         self.parent: int | None = None
         self.parent_eid: int | None = None
         self.neighbor_levels: dict[int, int] = {}
-        self._proposals: list[tuple[int, int, int]] = []
 
     def start(self):
         for nbr, eid in self.node.ports:
@@ -105,25 +108,18 @@ class _LevelProgram(WordProgram):
     def _announce(self):
         for _, eid in self.node.ports:
             self.send(eid, self.level)
-        self.finish()
 
     def _announced(self, nbr: int, eid: int, lvl: int):
         self.neighbor_levels[eid] = lvl
         if self.level is None:
-            self._proposals.append((nbr, eid, lvl))
-
-    def tick(self):
-        if self.level is not None or not self._proposals:
-            return
-        # Synchronous flooding delivers all proposals of the winning level
-        # in one round, before anything from further away.
-        assert len({lvl for _, _, lvl in self._proposals}) == 1
-        nbr, eid, lvl = min(self._proposals)
-        self.level = lvl + 1
-        self.parent = nbr
-        self.parent_eid = eid
-        self._proposals.clear()
-        self._announce()
+            self.level = lvl + 1
+            self.parent = nbr
+            self.parent_eid = eid
+            self._announce()
+        elif lvl < self.level - 1:
+            raise ProtocolError(
+                f"node {self.node.id} at level {self.level} heard level {lvl} from {nbr}"
+            )
 
 
 class _JoinProgram(WordProgram):
@@ -137,7 +133,6 @@ class _JoinProgram(WordProgram):
     def start(self):
         if self.parent_eid is not None:
             self.send(self.parent_eid, 1)
-        self.finish()
 
     def on_chunk(self, eid, words):
         # The only traffic in this phase is one join token per new child.
@@ -180,7 +175,6 @@ class _DepthProgram(WordProgram):
         self.depth = depth
         for _, eid in self.children:
             self.send(eid, depth)
-        self.finish()
 
 
 def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
@@ -265,12 +259,11 @@ class _Downcast(WordProgram):
         self.stream: list[int] = []
 
     def start(self):
-        assert len(self.block) == self.width
+        if len(self.block) != self.width:
+            raise ProtocolError(f"node {self.node.id} block {self.block} is not {self.width} wide")
         for _, eid in self.children:
             self.send(eid, *self.block)
-        if self.parent_eid is None:
-            self.finish()
-        else:
+        if self.parent_eid is not None:
             self.expect(self.parent_eid, 1, self._word)
 
     def _word(self, rec):
@@ -280,8 +273,6 @@ class _Downcast(WordProgram):
             self.send(eid, w)
         if len(self.stream) < self.level * self.width:
             self.expect(self.parent_eid, 1, self._word)
-        else:
-            self.finish()
 
 
 def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
@@ -364,24 +355,11 @@ class ListExchange(WordProgram):
         for eid, words in sorted(self._outgoing.items()):
             if words:
                 self.node.send(eid, *words)
-        self._waiting = len(self._incoming)
         for eid, nwords in self._incoming.items():
             if nwords == 0:
                 self.received[eid] = ()
-                self._waiting -= 1
             else:
-                self.expect(eid, nwords, self._stash(eid))
-        if self._waiting == 0:
-            self.finish()
-
-    def _stash(self, eid: int):
-        def handler(words: tuple[int, ...]) -> None:
-            self.received[eid] = words
-            self._waiting -= 1
-            if self._waiting == 0:
-                self.finish()
-
-        return handler
+                self.expect(eid, nwords, partial(self.received.__setitem__, eid))
 
 
 def nontree_exchange(
@@ -472,13 +450,14 @@ class _TrsfProgram(WordProgram):
 
     def start(self):
         lv = self.nb.level
-        if lv >= self.lo:
-            for l in range(self.lo, lv + 1):
-                self.acc[l] = self.spec.atomic(self.state, l)
-                self.pending[l] = {cid for cid, _ in self.nb.children}
-            for cid, eid in self.nb.children:
-                self.from_child[cid] = {}
-                self._await_record(eid, cid)
+        if lv < self.lo:
+            return
+        for l in range(self.lo, lv + 1):
+            self.acc[l] = self.spec.atomic(self.state, l)
+            self.pending[l] = {cid for cid, _ in self.nb.children}
+        for cid, eid in self.nb.children:
+            self.from_child[cid] = {}
+            self._await_record(eid, cid)
         self._settle()
 
     def _await_record(self, eid: int, cid: int):
@@ -499,7 +478,8 @@ class _TrsfProgram(WordProgram):
 
     def _record(self, eid: int, cid: int, l: int, words: tuple[int, ...]):
         elem = self.spec.decode(words)
-        assert l in self.pending and cid in self.pending[l], "record out of range"
+        if cid not in self.pending.get(l, ()):
+            raise ProtocolError(f"node {self.node.id}: record out of range (level {l}, child {cid})")
         self.pending[l].discard(cid)
         self.from_child[cid][l] = elem
         self.acc[l] = self.spec.combine(self.acc[l], elem)
@@ -509,18 +489,12 @@ class _TrsfProgram(WordProgram):
 
     def _settle(self):
         lv = self.nb.level
-        if lv < self.lo:
-            if not self.done:
-                self.finish()
-            return
         while self.next_l < lv and not self.pending[self.next_l]:
             words = self.spec.encode(self.acc[self.next_l])
             self.send(self.nb.parent_eid, self.next_l, *words)
             self.next_l += 1
         if self.f is self._UNSET and not self.pending[lv]:
             self.f = self.acc[lv]
-        if not self.done and self.next_l >= lv and self.f is not self._UNSET:
-            self.finish()
 
 
 def _check_algebra(spec: SemigroupSpec, seen: list[object]) -> None:
@@ -578,8 +552,8 @@ def trsf_compute(
     results = []
     seen: list[object] = []
     for p in programs:
-        if p.nb.level >= min_level:
-            assert p.next_l == p.nb.level and p.f is not _TrsfProgram._UNSET
+        if p.nb.level >= min_level and (p.next_l != p.nb.level or p.f is _TrsfProgram._UNSET):
+            raise ProtocolError(f"{spec.name}: node {p.node.id} did not complete its fold")
         f = None if p.f is _TrsfProgram._UNSET else p.f
         results.append(TrsfNodeResult(partials=dict(p.acc), from_child=p.from_child, f=f))
         seen.extend(p.acc.values())

@@ -7,10 +7,15 @@ mismatch) are reached by stubbing the pipeline or the oracle.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from smallcut import cli
+import smallcut
+from smallcut import cli, graphs
 from smallcut.cli import (
     EXIT_BANDWIDTH,
     EXIT_INPUT,
@@ -132,6 +137,21 @@ def test_run_auto_root_minimizes_depth(capsys):
     assert json.loads(capsys.readouterr().out)["root"] == 3
 
 
+def test_run_computes_eccentricities_once(monkeypatch, capsys):
+    # --root auto and the report's diameter share one all-sources BFS.
+    calls = []
+    real = graphs._bfs_levels
+
+    def counting(g, root):
+        calls.append(root)
+        return real(g, root)
+
+    monkeypatch.setattr(graphs, "_bfs_levels", counting)
+    assert run_cli("run", "--family", "cycle", "--n", "8") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["graph"]["diameter"] == 4
+    assert len(calls) == 8
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -179,6 +199,18 @@ def test_verify_from_file(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("verify", "--graph", str(out), "--strict-bandwidth") == EXIT_OK
     assert capsys.readouterr().out.startswith("PASS")
+
+
+def test_verify_passes_with_asserts_stripped():
+    # Under python -O every assert is gone; the protocol's own checks remain.
+    env = dict(os.environ, PYTHONPATH=str(Path(smallcut.__file__).resolve().parent.parent))
+    argv = ["verify", "--family", "prism", "--n", "8", "--strict-bandwidth"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "smallcut.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("PASS")
 
 
 def test_verify_truncated_lambda_is_correct(capsys):

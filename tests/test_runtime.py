@@ -10,6 +10,7 @@ from smallcut.graphs import Graph, generate
 from smallcut.runtime import (
     BandwidthError,
     Engine,
+    ProtocolError,
     RoundLimitError,
     SimulatorConfig,
     WordProgram,
@@ -20,21 +21,16 @@ from smallcut.runtime import (
 
 
 class Echo(WordProgram):
-    """Send own id on every port once; finish after hearing all neighbors."""
+    """Send own id on every port once; record every neighbor's id."""
 
     def start(self):
         self.heard: dict[int, int] = {}
-        if not self.node.ports:
-            self.finish()
-            return
         for nbr, eid in self.node.ports:
             self.send(eid, self.node.id)
             self.expect(eid, 1, lambda rec, e=eid: self._hear(e, rec))
 
     def _hear(self, eid, rec):
         self.heard[eid] = rec[0]
-        if len(self.heard) == len(self.node.ports):
-            self.finish()
 
     def output(self):
         return dict(self.heard)
@@ -82,13 +78,11 @@ class Stream(WordProgram):
         eid = self.node.ports[0][1]
         if self.node.id == 0:
             self.send(eid, *(i % 4 for i in range(self.k)))
-            self.finish()
         else:
             self.expect(eid, self.k, self._take)
 
     def _take(self, rec):
         self.got = rec
-        self.finish()
 
     def output(self):
         return self.got
@@ -117,10 +111,8 @@ class Arrivals(WordProgram):
         if self.node.id == 0:
             for _ in self.node.ports:
                 self.expect_next()
-            self.finish()
         else:
             self.send(self.node.ports[0][1], self.node.id)
-            self.finish()
 
     def expect_next(self):
         pass
@@ -148,7 +140,7 @@ def test_determinism_across_runs():
 
 
 class PingPong(WordProgram):
-    """Two nodes bounce one word forever; never signals completion."""
+    """Two nodes bounce one word forever, so the wire never empties."""
 
     def start(self):
         eid = self.node.ports[0][1]
@@ -170,11 +162,29 @@ def test_round_limit_raises_timeout():
     assert engine.stats.rounds_elapsed == 10
 
 
+class Unanswered(WordProgram):
+    """Node 0 sends a word and waits for a reply that node 1 never sends."""
+
+    def start(self):
+        if self.node.id == 0:
+            eid = self.node.ports[0][1]
+            self.send(eid, 1)
+            self.expect(eid, 1, lambda rec: None)
+
+
+def test_quiet_phase_with_unmet_expect_raises():
+    g = Graph(2, [(0, 1)])
+    engine = Engine(g)
+    with pytest.raises(ProtocolError, match="'quiet'.*node 0") as err:
+        engine.run_phase("quiet", [Unanswered(h) for h in engine.handles])
+    assert not isinstance(err.value, RoundLimitError)
+    assert engine.round <= 2
+
+
 class Oversend(WordProgram):
     def start(self):
         if self.node.id == 0:
             self.send(self.node.ports[0][1], self.node.n * self.node.n)
-        self.finish()
 
 
 def test_strict_mode_rejects_oversized_values():
@@ -201,7 +211,6 @@ class BadSend(WordProgram):
                 self.send(2, 1)  # edge (2,3) is not incident to node 0
             else:
                 self.send(self.node.ports[0][1], -1)
-        self.finish()
 
 
 @pytest.mark.parametrize("mode,msg", [("foreign", "not incident"), ("neg", "non-negative")])

@@ -31,6 +31,7 @@ from smallcut.small_cuts import (
     detect_2cuts,
     landing_combine,
     preprocess_eta,
+    preprocess_zeta,
     zeta_candidate,
 )
 from smallcut.trees import build_bfs
@@ -50,7 +51,7 @@ def stage(g, root=0):
     zeta, reports = None, detect_1cuts(state)
     lam = 1 if reports else None
     if not reports:
-        zeta = compute_zeta(engine, info, state)
+        zeta = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
         reports = detect_2cuts(g, state, zeta)
         lam = 2 if reports else None
     return engine, SimpleNamespace(lambda_detected=lam, reports=tuple(reports), zeta=zeta)
@@ -205,20 +206,20 @@ def test_fold_atoms_on_fixed_graphs():
     g = generate("cycle", 4)
     engine, info = start(g)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    tables = compute_zeta(engine, info, state)
+    tables = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
     assert tables[2][1] == zeta_candidate(3, 0, 2, 1)  # leaf: fold == atom
     assert tables[2][0] == ZETA_IDENTITY
 
     p4 = generate("path", 4)
     engine, info = start(p4)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    tables = compute_zeta(engine, info, state)
+    tables = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
     assert all(z == ZETA_IDENTITY for t in tables for z in t.values())
 
     k4 = generate("complete", 4)
     engine, info = start(k4)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    tables = compute_zeta(engine, info, state)
+    tables = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
     assert tables[1][1].tag == TAG_ABSORBING
 
 
@@ -229,7 +230,7 @@ def test_fold_matches_centralized_property(seed, root_pick):
     root = root_pick % g.n
     engine, info = start(g, root)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    tables = compute_zeta(engine, info, state)
+    tables = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
     ref = RootedTree.bfs(g, root)
     for a in range(g.n):
         for v in ref.ancestors(a):
@@ -246,7 +247,8 @@ def test_square_reports_all_six_pairs():
     g = generate("cycle", 4)
     engine, info = start(g)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    reports = detect_2cuts(g, state, compute_zeta(engine, info, state))
+    zeta = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
+    reports = detect_2cuts(g, state, zeta)
     assert len(reports) == 6
     cases = sorted(r.case for r in reports)
     assert cases.count(CASE_ONE_RESPECT) == 3
@@ -275,7 +277,8 @@ def test_bridge_gates_pair_reports():
     # The pair detector itself still sees every induced two-edge cut.
     engine, info = start(p4)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    induced_pairs = detect_2cuts(p4, state, compute_zeta(engine, info, state))
+    zeta = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
+    induced_pairs = detect_2cuts(p4, state, zeta)
     assert {r.edges for r in induced_pairs} == {
         ((0, 1), (1, 2)),
         ((1, 2), (2, 3)),
