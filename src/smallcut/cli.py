@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 success, 2 bad input, 3 a
 bandwidth violation surfaced under --strict-bandwidth, 4 a phase blew
-the round limit, 5 a verification mismatch.  Reports are JSON with
+the round limit, 5 a verification mismatch, 6 a protocol broke the
+communication model in any other way.  Reports are JSON with
 sorted keys so diffs between runs stay readable.
 """
 
@@ -13,7 +14,9 @@ import json
 import sys
 
 from .graphs import Graph, dumps, edge_pairs, generate, loads, min_cut_oracle
-from .runtime import BandwidthError, RoundLimitError, SimulatorConfig, measure_diameter
+from .runtime import (
+    BandwidthError, ProtocolError, RoundLimitError, SimulatorConfig, measure_diameter,
+)
 from .three_cuts import PipelineResult, run_full_pipeline
 
 EXIT_OK = 0
@@ -21,6 +24,7 @@ EXIT_INPUT = 2
 EXIT_BANDWIDTH = 3
 EXIT_TIMEOUT = 4
 EXIT_VERIFY = 5
+EXIT_PROTOCOL = 6
 
 
 class InputError(Exception):
@@ -54,10 +58,7 @@ def graph_from_args(args) -> Graph:
         raise InputError("need either --graph FILE or --family NAME")
     if args.n is None:
         raise InputError("--family requires --n")
-    try:
-        return generate(args.family, args.n, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return generate(args.family, args.n, seed=args.seed)
 
 
 def pick_root(g: Graph, spec: str) -> int:
@@ -177,10 +178,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        g = generate(args.family, args.n, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    g = generate(args.family, args.n, seed=args.seed)
     dump_graph(g, args.out, comment=f"family={args.family} n={args.n} seed={args.seed}")
     print(f"wrote {args.out}: n={g.n} m={g.m}")
     return EXIT_OK
@@ -295,10 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BandwidthError as exc:
@@ -307,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except RoundLimitError as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
+    except ProtocolError as exc:
+        print(f"protocol: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
 
 
 if __name__ == "__main__":

@@ -15,6 +15,11 @@ rounds automatically, and the budget holds by construction.  Strict
 mode adds value validation: a word must stay below ``max(4, n^2)``, so
 a protocol cannot smuggle unbounded payloads through single words.
 
+Programs read records with ``expect``: a fixed number of words, or a
+head whose words say how long the rest is (``more``).  A program that
+only relays or collects raw words overrides ``on_chunk`` instead and
+checks its own total after the phase.
+
 A phase ends when the wire is empty: no queue holds words and nothing
 is in flight.  A program that still waits on an ``expect`` at that
 point can never be served, so the engine raises ``ProtocolError``.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 from .graphs import Graph
@@ -165,14 +171,15 @@ class WordProgram:
 
     Subclasses override ``start`` (runs before the first round) and
     register reception handlers with ``expect``; the base class
-    reassembles fixed-length records from the per-edge word streams and
-    fires each handler exactly once when its record is complete.
+    reassembles records from the per-edge word streams and fires each
+    handler exactly once, with the whole record, when it is complete.
+    A relay or collector that frames nothing overrides ``on_chunk``.
     """
 
     def __init__(self, node: NodeHandle):
         self.node = node
         self._buf: dict[int, deque[int]] = {}
-        self._want: dict[int, deque[tuple[int, Callable[[tuple[int, ...]], None]]]] = {}
+        self._want: dict[int, deque[tuple]] = {}
 
     def start(self) -> None:
         pass
@@ -183,10 +190,18 @@ class WordProgram:
     def send(self, eid: int, *words: int) -> None:
         self.node.send(eid, *words)
 
-    def expect(self, eid: int, nwords: int, handler: Callable[[tuple[int, ...]], None]) -> None:
+    def expect(
+        self,
+        eid: int,
+        nwords: int,
+        handler: Callable[[tuple[int, ...]], None],
+        more: Callable[[tuple[int, ...]], int] | None = None,
+    ) -> None:
+        """Await the next record on ``eid``: ``nwords`` head words, then
+        ``more(head)`` further words (possibly none) when ``more`` is given."""
         if nwords < 1:
             raise ProtocolError(f"node {self.node.id} expected a record of {nwords} words")
-        self._want.setdefault(eid, deque()).append((nwords, handler))
+        self._want.setdefault(eid, deque()).append((nwords, more, handler))
         self._drain_buffer(eid)
 
     def on_chunk(self, eid: int, words: tuple[int, ...]) -> None:
@@ -197,11 +212,13 @@ class WordProgram:
         buf = self._buf.get(eid)
         want = self._want.get(eid)
         while buf and want and len(buf) >= want[0][0]:
-            nwords, handler = want.popleft()
-            record = tuple(buf.popleft() for _ in range(nwords))
-            handler(record)
-            buf = self._buf.get(eid)
-            want = self._want.get(eid)
+            nwords, more, handler = want[0]
+            if more is not None:
+                # The head is in: fix the record's full length once.
+                want[0] = (nwords + more(tuple(islice(buf, nwords))), None, handler)
+                continue
+            want.popleft()
+            handler(tuple(buf.popleft() for _ in range(nwords)))
 
 
 class Engine:

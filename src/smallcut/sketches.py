@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, RootedTree, boundary, gamma, non_tree_eids
@@ -398,8 +399,9 @@ def _view_body_words(head: Sequence[int]) -> int:
     return (ENTRY_WORDS + 1) * head[0]
 
 
-def _decode_view(owner: int, head: Sequence[int], body: Sequence[int], n: int) -> WireView:
-    count, self_bit, branch_bit = head
+def _decode_view(owner: int, rec: Sequence[int], n: int) -> WireView:
+    count, self_bit, branch_bit = rec[:_VIEW_HEAD]
+    body = rec[_VIEW_HEAD:]
     entries = decode_entries(body[: ENTRY_WORDS * count], n)
     flags = body[ENTRY_WORDS * count :]
     return WireView(
@@ -666,24 +668,12 @@ class _SketchUp(WordProgram):
 
     def start(self) -> None:
         for cid, eid in self.me.children:
-            self._await_header(cid, eid)
+            self.expect(eid, _VIEW_HEAD, partial(self._got_view, cid), _view_body_words)
         if self._waiting == 0:
             self._finish_up()
 
-    def _await_header(self, cid: int, eid: int) -> None:
-        def on_header(head: tuple[int, ...]) -> None:
-            def on_body(body: tuple[int, ...]) -> None:
-                self._got_view(cid, _decode_view(cid, head, body, self.node.n))
-
-            if head[0]:
-                self.expect(eid, _view_body_words(head), on_body)
-            else:
-                on_body(())
-
-        self.expect(eid, _VIEW_HEAD, on_header)
-
-    def _got_view(self, cid: int, view: WireView) -> None:
-        self.views[cid] = view
+    def _got_view(self, cid: int, rec: tuple[int, ...]) -> None:
+        self.views[cid] = _decode_view(cid, rec, self.node.n)
         self._waiting -= 1
         if self._waiting == 0:
             self._finish_up()
@@ -798,7 +788,10 @@ class _ReducedDown(WordProgram):
 
     A node at level ``l`` receives ``l - 1`` framed sketches from its
     parent — nearest ancestor first — and relays the whole stream to every
-    child, prefixing the child's own stratum on that child's edge.
+    child, prefixing the child's own stratum on that child's edge.  Unlike
+    the broadcast relay it frames every record: each sketch is decoded
+    here anyway, and it is forwarded only once complete (store and
+    forward), which sets this phase's round count.
     """
 
     def __init__(self, node, info: BfsInfo, blobs: Mapping[int, list[int]]) -> None:
@@ -806,32 +799,18 @@ class _ReducedDown(WordProgram):
         self.me = info[node.id]
         self.blobs = blobs  # child edge id -> encoded S(me \ child)
         self.received: list[WireView] = []
-        self._expected = max(self.me.level - 1, 0)
 
     def start(self) -> None:
         for eid in sorted(self.blobs):
             self.send(eid, *self.blobs[eid])
-        if self._expected:
-            self._await_blob()
+        for _ in range(self.me.level - 1):
+            self.expect(self.me.parent_eid, _VIEW_HEAD, self._blob, _view_body_words)
 
-    def _await_blob(self) -> None:
-        eid = self.me.parent_eid
-
-        def on_header(head: tuple[int, ...]) -> None:
-            def deliver(body: tuple[int, ...]) -> None:
-                owner = self.me.alpha(self.me.level - 1 - len(self.received))
-                self.received.append(_decode_view(owner, head, body, self.node.n))
-                for _cid, ceid in self.me.children:
-                    self.send(ceid, *head, *body)
-                if len(self.received) < self._expected:
-                    self._await_blob()
-
-            if head[0]:
-                self.expect(eid, _view_body_words(head), deliver)
-            else:
-                deliver(())
-
-        self.expect(eid, _VIEW_HEAD, on_header)
+    def _blob(self, rec: tuple[int, ...]) -> None:
+        owner = self.me.alpha(self.me.level - 1 - len(self.received))
+        self.received.append(_decode_view(owner, rec, self.node.n))
+        for _cid, ceid in self.me.children:
+            self.send(ceid, *rec)
 
 
 def _strata_merge(

@@ -154,19 +154,13 @@ class EtaState:
     anc_eta: tuple[dict[int, int], ...]
 
 
-class PreEta(NamedTuple):
-    """Ancestor lists as heard from every neighbour, plus the crossing counts."""
-
-    own_cross: tuple[dict[int, int], ...]
-    neighbor_ancestors: tuple[dict[int, tuple[int, ...]], ...]
-
-
-def preprocess_eta(engine: Engine, info: BfsInfo) -> PreEta:
+def preprocess_eta(engine: Engine, info: BfsInfo) -> tuple[dict[int, int], ...]:
     """Exchange ancestor lists with all neighbours; count escaping edges.
 
     An edge (a, b) leaves ``desc(v)`` exactly when v is not an ancestor
     of b, so after one pipelined exchange every node can fill in its own
-    crossing table locally.  Runs in O(depth) rounds.
+    crossing table locally (``EtaState.own_cross``).  Runs in O(depth)
+    rounds.
     """
     g = engine.g
     programs = []
@@ -178,19 +172,15 @@ def preprocess_eta(engine: Engine, info: BfsInfo) -> PreEta:
     engine.run_phase(LABEL_ETA_PRE, programs)
 
     own_cross = []
-    neighbor_ancestors = []
     for a in range(g.n):
-        heard = programs[a].received
-        by_eid = {eid: tuple(words) for eid, words in heard.items()}
-        neighbor_ancestors.append(by_eid)
-        sets = [set(words) for words in by_eid.values()]
+        sets = [set(words) for words in programs[a].received.values()]
         own_cross.append(
             {v: sum(1 for s in sets if v not in s) for v in info[a].ancestors}
         )
-    return PreEta(tuple(own_cross), tuple(neighbor_ancestors))
+    return tuple(own_cross)
 
 
-def compute_eta(engine: Engine, info: BfsInfo, pre: PreEta) -> EtaState:
+def compute_eta(engine: Engine, info: BfsInfo, own_cross: tuple[dict[int, int], ...]) -> EtaState:
     """Fold the crossing counts into eta(v) for every v, then push each
     eta(v) back down to desc(v)."""
     n = engine.g.n
@@ -204,7 +194,7 @@ def compute_eta(engine: Engine, info: BfsInfo, pre: PreEta) -> EtaState:
         identity=0,
     )
     states = [
-        [pre.own_cross[a][v] for v in info[a].ancestors] for a in range(n)
+        [own_cross[a][v] for v in info[a].ancestors] for a in range(n)
     ]
     folds = trsf_compute(engine, info, spec, states)
 
@@ -221,9 +211,9 @@ def compute_eta(engine: Engine, info: BfsInfo, pre: PreEta) -> EtaState:
             assert eta[a] >= 1, "subtree boundary empty in a connected graph"
         assert subtree_cross[a][a] == eta[a]
         for v in info[a].ancestors:
-            assert 0 <= pre.own_cross[a][v] <= subtree_cross[a][v]
+            assert 0 <= own_cross[a][v] <= subtree_cross[a][v]
             assert subtree_cross[a][v] <= anc_eta[a][v] <= m
-    return EtaState(info, eta, pre.own_cross, subtree_cross, anc_eta)
+    return EtaState(info, eta, own_cross, subtree_cross, anc_eta)
 
 
 def detect_1cuts(state: EtaState) -> list[CutReport]:

@@ -32,7 +32,7 @@ LABEL_BCAST1 = "broadcast1"
 LABEL_BCAST2 = "broadcast2"
 
 
-class SemigroupError(ValueError):
+class SemigroupError(ProtocolError):
     """The supplied combine operation is not commutative/associative."""
 
 
@@ -208,7 +208,7 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
         _Downcast(h, levels[v].level, levels[v].parent_eid, kids[v], (v,), 1)
         for v, h in enumerate(engine.handles)
     ]
-    engine.run_phase(LABEL_BFS, ancs)
+    _run_relay(engine, LABEL_BFS, ancs)
 
     nodes = []
     for v in range(g.n):
@@ -244,8 +244,11 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
 class _Downcast(WordProgram):
     """Shared shape of every downward relay: own block first, then relay.
 
-    ``stream`` collects the parent's words as they arrive: the blocks of
-    all ancestors, nearest ancestor first.
+    Blocks have one agreed width and every node knows how many ancestors
+    it has, so nothing on this wire needs framing: each chunk from the
+    parent is kept and forwarded unchanged, in the round it arrives.
+    ``stream`` collects the parent's words: the blocks of all ancestors,
+    nearest ancestor first.  :func:`_run_relay` checks its length.
     """
 
     def __init__(self, node: NodeHandle, level: int, parent_eid: int | None,
@@ -263,16 +266,22 @@ class _Downcast(WordProgram):
             raise ProtocolError(f"node {self.node.id} block {self.block} is not {self.width} wide")
         for _, eid in self.children:
             self.send(eid, *self.block)
-        if self.parent_eid is not None:
-            self.expect(self.parent_eid, 1, self._word)
 
-    def _word(self, rec):
-        w = rec[0]
-        self.stream.append(w)
-        for _, eid in self.children:
-            self.send(eid, w)
-        if len(self.stream) < self.level * self.width:
-            self.expect(self.parent_eid, 1, self._word)
+    def on_chunk(self, eid, words):
+        self.stream.extend(words)
+        for _, ceid in self.children:
+            self.send(ceid, *words)
+
+
+def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> None:
+    """Run one relay phase; every node must have heard all its ancestors' blocks."""
+    engine.run_phase(label, programs)
+    for p in programs:
+        if len(p.stream) != p.level * p.width:
+            raise ProtocolError(
+                f"phase {label!r}: node {p.node.id} heard {len(p.stream)} relayed words, "
+                f"not {p.level * p.width}"
+            )
 
 
 def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
@@ -283,7 +292,7 @@ def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
         _Downcast(h, info[v].level, info[v].parent_eid, info[v].children, blocks[v], width)
         for v, h in enumerate(engine.handles)
     ]
-    engine.run_phase(label, programs)
+    _run_relay(engine, label, programs)
     received = []
     for nb, p in zip(info.nodes, programs):
         got = {nb.id: p.block}
@@ -423,8 +432,8 @@ class TrsfNodeResult:
     ``partials[l]`` is the fold of the node's own subtree toward its
     level-``l`` ancestor; ``f`` (the full-subtree value) is the partial
     at the node's own level.  ``from_child`` keeps each child's
-    contribution per ancestor level — several consumers need exactly
-    those terms, so the engine exposes rather than discards them.
+    contribution per ancestor level.  Nothing reads it yet; it is kept
+    for eliding the spine from the sketch waves (ROADMAP item 3).
     """
 
     partials: dict[int, object] = field(default_factory=dict)
@@ -455,36 +464,22 @@ class _TrsfProgram(WordProgram):
         for l in range(self.lo, lv + 1):
             self.acc[l] = self.spec.atomic(self.state, l)
             self.pending[l] = {cid for cid, _ in self.nb.children}
+        tail = self.spec.tail_words
+        more = (lambda rec: tail(rec[1:])) if tail else None  # a record is (level, *element)
         for cid, eid in self.nb.children:
             self.from_child[cid] = {}
-            self._await_record(eid, cid)
+            for _ in range(self.lo, lv + 1):
+                self.expect(eid, 1 + self.spec.head_words, partial(self._record, cid), more)
         self._settle()
 
-    def _await_record(self, eid: int, cid: int):
-        self.expect(
-            eid, 1 + self.spec.head_words,
-            lambda rec: self._head(eid, cid, rec[0], rec[1:]),
-        )
-
-    def _head(self, eid: int, cid: int, l: int, head: tuple[int, ...]):
-        tail_n = self.spec.tail_words(head) if self.spec.tail_words else 0
-        if tail_n:
-            self.expect(
-                eid, tail_n,
-                lambda tail: self._record(eid, cid, l, head + tail),
-            )
-        else:
-            self._record(eid, cid, l, head)
-
-    def _record(self, eid: int, cid: int, l: int, words: tuple[int, ...]):
-        elem = self.spec.decode(words)
+    def _record(self, cid: int, rec: tuple[int, ...]):
+        l = rec[0]
+        elem = self.spec.decode(rec[1:])
         if cid not in self.pending.get(l, ()):
             raise ProtocolError(f"node {self.node.id}: record out of range (level {l}, child {cid})")
         self.pending[l].discard(cid)
         self.from_child[cid][l] = elem
         self.acc[l] = self.spec.combine(self.acc[l], elem)
-        if l < self.nb.level:
-            self._await_record(eid, cid)
         self._settle()
 
     def _settle(self):

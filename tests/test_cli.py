@@ -20,12 +20,13 @@ from smallcut.cli import (
     EXIT_BANDWIDTH,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_PROTOCOL,
     EXIT_TIMEOUT,
     EXIT_VERIFY,
     load_graph,
 )
 from smallcut.graphs import OracleResult, dumps, generate, min_cut_oracle, edge_pairs
-from smallcut.runtime import BandwidthError
+from smallcut.runtime import BandwidthError, ProtocolError
 
 
 def run_cli(*argv: str) -> int:
@@ -178,6 +179,15 @@ def test_bandwidth_error_exit(monkeypatch):
 
     monkeypatch.setattr(cli, "run_full_pipeline", explode)
     assert run_cli("run", "--family", "cycle", "--n", "6") == EXIT_BANDWIDTH
+
+
+def test_protocol_error_exits_6(monkeypatch, capsys):
+    def explode(*args, **kwargs):
+        raise ProtocolError("phase 'x' went quiet while node 3 still expects words")
+
+    monkeypatch.setattr(cli, "run_full_pipeline", explode)
+    assert run_cli("run", "--family", "cycle", "--n", "6") == EXIT_PROTOCOL
+    assert "node 3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

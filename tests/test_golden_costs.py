@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +25,16 @@ def test_costs_and_reports_match_golden(name):
     want = GOLDEN[name]
     assert got["phases"] == want["phases"]
     assert got == want
+
+
+def test_ledger_unchanged_with_asserts_stripped():
+    # Under python -O every assert is gone; costs and reports must not move.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import json, golden_costs; print(json.dumps(golden_costs.collect()))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == GOLDEN

@@ -18,6 +18,7 @@ from smallcut.runtime import (
     run_protocol,
     word_size_bits,
 )
+from smallcut.trees import _Downcast, _run_relay
 
 
 class Echo(WordProgram):
@@ -101,6 +102,51 @@ def test_long_records_stream_across_rounds(k):
     assert engine.stats.rounds_elapsed == frames + 1
     assert engine.stats.total_messages == frames
     assert engine.stats.max_bits_per_edge_per_round <= config.word_bits * engine.word_size
+
+
+class SelfFramed(WordProgram):
+    """Node 0 bursts three length-prefixed records; node 1 reads them."""
+
+    BURST = (2, 7, 8, 0, 5, 1, 2, 3, 4, 5)
+
+    def start(self):
+        self.got: list[tuple[tuple[int, ...], int]] = []
+        eid = self.node.ports[0][1]
+        if self.node.id == 0:
+            self.send(eid, *self.BURST)
+        elif self.node.id == 1:
+            self._next(eid)
+
+    def _next(self, eid):
+        self.expect(eid, 1, lambda rec: self._take(eid, rec), more=lambda head: head[0])
+
+    def _take(self, eid, rec):
+        self.got.append((rec, self.node.round))
+        if len(self.got) < 3:
+            self._next(eid)
+
+
+def test_self_framed_records_fire_whole_and_in_order():
+    g = generate("path", 3)  # n=3 lets strict mode carry values up to 8
+    engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
+    programs = [SelfFramed(h) for h in engine.handles]
+    engine.run_phase("framed", programs)
+    # Two words a round: (2,7) (8,0) (5,1) (2,3) (4,5) land in rounds 2..6,
+    # and the empty-tailed record fires in the round its head arrives.
+    assert programs[1].got == [((2, 7, 8), 3), ((0,), 3), ((5, 1, 2, 3, 4, 5), 6)]
+    assert engine.stats.rounds_elapsed == 6
+
+
+def test_relay_with_silent_parent_raises():
+    g = Graph(2, [(0, 1)])
+    engine = Engine(g)
+    # Node 0 claims no children, so its block never reaches node 1.
+    programs = [
+        _Downcast(engine.handles[0], 0, None, (), (5,), 1),
+        _Downcast(engine.handles[1], 1, 0, (), (6,), 1),
+    ]
+    with pytest.raises(ProtocolError, match="'relay'.*node 1"):
+        _run_relay(engine, "relay", programs)
 
 
 class Arrivals(WordProgram):

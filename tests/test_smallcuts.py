@@ -106,23 +106,23 @@ def test_crossing_table_examples():
     g = generate("cycle", 4)
     engine, info = start(g)
     pre = preprocess_eta(engine, info)
-    assert pre.own_cross[2][1] == 1  # only neighbour 3 lies outside desc(1)
-    assert pre.own_cross[2][2] == 2
+    assert pre[2][1] == 1  # only neighbour 3 lies outside desc(1)
+    assert pre[2][2] == 2
 
     star = Graph(6, [(0, i) for i in range(1, 6)])
     engine, info = start(star)
     pre = preprocess_eta(engine, info)
     for leaf in range(1, 6):
-        assert pre.own_cross[leaf][0] == 0
-        assert pre.own_cross[leaf][leaf] == 1
+        assert pre[leaf][0] == 0
+        assert pre[leaf][leaf] == 1
 
     p4 = generate("path", 4)
     engine, info = start(p4)
     pre = preprocess_eta(engine, info)
     for a in range(1, 4):
-        assert pre.own_cross[a][a] >= 1
+        assert pre[a][a] >= 1
         for v in info[a].ancestors[:-1]:
-            assert pre.own_cross[a][v] == 0
+            assert pre[a][v] == 0
 
 
 def test_eta_values_on_fixed_graphs():
