@@ -16,9 +16,10 @@ mode adds value validation: a word must stay below ``max(4, n^2)``, so
 a protocol cannot smuggle unbounded payloads through single words.
 
 Programs read records with ``expect``: a fixed number of words, or a
-head whose words say how long the rest is (``more``).  A program that
-only relays or collects raw words overrides ``on_chunk`` instead and
-checks its own total after the phase.
+head whose words say how long the rest is (``more``).  A relay also
+overrides ``on_chunk`` to forward each chunk as it arrives, and hands
+the chunk on to the base class to read its records; a program that
+only counts tokens overrides ``on_chunk`` alone.
 
 A phase ends when the wire is empty: no queue holds words and nothing
 is in flight.  A program that still waits on an ``expect`` at that
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Sequence
 
 from .graphs import Graph
@@ -159,7 +159,7 @@ class NodeHandle:
         try:
             return self._by_edge[eid]
         except KeyError:
-            raise ValueError(f"edge {eid} is not incident to node {self.id}") from None
+            raise ProtocolError(f"edge {eid} is not incident to node {self.id}") from None
 
     @property
     def round(self) -> int:
@@ -173,12 +173,13 @@ class WordProgram:
     register reception handlers with ``expect``; the base class
     reassembles records from the per-edge word streams and fires each
     handler exactly once, with the whole record, when it is complete.
-    A relay or collector that frames nothing overrides ``on_chunk``.
+    A relay overrides ``on_chunk`` to forward chunks and calls the base
+    ``on_chunk`` to read them; a token counter overrides it alone.
     """
 
     def __init__(self, node: NodeHandle):
         self.node = node
-        self._buf: dict[int, deque[int]] = {}
+        self._buf: dict[int, list[int]] = {}
         self._want: dict[int, deque[tuple]] = {}
 
     def start(self) -> None:
@@ -205,7 +206,7 @@ class WordProgram:
         self._drain_buffer(eid)
 
     def on_chunk(self, eid: int, words: tuple[int, ...]) -> None:
-        self._buf.setdefault(eid, deque()).extend(words)
+        self._buf.setdefault(eid, []).extend(words)
         self._drain_buffer(eid)
 
     def _drain_buffer(self, eid: int) -> None:
@@ -215,10 +216,12 @@ class WordProgram:
             nwords, more, handler = want[0]
             if more is not None:
                 # The head is in: fix the record's full length once.
-                want[0] = (nwords + more(tuple(islice(buf, nwords))), None, handler)
+                want[0] = (nwords + more(tuple(buf[:nwords])), None, handler)
                 continue
             want.popleft()
-            handler(tuple(buf.popleft() for _ in range(nwords)))
+            rec = tuple(buf[:nwords])
+            del buf[:nwords]
+            handler(rec)
 
 
 class Engine:
@@ -243,10 +246,10 @@ class Engine:
 
     def _send(self, handle: NodeHandle, eid: int, words: tuple[int, ...]) -> None:
         if eid not in handle._by_edge:
-            raise ValueError(f"edge {eid} is not incident to node {handle.id}")
+            raise ProtocolError(f"edge {eid} is not incident to node {handle.id}")
         for w in words:
             if not isinstance(w, int) or w < 0:
-                raise ValueError(f"words must be non-negative ints, got {w!r}")
+                raise ProtocolError(f"words must be non-negative ints, got {w!r}")
             if self.config.strict_bandwidth and w >= self.value_cap:
                 raise BandwidthError(
                     eid,

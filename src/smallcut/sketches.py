@@ -22,7 +22,9 @@ Three layers live here:
   node re-merges its children's contributions leaving one child out, casts
   the per-child results down that child's subtree, and each descendant
   stitches the received strata back together into ``S_k(v \\ x)`` for every
-  proper ancestor ``v``.
+  proper ancestor ``v``.  The cast runs on the tree relay
+  (``trees._Downcast``): each stratum is a view record that frames itself
+  with its entry count, and relays forward it cut-through.
 
 Sketch metas record, per surviving node ``u``: the host-tree parent, the
 subtree boundary size ``eta(u)``, and a crossing count ``gamma`` between
@@ -44,7 +46,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .graphs import Graph, RootedTree, boundary, gamma, non_tree_eids
 from .runtime import Engine, ProtocolError, WordProgram, word_size_bits
 from .small_cuts import EtaState
-from .trees import BfsInfo
+from .trees import BfsInfo, _Downcast, _run_relay
 
 __all__ = [
     "SketchSource",
@@ -529,7 +531,8 @@ def _merge_sources(
         while u not in level:
             trail.append(u)
             p = structure[u]
-            assert p is not None, f"node {u} detached from the root"
+            if p is None:
+                raise ProtocolError(f"sketch at {v}: node {u} detached from the root")
             u = p
         base = level[u]
         for w in reversed(trail):
@@ -783,36 +786,6 @@ class ReducedSketchResult:
     per_node: tuple[dict[int, SketchTree], ...]
 
 
-class _ReducedDown(WordProgram):
-    """Cast leave-one-child-out sketches down the tree.
-
-    A node at level ``l`` receives ``l - 1`` framed sketches from its
-    parent — nearest ancestor first — and relays the whole stream to every
-    child, prefixing the child's own stratum on that child's edge.  Unlike
-    the broadcast relay it frames every record: each sketch is decoded
-    here anyway, and it is forwarded only once complete (store and
-    forward), which sets this phase's round count.
-    """
-
-    def __init__(self, node, info: BfsInfo, blobs: Mapping[int, list[int]]) -> None:
-        super().__init__(node)
-        self.me = info[node.id]
-        self.blobs = blobs  # child edge id -> encoded S(me \ child)
-        self.received: list[WireView] = []
-
-    def start(self) -> None:
-        for eid in sorted(self.blobs):
-            self.send(eid, *self.blobs[eid])
-        for _ in range(self.me.level - 1):
-            self.expect(self.me.parent_eid, _VIEW_HEAD, self._blob, _view_body_words)
-
-    def _blob(self, rec: tuple[int, ...]) -> None:
-        owner = self.me.alpha(self.me.level - 1 - len(self.received))
-        self.received.append(_decode_view(owner, rec, self.node.n))
-        for _cid, ceid in self.me.children:
-            self.send(ceid, *rec)
-
-
 def _strata_merge(
     info: BfsInfo, x: int, i: int, strata: Sequence[WireView], k: int
 ) -> SketchTree:
@@ -822,7 +795,10 @@ def _strata_merge(
     v = rho_v[-1]
     sources = []
     for j, view in enumerate(strata, start=i):
-        assert view.owner == me.alpha(j)
+        if view.owner != me.alpha(j):
+            raise ProtocolError(
+                f"node {x}: stratum {j} came from {view.owner}, not from ancestor {me.alpha(j)}"
+            )
         sources.append(
             _Source(
                 view,
@@ -837,7 +813,8 @@ def _strata_merge(
             if e is not None:
                 spine_eta.setdefault(u, e.eta)
     missing = [u for u in rho_v if u not in spine_eta]
-    assert not missing, f"strata lost spine etas for {missing}"
+    if missing:
+        raise ProtocolError(f"node {x}: strata lost spine etas for {missing}")
     sketch = _merge_sources(
         root=info.root,
         v=v,
@@ -872,8 +849,9 @@ def distributed_reduced_sketch(
 
     Three steps: run the plain wave at ``k`` so every node holds its
     children's wire views; re-merge locally at each internal node leaving
-    one child out; cast the per-child results down and let every
-    descendant union the received strata per ancestor.  The root is not a
+    one child out; cast the per-child results down (one self-framed view
+    record per child edge, relayed cut-through) and let every descendant
+    union the received strata per ancestor.  The root is not a
     meaningful cut side, so its leave-one-out sketches are never built.
     """
     up = distributed_k_sketch(engine, info, state, k, annotated)
@@ -892,18 +870,23 @@ def distributed_reduced_sketch(
                 )
         blobs.append(per_edge)
 
+    # The root casts nothing, so a node at level l reads l - 1 strata.
     programs = [
-        _ReducedDown(handle, info, blobs[handle.id]) for handle in engine.handles
+        _Downcast(h, max(info[v].level - 1, 0), info[v].parent_eid, info[v].children,
+                  blobs[v], _VIEW_HEAD, _view_body_words)
+        for v, h in enumerate(engine.handles)
     ]
-    engine.run_phase(f"{LABEL_REDUCED}{k}", programs)
+    _run_relay(engine, f"{LABEL_REDUCED}{k}", programs)
 
     per_node: list[dict[int, SketchTree]] = []
     for x, prog in enumerate(programs):
         out: dict[int, SketchTree] = {}
-        lx = info[x].level
+        me = info[x]
+        lx = me.level
         # received strata sit nearest-first: owner levels lx-1 down to 1
+        views = [_decode_view(me.alpha(lx - 1 - j), rec, n) for j, rec in enumerate(prog.received)]
         for i in range(1, lx):
-            strata = list(reversed(prog.received[: lx - i]))
-            out[info[x].alpha(i)] = _strata_merge(info, x, i, strata, k)
+            strata = list(reversed(views[: lx - i]))
+            out[me.alpha(i)] = _strata_merge(info, x, i, strata, k)
         per_node.append(out)
     return ReducedSketchResult(k=k, per_node=tuple(per_node))

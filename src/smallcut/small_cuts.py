@@ -173,7 +173,7 @@ def preprocess_eta(engine: Engine, info: BfsInfo) -> tuple[dict[int, int], ...]:
 
     own_cross = []
     for a in range(g.n):
-        sets = [set(words) for words in programs[a].received.values()]
+        sets = [{rec[0] for rec in recs} for recs in programs[a].received.values()]
         own_cross.append(
             {v: sum(1 for s in sets if v not in s) for v in info[a].ancestors}
         )
@@ -239,16 +239,8 @@ def preprocess_zeta(
     def words(a: int) -> list[int]:
         return [x for lvl, u in enumerate(info[a].ancestors) for x in (lvl, state.anc_eta[a][u], u)]
 
-    heard = nontree_exchange(
-        engine, info, LABEL_ZETA_PRE, words, lambda level: 3 * (level + 1)
-    )
-    return tuple(
-        {
-            eid: tuple(zip(ws[0::3], ws[1::3], ws[2::3]))
-            for eid, ws in per_edge.items()
-        }
-        for per_edge in heard
-    )
+    heard = nontree_exchange(engine, info, LABEL_ZETA_PRE, words, lambda level: level + 1, 3)
+    return tuple({eid: tuple(recs) for eid, recs in per_edge.items()} for per_edge in heard)
 
 
 def _zeta_atom(node_state, l: int) -> Zeta:

@@ -52,7 +52,6 @@ from .sketches import (
     ENTRY_WORDS,
     ReducedSketchResult,
     SketchMeta,
-    SketchTree,
     SketchUpResult,
     decode_entries,
     distributed_k_sketch,
@@ -61,7 +60,7 @@ from .sketches import (
 )
 from .trees import (
     BfsInfo,
-    SemigroupSpec,
+    # Unused here, but perfbench/tracing.py wraps this binding (tests/test_trace_sites.py).
     broadcast_t1,
     broadcast_t2,
     build_bfs,
@@ -306,70 +305,34 @@ class SketchExchange:
     across: tuple[dict[int, dict[int, dict[int, SketchMeta]]], ...]
 
 
-def _agree_max(engine: Engine, info: BfsInfo, values: Sequence[int], name: str) -> int:
-    """Every node learns the maximum of a per-node value: fold up, read
-    the root's copy out of the following broadcast."""
-    spec = SemigroupSpec(
-        name=name,
-        combine=max,
-        atomic=lambda s, l: s,
-        encode=lambda x: (x,),
-        decode=lambda words: words[0],
-        identity=0,
-    )
-    folded = [r.f for r in trsf_compute(engine, info, spec, list(values))]
-    maps = broadcast_t1(engine, info, folded, label=f"{name}:cast")
-    agreed = {maps[v][info.root] for v in range(engine.g.n)}
-    assert len(agreed) == 1
-    return agreed.pop()
-
-
-def _encode_block(owner: int | None, sk: SketchTree, n: int, width: int) -> list[int]:
-    head = [len(sk.meta)] if owner is None else [owner, len(sk.meta)]
-    block = head + list(encode_entries(sk.meta, n))
-    assert len(block) <= width
-    return block + [0] * (width - len(block))
-
-
-def _decode_block(words: Sequence[int], at: int, n: int) -> dict[int, SketchMeta]:
-    """The entries of the block whose count sits at ``words[at]``."""
-    return decode_entries(words[at + 1 : at + 1 + ENTRY_WORDS * words[at]], n)
-
-
 def sketch_exchange(
     engine: Engine, info: BfsInfo, sketches: SketchUpResult
 ) -> SketchExchange:
     """Downcast every sketch to its subtree, then swap whole ancestor
     chains across non-tree edges.
 
-    Both passes frame their blocks at an agreed width — the maximum
-    sketch size, settled by one fold-and-broadcast — so receivers can
-    slice the stream without per-block length negotiation.
+    Every block frames itself, so nothing is padded and no width is
+    agreed first: the downcast carries ``[count, entries...]`` per
+    ancestor, cut-through, and the swap ``[owner, count, entries...]``
+    per ancestor of the sender.
     """
-    g, n = engine.g, engine.g.n
-    cap = _agree_max(
-        engine, info, [len(sketches.sketches[v].meta) for v in range(g.n)], "skwidth"
+    n = engine.g.n
+    blocks = [(len(sk.meta), *encode_entries(sk.meta, n)) for sk in sketches.sketches]
+    received = broadcast_t2(
+        engine, info, blocks, 1, label=LABEL_SKETCH_CAST,
+        more=lambda head: ENTRY_WORDS * head[0],
     )
-    w_down = 1 + ENTRY_WORDS * cap
-    lists = [_encode_block(None, sketches.sketches[v], n, w_down) for v in range(g.n)]
-    received = broadcast_t2(engine, info, lists, w_down, label=LABEL_SKETCH_CAST)
-    chain = [
-        {a: _decode_block(blk, 0, n) for a, blk in received[x].items()} for x in range(g.n)
-    ]
-
-    w_x = 2 + ENTRY_WORDS * cap
+    chain = [{a: decode_entries(blk[1:], n) for a, blk in got.items()} for got in received]
 
     def words(x: int) -> list[int]:
-        return [w for a in info[x].ancestors for w in _encode_block(a, sketches.sketches[a], n, w_x)]
+        return [w for a in info[x].ancestors for w in (a, *blocks[a])]
 
     heard = nontree_exchange(
-        engine, info, LABEL_SKETCH_XCH, words, lambda level: w_x * (level + 1)
+        engine, info, LABEL_SKETCH_XCH, words, lambda level: level + 1,
+        width=2, more=lambda head: ENTRY_WORDS * head[1],
     )
     across = [
-        {
-            eid: {ws[off]: _decode_block(ws, off + 1, n) for off in range(0, len(ws), w_x)}
-            for eid, ws in per_edge.items()
-        }
+        {eid: {rec[0]: decode_entries(rec[2:], n) for rec in recs} for eid, recs in per_edge.items()}
         for per_edge in heard
     ]
     return SketchExchange(chain=tuple(chain), across=tuple(across))
@@ -581,7 +544,8 @@ def preprocess_pivot(
     tri = []
     for q, per_edge in enumerate(heard):
         rows_by_edge: dict[int, dict[int, tuple[int, ...]]] = {}
-        for eid, ws in per_edge.items():
+        for eid, recs in per_edge.items():
+            ws = [rec[0] for rec in recs]
             rows: dict[int, tuple[int, ...]] = {}
             off = 0
             for l in range(1, info[q].neighbor_levels[eid] + 1):

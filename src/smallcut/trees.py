@@ -11,6 +11,15 @@ semigroup fold of per-node atomic values over the subtree below ``v``,
 while every node ``a`` also learns the partial folds of its own subtree
 toward each of its ancestors.
 
+Everything that moves down the tree rides one relay, ``_Downcast``: a
+node queues its own block, forwards each chunk from its parent unchanged
+in the round it arrives (cut-through, never store-and-forward), and reads
+the parent's stream as records through ``expect``.  A record is a
+fixed-width block whose width every node knows, or a self-framed block
+whose head says how long it is, so no phase is spent agreeing on a width
+and nothing is padded to one.  Exchanges with neighbours read their
+replies as records the same way.
+
 Every fold record goes up as soon as it is complete, and the per-edge
 queues pace the wire: a node's partial toward ancestor level ``l`` is
 sent once all of its children have reported theirs.  When a record
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .graphs import RootedTree
 from .runtime import Engine, NodeHandle, ProtocolError, WordProgram
@@ -220,7 +229,7 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
             parent=levels[v].parent,
             parent_eid=levels[v].parent_eid,
             children=kids[v],
-            ancestors=tuple(reversed(ancs[v].stream)) + (v,),
+            ancestors=tuple(rec[0] for rec in reversed(ancs[v].received)) + (v,),
             depth=depths[v].depth,
             neighbor_levels=levels[v].neighbor_levels,
         )
@@ -242,62 +251,85 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
 
 
 class _Downcast(WordProgram):
-    """Shared shape of every downward relay: own block first, then relay.
+    """The one downward relay: own block first, then cut-through forwarding.
 
-    Blocks have one agreed width and every node knows how many ancestors
-    it has, so nothing on this wire needs framing: each chunk from the
-    parent is kept and forwarded unchanged, in the round it arrives.
-    ``stream`` collects the parent's words: the blocks of all ancestors,
-    nearest ancestor first.  :func:`_run_relay` checks its length.
+    A node queues its own block on its child edges: ``block`` is one
+    word list for all children, or a map from child edge id to that
+    child's block (the reduced-sketch strata).  It then forwards every
+    chunk from its parent unchanged, in the round the chunk arrives, and
+    reads the parent's stream as ``records`` records through ``expect``:
+    ``width`` words each, or ``width`` head words plus ``more(head)``
+    when blocks frame themselves.  No width is agreed beforehand and no
+    block is stored before it moves on.  ``received`` holds the records,
+    nearest ancestor first; :func:`_run_relay` checks that nothing
+    trails them.
     """
 
-    def __init__(self, node: NodeHandle, level: int, parent_eid: int | None,
-                 children: tuple[tuple[int, int], ...], block: Sequence[int], width: int):
+    def __init__(self, node: NodeHandle, records: int, parent_eid: int | None,
+                 children: tuple[tuple[int, int], ...],
+                 block: Sequence[int] | Mapping[int, Sequence[int]], width: int,
+                 more: Callable[[tuple[int, ...]], int] | None = None):
         super().__init__(node)
-        self.level = level
+        self.records = records
         self.parent_eid = parent_eid
         self.children = children
-        self.block = tuple(block)
+        if isinstance(block, Mapping):
+            self.blocks = {eid: tuple(words) for eid, words in block.items()}
+        else:
+            self.blocks = dict.fromkeys((eid for _, eid in children), tuple(block))
         self.width = width
-        self.stream: list[int] = []
+        self.more = more
+        self.received: list[tuple[int, ...]] = []
 
     def start(self):
-        if len(self.block) != self.width:
-            raise ProtocolError(f"node {self.node.id} block {self.block} is not {self.width} wide")
-        for _, eid in self.children:
-            self.send(eid, *self.block)
+        for eid, words in self.blocks.items():
+            tail = self.more(words[:self.width]) if self.more and len(words) >= self.width else 0
+            if len(words) != self.width + tail:
+                raise ProtocolError(f"node {self.node.id} block {words} does not frame itself")
+            self.send(eid, *words)
+        for _ in range(self.records):
+            self.expect(self.parent_eid, self.width, self.received.append, self.more)
 
     def on_chunk(self, eid, words):
-        self.stream.extend(words)
         for _, ceid in self.children:
             self.send(ceid, *words)
+        super().on_chunk(eid, words)
+
+    @property
+    def stray(self) -> int:
+        """Words from the parent that no record claimed."""
+        return len(self._buf.get(self.parent_eid, ()))
 
 
 def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> None:
-    """Run one relay phase; every node must have heard all its ancestors' blocks."""
+    """Run one relay phase; every node must read exactly its ancestors' blocks.
+
+    A missing record leaves an ``expect`` unmet, which the engine reports;
+    words past the last record are caught here.
+    """
     engine.run_phase(label, programs)
     for p in programs:
-        if len(p.stream) != p.level * p.width:
+        if p.stray:
             raise ProtocolError(
-                f"phase {label!r}: node {p.node.id} heard {len(p.stream)} relayed words, "
-                f"not {p.level * p.width}"
+                f"phase {label!r}: node {p.node.id} heard {p.stray} words "
+                f"past its {p.records} relayed blocks"
             )
 
 
 def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
-                       blocks: Sequence[Sequence[int]],
-                       width: int) -> list[dict[int, tuple[int, ...]]]:
+                       blocks: Sequence[Sequence[int]], width: int,
+                       more: Callable[[tuple[int, ...]], int] | None = None,
+                       ) -> list[dict[int, tuple[int, ...]]]:
     """Relay every node's block to its subtree; key what arrived by ancestor."""
     programs = [
-        _Downcast(h, info[v].level, info[v].parent_eid, info[v].children, blocks[v], width)
+        _Downcast(h, info[v].level, info[v].parent_eid, info[v].children, blocks[v], width, more)
         for v, h in enumerate(engine.handles)
     ]
     _run_relay(engine, label, programs)
     received = []
-    for nb, p in zip(info.nodes, programs):
-        got = {nb.id: p.block}
-        for i, who in enumerate(reversed(nb.ancestors[:-1])):
-            got[who] = tuple(p.stream[i * width:(i + 1) * width])
+    for nb, p, own in zip(info.nodes, programs, blocks):
+        got = dict(zip(reversed(nb.ancestors[:-1]), p.received))
+        got[nb.id] = tuple(own)
         received.append(got)
     return received
 
@@ -324,22 +356,28 @@ def broadcast_t2(
     lists: Sequence[Sequence[int]],
     width: int,
     label: str = LABEL_BCAST2,
+    more: Callable[[tuple[int, ...]], int] | None = None,
 ) -> list[dict[int, tuple[int, ...]]]:
     """Deliver each node's word list to its entire subtree.
 
-    Lists are zero-padded to the fixed ``width`` so that receivers can
-    frame the incoming stream without headers; callers use position metadata
-    (every receiver knows each ancestor's level) to ignore the padding.
-    Cost is one pipelined pass of ``width`` words per ancestor, i.e.
-    quadratic in depth when ``width`` is itself of depth order.
+    Without ``more``, lists are zero-padded to ``width``, a bound every
+    node already knows (``hcast`` derives it from the tree depth), and
+    read as fixed-width blocks; callers use position metadata (every
+    receiver knows each ancestor's level) to ignore the padding.  With
+    ``more``, lists frame themselves: ``width`` head words, then
+    ``more(head)`` further words, sent unpadded.  Either way the relay
+    is cut-through, so the cost is one pipelined pass of each ancestor's
+    block, quadratic in depth when blocks are of depth order.
     """
-    padded = []
-    for v, lst in enumerate(lists):
-        lst = list(lst)
-        if len(lst) > width:
-            raise ValueError(f"node {v} list length {len(lst)} exceeds width {width}")
-        padded.append(lst + [0] * (width - len(lst)))
-    return _relay_to_subtrees(engine, info, label, padded, width)
+    if more is None:
+        padded = []
+        for v, lst in enumerate(lists):
+            lst = list(lst)
+            if len(lst) > width:
+                raise ValueError(f"node {v} list length {len(lst)} exceeds width {width}")
+            padded.append(lst + [0] * (width - len(lst)))
+        lists = padded
+    return _relay_to_subtrees(engine, info, label, lists, width, more)
 
 
 # ---------------------------------------------------------------------------
@@ -347,28 +385,33 @@ def broadcast_t2(
 
 
 class ListExchange(WordProgram):
-    """Stream a fixed word list over selected edges, collect the replies.
+    """Stream a word list over selected edges, read the replies as records.
 
     ``outgoing`` maps edge ids to the words sent there, ``incoming``
-    edge ids to the number of words expected back.
+    edge ids to the number of records expected back.  A record is
+    ``width`` words, or ``width`` head words plus ``more(head)`` when
+    records frame themselves.  ``received`` maps every edge in
+    ``incoming`` to its records in arrival order.
     """
 
     def __init__(self, node: NodeHandle, outgoing: dict[int, tuple[int, ...]],
-                 incoming: dict[int, int]):
+                 incoming: dict[int, int], width: int = 1,
+                 more: Callable[[tuple[int, ...]], int] | None = None):
         super().__init__(node)
         self._outgoing = outgoing
         self._incoming = incoming
-        self.received: dict[int, tuple[int, ...]] = {}
+        self._width = width
+        self._more = more
+        self.received: dict[int, list[tuple[int, ...]]] = {}
 
     def start(self) -> None:
         for eid, words in sorted(self._outgoing.items()):
             if words:
                 self.node.send(eid, *words)
-        for eid, nwords in self._incoming.items():
-            if nwords == 0:
-                self.received[eid] = ()
-            else:
-                self.expect(eid, nwords, partial(self.received.__setitem__, eid))
+        for eid, count in self._incoming.items():
+            records = self.received[eid] = []
+            for _ in range(count):
+                self.expect(eid, self._width, records.append, self._more)
 
 
 def nontree_exchange(
@@ -377,13 +420,16 @@ def nontree_exchange(
     label: str,
     words: Callable[[int], Sequence[int]],
     incoming: Callable[[int], int],
-) -> list[dict[int, tuple[int, ...]]]:
+    width: int = 1,
+    more: Callable[[tuple[int, ...]], int] | None = None,
+) -> list[dict[int, list[tuple[int, ...]]]]:
     """Swap word lists across every non-tree edge, both ways at once.
 
     Node ``v`` sends ``words(v)`` over each incident non-tree edge and
-    expects ``incoming(l)`` words back from a neighbour at level ``l``.
-    ``words`` is called only for nodes that have a non-tree edge.
-    Returns, per node, a map from non-tree edge id to the words heard.
+    reads ``incoming(l)`` records back from a neighbour at level ``l``,
+    framed as :class:`ListExchange` describes.  ``words`` is called only
+    for nodes that have a non-tree edge.  Returns, per node, a map from
+    non-tree edge id to the records heard.
     """
     programs = []
     for v, handle in enumerate(engine.handles):
@@ -392,7 +438,7 @@ def nontree_exchange(
         nontree = [eid for _, eid in handle.ports if eid not in tree_eids]
         mine = tuple(words(v)) if nontree else ()
         expected = {eid: incoming(nb.neighbor_levels[eid]) for eid in nontree}
-        programs.append(ListExchange(handle, dict.fromkeys(nontree, mine), expected))
+        programs.append(ListExchange(handle, dict.fromkeys(nontree, mine), expected, width, more))
     engine.run_phase(label, programs)
     return [p.received for p in programs]
 

@@ -12,10 +12,17 @@ Regenerate only when a change is meant to move these numbers, and say
 why in CHANGES.md:
 
     PYTHONPATH=src python tests/golden_costs.py
+
+To see what a change moves before regenerating, ``--diff`` prints, per
+instance and phase, the committed -> fresh rounds, messages and max bits,
+and any change in lambda or the reports; it writes nothing:
+
+    PYTHONPATH=src python tests/golden_costs.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -90,8 +97,50 @@ def collect() -> dict:
     return {name: measure(*inst) for name, inst in INSTANCES.items()}
 
 
-def main() -> None:
-    GOLDEN_PATH.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+PHASE_FIELDS = (("rounds", "rounds"), ("messages", "messages"),
+                ("max_bits_per_edge_per_round", "max bits"))
+ANSWER_FIELDS = ("lambda", "reports", "battery_reports")
+TOTAL_FIELDS = ("small_rounds", "battery_rounds", "rounds_elapsed", "total_messages")
+
+
+def diff(committed: dict, fresh: dict) -> list[str]:
+    """One line per instance, phase or total whose numbers moved, and per
+    answer that changed; committed value first."""
+    lines = []
+    for name in sorted(set(committed) | set(fresh)):
+        old, new = committed.get(name), fresh.get(name)
+        if old is None or new is None:
+            lines.append(f"{name}: {'only fresh' if old is None else 'only committed'}")
+            continue
+        for key in ANSWER_FIELDS:
+            if old[key] != new[key]:
+                lines.append(f"{name}: {key} changed: {old[key]} -> {new[key]}")
+        for key in TOTAL_FIELDS:
+            if old[key] != new[key]:
+                lines.append(f"{name}: {key} {old[key]} -> {new[key]}")
+        for label in sorted(set(old["phases"]) | set(new["phases"])):
+            a, b = old["phases"].get(label), new["phases"].get(label)
+            if a == b:
+                continue
+            parts = [
+                f"{title} {'-' if a is None else a[key]} -> {'-' if b is None else b[key]}"
+                for key, title in PHASE_FIELDS
+            ]
+            lines.append(f"{name}: {label}: " + ", ".join(parts))
+    return lines
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="print what moved against the committed ledger; write nothing")
+    args = parser.parse_args(argv)
+    fresh = collect()
+    if args.diff:
+        committed = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        print("\n".join(diff(committed, json.loads(json.dumps(fresh)))) or "no change")
+        return
+    GOLDEN_PATH.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")
 
 

@@ -26,7 +26,7 @@ from smallcut.cli import (
     load_graph,
 )
 from smallcut.graphs import OracleResult, dumps, generate, min_cut_oracle, edge_pairs
-from smallcut.runtime import BandwidthError, ProtocolError
+from smallcut.runtime import BandwidthError, Engine, ProtocolError
 
 
 def run_cli(*argv: str) -> int:
@@ -188,6 +188,17 @@ def test_protocol_error_exits_6(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_full_pipeline", explode)
     assert run_cli("run", "--family", "cycle", "--n", "6") == EXIT_PROTOCOL
     assert "node 3" in capsys.readouterr().err
+
+
+def test_send_on_a_foreign_edge_exits_6(monkeypatch, capsys):
+    def stray_send(g, *args, **kwargs):
+        engine = Engine(g)
+        foreign = next(eid for eid, (a, b) in enumerate(g.edges) if 0 not in (a, b))
+        engine.handles[0].send(foreign, 1)
+
+    monkeypatch.setattr(cli, "run_full_pipeline", stray_send)
+    assert run_cli("run", "--family", "cycle", "--n", "6") == EXIT_PROTOCOL
+    assert "not incident to node 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

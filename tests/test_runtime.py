@@ -149,6 +149,48 @@ def test_relay_with_silent_parent_raises():
         _run_relay(engine, "relay", programs)
 
 
+class Babbler(_Downcast):
+    """A relay whose own block is followed by one word nobody expects."""
+
+    def start(self):
+        super().start()
+        for _, eid in self.children:
+            self.send(eid, 9)
+
+
+def framed_relay(engine, root_cls=_Downcast):
+    """Relay self-framed blocks ``[count, words...]`` down the tree
+    0 - 1 - {2, 3}, 0 - 4; node 1 gives its children blocks of
+    different lengths, one per child edge."""
+    h = engine.handles
+    more = lambda head: head[0]  # noqa: E731
+    return [
+        root_cls(h[0], 0, None, ((1, 0), (4, 3)), (1, 7), 1, more),
+        _Downcast(h[1], 1, 0, ((2, 1), (3, 2)), {1: (2, 4, 5), 2: (0,)}, 1, more),
+        _Downcast(h[2], 2, 1, (), (), 1, more),
+        _Downcast(h[3], 2, 2, (), (), 1, more),
+        _Downcast(h[4], 1, 3, (), (), 1, more),
+    ]
+
+
+TREE5 = Graph(5, [(0, 1), (1, 2), (1, 3), (0, 4)])
+
+
+def test_relay_delivers_per_child_framed_blocks_nearest_first():
+    engine = Engine(TREE5, SimulatorConfig(strict_bandwidth=True))
+    programs = framed_relay(engine)
+    _run_relay(engine, "relay", programs)
+    assert [p.received for p in programs] == [
+        [], [(1, 7)], [(2, 4, 5), (1, 7)], [(0,), (1, 7)], [(1, 7)],
+    ]
+
+
+def test_relay_with_stray_trailing_word_raises():
+    engine = Engine(TREE5)
+    with pytest.raises(ProtocolError, match="'relay'.*node 1"):
+        _run_relay(engine, "relay", framed_relay(engine, Babbler))
+
+
 class Arrivals(WordProgram):
     """Record the order in which single-word messages come in."""
 
@@ -263,7 +305,7 @@ class BadSend(WordProgram):
 def test_send_validation(mode, msg):
     g = generate("path", 4)
     engine = Engine(g)
-    with pytest.raises(ValueError, match=msg):
+    with pytest.raises(ProtocolError, match=msg):
         engine.run_phase("bad", [BadSend(h, mode) for h in engine.handles])
 
 

@@ -21,6 +21,7 @@ from smallcut.sketches import (
     reference_k_sketch,
 )
 from smallcut.small_cuts import compute_eta, preprocess_eta, preprocess_zeta
+from smallcut.three_cuts import sketch_exchange
 from smallcut.trees import build_bfs
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -348,6 +349,41 @@ def test_waves_are_deterministic():
             )
         )
     assert dumps[0] == dumps[1]
+
+
+# -- sketch exchange ----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "g,roots",
+    [
+        (generate("grid", n=16), (0, 5, 15)),
+        (generate("prism", n=12), (0, 7)),
+        (generate("random_connected", n=14, seed=11, lam_min=3, lam_max=3), (0, 2, 9)),
+    ],
+    ids=["grid16", "prism12", "random14_l3"],
+)
+def test_sketch_exchange_delivers_every_ancestor_chain(g, roots):
+    for root in roots:
+        engine, info, state, annotated = sketch_stage(g, root)
+        up = distributed_k_sketch(engine, info, state, 3, annotated)
+        ex = sketch_exchange(engine, info, up)
+
+        def chain_of(y):
+            # The wire carries every entry but the branching number.
+            return {
+                a: {u: m._replace(xi=None) for u, m in up.sketches[a].meta.items()}
+                for a in info[y].ancestors
+            }
+
+        for x in range(g.n):
+            assert ex.chain[x] == chain_of(x), f"root={root} x={x}"
+            nb = info[x]
+            tree_eids = {eid for _, eid in nb.children} | {nb.parent_eid}
+            nontree = {eid for _, eid in g.inc[x] if eid not in tree_eids}
+            assert set(ex.across[x]) == nontree
+            for eid, got in ex.across[x].items():
+                y = engine.handles[x].neighbor(eid)
+                assert got == chain_of(y), f"root={root} x={x} edge={eid}"
 
 
 # -- complexity ---------------------------------------------------------------
