@@ -22,9 +22,11 @@ Three layers live here:
   node re-merges its children's contributions leaving one child out, casts
   the per-child results down that child's subtree, and each descendant
   stitches the received strata back together into ``S_k(v \\ x)`` for every
-  proper ancestor ``v``.  The cast runs on the tree relay
-  (``trees._Downcast``): each stratum is a view record that frames itself
-  with its entry count, and relays forward it cut-through.
+  proper ancestor ``v``.  The children's contributions are the wire views
+  of an up-wave already run at ``k`` or wider (the battery reuses its k=3
+  wave for k=2), so no second wave is needed.  The cast runs on the tree
+  relay (``trees._Downcast``): each stratum is a view record that frames
+  itself with its entry count, and relays forward it cut-through.
 
 Sketch metas record, per surviving node ``u``: the host-tree parent, the
 subtree boundary size ``eta(u)``, and a crossing count ``gamma`` between
@@ -291,7 +293,8 @@ class SketchTree:
                 root = u
             else:
                 kids[p].append(u)
-        assert root is not None
+        if root is None:
+            raise ValueError("sketch has no root")
         order: list[int] = []
         stack = [root]
         while stack:
@@ -579,7 +582,8 @@ def _merge_sources(
         if p is None:
             continue
         if p in dropped:
-            assert _eligible(u), "removal closure escaped the owner's subtree"
+            if not _eligible(u):
+                raise ProtocolError(f"sketch at {v}: removal closure escaped the owner's subtree")
             dropped.add(u)
         elif p in flag_in and _eligible(u):
             dropped.add(u)
@@ -767,7 +771,8 @@ def distributed_k_sketch(
     ]
     engine.run_phase(f"{LABEL_SKETCH}{k}", programs)
     for p in programs:
-        assert p.result is not None
+        if p.result is None:
+            raise ProtocolError(f"{LABEL_SKETCH}{k}: node {p.node.id} never merged its sketch")
     return SketchUpResult(
         k=k,
         sketches=tuple(p.result for p in programs),
@@ -844,17 +849,27 @@ def distributed_reduced_sketch(
     state: EtaState,
     k: int,
     annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
+    up: SketchUpResult | None = None,
 ) -> ReducedSketchResult:
     """Compute ``S_k(v \\ x)`` at every node ``x`` for each proper ancestor.
 
-    Three steps: run the plain wave at ``k`` so every node holds its
-    children's wire views; re-merge locally at each internal node leaving
-    one child out; cast the per-child results down (one self-framed view
-    record per child edge, relayed cut-through) and let every descendant
-    union the received strata per ancestor.  The root is not a
-    meaningful cut side, so its leave-one-out sketches are never built.
+    Three steps: take every node's children's wire views from an up-wave;
+    re-merge locally at each internal node leaving one child out; cast
+    the per-child results down (one self-framed view record per child
+    edge, relayed cut-through) and let every descendant union the
+    received strata per ancestor.  The root is not a meaningful cut
+    side, so its leave-one-out sketches are never built.
+
+    ``up`` is a wave already run at some ``k' >= k`` (the battery passes
+    its k=3 wave).  A wider view holds every entry a ``k`` view holds,
+    and the re-merge truncates at ``k`` anyway, so the strata come out
+    the same (the tests check them against :func:`reference_k_sketch`).
+    Without ``up`` the wave is run here at ``k``.
     """
-    up = distributed_k_sketch(engine, info, state, k, annotated)
+    if up is None:
+        up = distributed_k_sketch(engine, info, state, k, annotated)
+    elif up.k < k:
+        raise ValueError(f"a k={up.k} up-wave cannot serve reduced sketches at k={k}")
 
     n = engine.g.n
     blobs: list[dict[int, list[int]]] = []

@@ -10,13 +10,14 @@ class gets its own detector; the battery runs all seven and unions the
 results.
 
 Cases 1, 2 and 4 need nothing beyond the eta tables (case 4 after one
-quadratic downcast of crossing counts).  Cases 3 and 6 read partner
-candidates out of the k=3 sketches, case 7 out of the reduced k=2
-sketches.  Case 5 — a fork seen from a node that is an ancestor of
-neither prong — is the one shape no single node can observe locally; it
-is covered by the layered scan (sizes 1 and 2 re-run inside every
-pivoted subgraph), whose per-node outcome records are convergecast to
-the fork point with lowest-pivot-level contention.
+quadratic downcast of self-framed crossing-count blocks).  Cases 3 and 6
+read partner candidates out of the k=3 sketches, case 7 out of the
+reduced k=2 sketches, which are re-merged from the same k=3 up-wave.
+Case 5 — a fork seen from a node that is an ancestor of neither prong —
+is the one shape no single node can observe locally; it is covered by
+the layered scan (sizes 1 and 2 re-run inside every pivoted subgraph),
+whose per-node outcome records are convergecast to the fork point with
+lowest-pivot-level contention, carrying only the fields case 5 reads.
 
 Detectors report *witnesses* — the subtree stack whose symmetric
 difference induces the cut — and the reported edge set is materialized
@@ -195,18 +196,19 @@ def downcast_h(
 
     After this, a node knows H(desc(y), z) — the number of edges from
     desc(y) leaving desc(z) — for every ancestor y and every z strictly
-    between the root and y.  One pipelined pass of up to depth-1 words
-    per ancestor; the quadratic half of the battery's round budget.
+    between the root and y: ``hcast[x][y]`` holds them by level of z.
+    A level-l node has l - 1 counts and sends them as the self-framed
+    block ``[l - 1, counts...]``, so nothing is padded to the depth.
+    One pipelined pass; the quadratic half of the battery's round
+    budget.
     """
-    depth = info.depth
-    width = max(depth - 1, 1)
-    lists = []
+    blocks = []
     for y in range(engine.g.n):
         nb = info[y]
-        lists.append(
-            [state.subtree_cross[y][nb.ancestors[j]] for j in range(1, nb.level)]
-        )
-    return broadcast_t2(engine, info, lists, width, label=LABEL_HCAST)
+        counts = [state.subtree_cross[y][nb.ancestors[j]] for j in range(1, nb.level)]
+        blocks.append([len(counts), *counts])
+    got = broadcast_t2(engine, info, blocks, 1, label=LABEL_HCAST, more=lambda head: head[0])
+    return [{y: blk[1:] for y, blk in per.items()} for per in got]
 
 
 def detect_case4(
@@ -711,42 +713,53 @@ def compute_cut_details(
 # convergecast of the detail records
 
 
-_W1 = 1 + len(OneCutDetail._fields)
-_W2 = 1 + len(TwoCutDetail._fields)
+class BridgeRecord(NamedTuple):
+    """The part of a :class:`OneCutDetail` that case 5 reads, in wire
+    order: node id, then pivot level (the contention key), then counts."""
+
+    node: int
+    pivot_level: int
+    eta: int
+    out_edges: int
+
+
+class PairRecord(NamedTuple):
+    """The part of a :class:`TwoCutDetail` that case 5 reads, in wire
+    order: first node id, then pivot level (the contention key), then
+    the partner and the counts."""
+
+    node1: int
+    pivot_level: int
+    eta1: int
+    node2: int
+    eta2: int
+    between: int
 
 
 @dataclass(frozen=True)
 class ConvergecastResult:
-    """Every detail each node saw go past, tagged with the child edge it
+    """Every record each node saw go past, tagged with the child edge it
     arrived on."""
 
-    one: tuple[tuple[tuple[int, OneCutDetail], ...], ...]
-    two: tuple[tuple[tuple[int, TwoCutDetail], ...], ...]
+    one: tuple[tuple[tuple[int, BridgeRecord], ...], ...]
+    two: tuple[tuple[tuple[int, PairRecord], ...], ...]
 
 
 class _DetailWave(WordProgram):
-    """Forward one detail per level cohort, keeping the best.
+    """Forward one record per level cohort, keeping the best.
 
     A node sends its own record first, then for each deeper cohort the
-    winner — lowest pivot level, then lowest node id — among what its
-    children delivered for that cohort.  Absent records travel as a
-    zero flag so the framing stays fixed-width and deterministic.
+    winner — lowest pivot level (word 2), then lowest node id (word 1)
+    — among what its children delivered for that cohort.  A record is
+    a presence flag plus the record's fields; absent ones travel as
+    zeros, so the framing stays fixed-width and deterministic.
     """
 
-    def __init__(
-        self,
-        node,
-        nb,
-        depth: int,
-        width: int,
-        key_at: int,
-        block: tuple[int, ...] | None,
-    ):
+    def __init__(self, node, nb, depth: int, width: int, block: tuple[int, ...] | None):
         super().__init__(node)
         self.nb = nb
         self.depth = depth
         self.width = width
-        self.key_at = key_at
         self.block = block
         self.collected: list[tuple[int, tuple[int, ...]]] = []
         self._pend: dict[int, int] = {}
@@ -776,7 +789,7 @@ class _DetailWave(WordProgram):
     def _block(self, cid: int, eid: int, cohort: int, blk: tuple[int, ...]):
         if blk[0]:
             self.collected.append((cid, blk))
-            key = (blk[self.key_at], blk[1])  # pivot level, then node id
+            key = (blk[2], blk[1])
             cur = self._best[cohort]
             if cur is None or key < cur[0]:
                 self._best[cohort] = (key, blk)
@@ -788,13 +801,21 @@ class _DetailWave(WordProgram):
             self._await(cid, eid, cohort + 1)
 
 
-def _run_wave(engine, info, blocks, width, key_at, label):
+def _run_wave(engine, info, details, record, label):
+    """One wave of ``record``-shaped blocks cut from the full details."""
+    width = 1 + len(record._fields)
     programs = [
-        _DetailWave(engine.handles[v], info[v], info.depth, width, key_at, blocks[v])
-        for v in range(engine.g.n)
+        _DetailWave(
+            engine.handles[v], info[v], info.depth, width,
+            None if d is None else (1, *(getattr(d, f) for f in record._fields)),
+        )
+        for v, d in enumerate(details)
     ]
     engine.run_phase(label, programs)
-    return programs
+    return tuple(
+        tuple((cid, record(*blk[1:])) for cid, blk in sorted(p.collected))
+        for p in programs
+    )
 
 
 def convergecast_details(
@@ -803,29 +824,16 @@ def convergecast_details(
     ones: Sequence[OneCutDetail | None],
     twos: Sequence[TwoCutDetail | None],
 ) -> ConvergecastResult:
-    """Two pipelined waves, bridge records first, pair records second."""
-    n = engine.g.n
-    b1 = [None if d is None else (1, *d) for d in ones]
-    b2 = [None if d is None else (1, *d) for d in twos]
-    k1 = 1 + OneCutDetail._fields.index("pivot_level")
-    k2 = 1 + TwoCutDetail._fields.index("pivot_level")
-    p1 = _run_wave(engine, info, b1, _W1, k1, LABEL_DETAILS1)
-    p2 = _run_wave(engine, info, b2, _W2, k2, LABEL_DETAILS2)
-    one = tuple(
-        tuple(
-            (cid, OneCutDetail(*blk[1:]))
-            for cid, blk in sorted(p1[v].collected)
-        )
-        for v in range(n)
+    """Two pipelined waves, bridge records first, pair records second.
+
+    Only what case 5 reads goes on the wire: a :class:`BridgeRecord` is
+    4 of a bridge detail's 6 fields, a :class:`PairRecord` 6 of a pair
+    detail's 13.  The full details stay with the nodes that made them.
+    """
+    return ConvergecastResult(
+        one=_run_wave(engine, info, ones, BridgeRecord, LABEL_DETAILS1),
+        two=_run_wave(engine, info, twos, PairRecord, LABEL_DETAILS2),
     )
-    two = tuple(
-        tuple(
-            (cid, TwoCutDetail(*blk[1:]))
-            for cid, blk in sorted(p2[v].collected)
-        )
-        for v in range(n)
-    )
-    return ConvergecastResult(one=one, two=two)
 
 
 def detect_case5(
@@ -917,7 +925,7 @@ def run_battery(
     # reads it, so it is not kept alive past that detector.
     reports += detect_case6(g, state, sk3, sketch_exchange(engine, info, sk3))
 
-    red2 = distributed_reduced_sketch(engine, info, state, 2, annotated)
+    red2 = distributed_reduced_sketch(engine, info, state, 2, annotated, up=sk3)
     reports += detect_case7(g, state, red2)
 
     scan = layered_min_cut(engine, info, state, annotated, hcast)

@@ -281,11 +281,14 @@ class _Downcast(WordProgram):
         self.more = more
         self.received: list[tuple[int, ...]] = []
 
+    def frames(self, words: tuple[int, ...]) -> bool:
+        """Is ``words`` exactly one record as this relay reads them?"""
+        if len(words) < self.width:
+            return False
+        return len(words) == self.width + (self.more(words[:self.width]) if self.more else 0)
+
     def start(self):
         for eid, words in self.blocks.items():
-            tail = self.more(words[:self.width]) if self.more and len(words) >= self.width else 0
-            if len(words) != self.width + tail:
-                raise ProtocolError(f"node {self.node.id} block {words} does not frame itself")
             self.send(eid, *words)
         for _ in range(self.records):
             self.expect(self.parent_eid, self.width, self.received.append, self.more)
@@ -304,9 +307,16 @@ class _Downcast(WordProgram):
 def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> None:
     """Run one relay phase; every node must read exactly its ancestors' blocks.
 
-    A missing record leaves an ``expect`` unmet, which the engine reports;
-    words past the last record are caught here.
+    A block that does not frame itself is refused before anything is
+    sent.  A missing record leaves an ``expect`` unmet, which the engine
+    reports; words past the last record are caught here.
     """
+    for p in programs:
+        for words in p.blocks.values():
+            if not p.frames(words):
+                raise ProtocolError(
+                    f"phase {label!r}: node {p.node.id} block {words} does not frame itself"
+                )
     engine.run_phase(label, programs)
     for p in programs:
         if p.stray:
@@ -355,28 +365,18 @@ def broadcast_t2(
     info: BfsInfo,
     lists: Sequence[Sequence[int]],
     width: int,
+    more: Callable[[tuple[int, ...]], int],
     label: str = LABEL_BCAST2,
-    more: Callable[[tuple[int, ...]], int] | None = None,
 ) -> list[dict[int, tuple[int, ...]]]:
     """Deliver each node's word list to its entire subtree.
 
-    Without ``more``, lists are zero-padded to ``width``, a bound every
-    node already knows (``hcast`` derives it from the tree depth), and
-    read as fixed-width blocks; callers use position metadata (every
-    receiver knows each ancestor's level) to ignore the padding.  With
-    ``more``, lists frame themselves: ``width`` head words, then
-    ``more(head)`` further words, sent unpadded.  Either way the relay
-    is cut-through, so the cost is one pipelined pass of each ancestor's
-    block, quadratic in depth when blocks are of depth order.
+    Lists frame themselves: ``width`` head words, then ``more(head)``
+    further words, so each ancestor's block costs exactly its own
+    length.  The relay is cut-through, so the cost is one pipelined pass
+    of each ancestor's block, quadratic in depth when blocks are of
+    depth order.  Returns, per node, a map from every ancestor (the node
+    included) to its list, head words kept.
     """
-    if more is None:
-        padded = []
-        for v, lst in enumerate(lists):
-            lst = list(lst)
-            if len(lst) > width:
-                raise ValueError(f"node {v} list length {len(lst)} exceeds width {width}")
-            padded.append(lst + [0] * (width - len(lst)))
-        lists = padded
     return _relay_to_subtrees(engine, info, label, lists, width, more)
 
 

@@ -15,7 +15,9 @@ why in CHANGES.md:
 
 To see what a change moves before regenerating, ``--diff`` prints, per
 instance and phase, the committed -> fresh rounds, messages and max bits,
-and any change in lambda or the reports; it writes nothing:
+and any change in lambda or the reports; it writes nothing.  It exits 1
+when anything moved and 0 when it prints "no change", so a script can
+gate on it:
 
     PYTHONPATH=src python tests/golden_costs.py --diff
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from smallcut.graphs import Graph, generate
@@ -130,19 +133,22 @@ def diff(committed: dict, fresh: dict) -> list[str]:
     return lines
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--diff", action="store_true",
-                        help="print what moved against the committed ledger; write nothing")
+                        help="print what moved against the committed ledger; write nothing; "
+                             "exit 1 if anything moved")
     args = parser.parse_args(argv)
     fresh = collect()
     if args.diff:
         committed = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-        print("\n".join(diff(committed, json.loads(json.dumps(fresh)))) or "no change")
-        return
+        moved = diff(committed, json.loads(json.dumps(fresh)))
+        print("\n".join(moved) or "no change")
+        return 1 if moved else 0
     GOLDEN_PATH.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

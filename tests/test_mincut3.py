@@ -281,6 +281,20 @@ def test_force_battery_measures_rounds_below_lambda_three():
     assert res.battery_reports == ()  # no induced 3-cut is minimum here
 
 
+def test_battery_reuses_the_k3_wave_and_sends_lean_blocks():
+    # One sketch up-wave serves the k=3 detectors and the reduced k=2
+    # sketches; detail records carry only what case 5 reads, and hcast
+    # blocks frame themselves instead of padding to the depth.
+    res = pipeline(generate("cycle", 16), force_battery=True)
+    per = res.engine.stats.per_phase
+    depth = res.depth
+    assert depth == 8
+    assert "sketch3" in per and "sketch2" not in per
+    assert per["details1"].rounds == 3 * depth + 1
+    assert per["details2"].rounds == 4 * depth + 1
+    assert per["hcast"].rounds == 16
+
+
 def test_rounds_split_between_stages():
     g = generate("prism", 6)
     res = pipeline(g)

@@ -313,6 +313,38 @@ def test_reduced_at_k3_matches_too():
             assert_same_sketch(got, want, f"grid9 v={v} x={x} k=3")
 
 
+def reduced_reuse_corpus():
+    for family, sizes in (("cycle", (12, 36)), ("grid", (16, 36)), ("prism", (12, 36))):
+        for n in sizes:
+            yield f"{family}{n}", generate(family, n=n), (0, n // 3, n - 1)
+    for seed in range(10):
+        g = generate("random_connected", n=16, seed=seed, lam_min=3, lam_max=3)
+        yield f"random16_l3_s{seed}", g, (seed,)
+
+
+def test_reduced_from_the_k3_wave_matches_reference():
+    for name, g, roots in reduced_reuse_corpus():
+        for root in roots:
+            engine, info, state, annotated = sketch_stage(g, root)
+            tree = info.tree()
+            up = distributed_k_sketch(engine, info, state, 3, annotated)
+            for k in (2, 3):
+                red = distributed_reduced_sketch(engine, info, state, k, annotated, up=up)
+                for x in range(g.n):
+                    assert set(red.per_node[x]) == set(info[x].ancestors[1:-1])
+                    for v, got in red.per_node[x].items():
+                        want = reference_k_sketch(tree, g, SketchSource(v, exclude=x), k)
+                        assert_same_sketch(got, want, f"{name} root={root} k={k} v={v} x={x}")
+            assert "sketch2" not in engine.stats.per_phase
+
+
+def test_reduced_refuses_a_narrower_wave():
+    engine, info, state, annotated = sketch_stage(GRID9, 0)
+    up = distributed_k_sketch(engine, info, state, 2, annotated)
+    with pytest.raises(ValueError, match="k=2"):
+        distributed_reduced_sketch(engine, info, state, 3, annotated, up=up)
+
+
 def test_reduced_on_a_star_has_nothing_to_say():
     g = generate("complete", n=5)
     engine, info, state, annotated = sketch_stage(g, 0)

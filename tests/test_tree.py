@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallcut.graphs import Graph, RootedTree, generate
-from smallcut.runtime import Engine, SimulatorConfig, measure_diameter
+from smallcut.runtime import Engine, ProtocolError, SimulatorConfig, measure_diameter
 from smallcut.trees import (
     SemigroupError,
     SemigroupSpec,
@@ -117,27 +117,32 @@ def test_broadcast1_rounds_linear_in_depth(seed):
     assert engine.stats.per_phase["broadcast1"].rounds <= 2 * info.depth + 4
 
 
+def framed(words):
+    return [len(words), *words]
+
+
+def by_count(head):
+    return head[0]
+
+
 def test_broadcast2_path_delivers_ancestor_tables():
     g = generate("path", 4)
     engine = strict_engine(g)
     info = build_bfs(engine, 0)
-    width = info.depth + 1
-    lists = [list(info[v].ancestors) for v in range(4)]
-    got = broadcast_t2(engine, info, lists, width=width)
+    lists = [framed(info[v].ancestors) for v in range(4)]
+    got = broadcast_t2(engine, info, lists, 1, more=by_count)
     for v in range(4):
+        assert set(got[v]) == set(info[v].ancestors)
         for a in info[v].ancestors:
-            block = got[v][a]
-            k = info[a].level + 1
-            assert block[:k] == info[a].ancestors
-            assert all(w == 0 for w in block[k:])
+            assert got[v][a] == (info[a].level + 1, *info[a].ancestors)
 
 
-def test_broadcast2_rejects_oversized_lists():
+def test_broadcast2_rejects_a_head_that_overstates_its_block():
     g = generate("path", 3)
     engine = strict_engine(g)
     info = build_bfs(engine, 0)
-    with pytest.raises(ValueError, match="exceeds width"):
-        broadcast_t2(engine, info, [[1, 2], [1], [1]], width=1)
+    with pytest.raises(ProtocolError, match="broadcast2"):
+        broadcast_t2(engine, info, [[2, 7], [0], [0]], 1, more=by_count)
 
 
 def test_broadcast2_quadratic_cost_on_grids():
@@ -145,9 +150,8 @@ def test_broadcast2_quadratic_cost_on_grids():
         g = generate("grid", side * side)
         engine = strict_engine(g)
         info = build_bfs(engine, 0)
-        width = info.depth + 1
-        lists = [[1] * (info[v].level + 1) for v in range(g.n)]
-        broadcast_t2(engine, info, lists, width=width)
+        lists = [framed([1] * (info[v].level + 1)) for v in range(g.n)]
+        broadcast_t2(engine, info, lists, 1, more=by_count)
         assert engine.stats.per_phase["broadcast2"].rounds <= (info.depth + 1) ** 2 + 4
 
 
