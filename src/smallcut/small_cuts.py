@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import Graph, boundary, edge_pairs
-from .runtime import Engine
+from .runtime import Engine, ProtocolError
 from .trees import (
     BfsInfo,
     ListExchange,
@@ -205,14 +205,16 @@ def compute_eta(engine: Engine, info: BfsInfo, own_cross: tuple[dict[int, int], 
         for a in range(n)
     )
 
-    assert eta[info.root] == 0
+    if eta[info.root] != 0:
+        raise ProtocolError(f"eta: the root's boundary is {eta[info.root]}, not empty")
     for a in range(n):
-        if a != info.root:
-            assert eta[a] >= 1, "subtree boundary empty in a connected graph"
-        assert subtree_cross[a][a] == eta[a]
+        if a != info.root and eta[a] < 1:
+            raise ProtocolError(f"eta: node {a}'s subtree boundary is empty in a connected graph")
+        if subtree_cross[a][a] != eta[a]:
+            raise ProtocolError(f"eta: node {a}'s own partial disagrees with eta")
         for v in info[a].ancestors:
-            assert 0 <= own_cross[a][v] <= subtree_cross[a][v]
-            assert subtree_cross[a][v] <= anc_eta[a][v] <= m
+            if not 0 <= own_cross[a][v] <= subtree_cross[a][v] <= anc_eta[a][v] <= m:
+                raise ProtocolError(f"eta: node {a}'s crossing counts toward {v} are out of order")
     return EtaState(info, eta, own_cross, subtree_cross, anc_eta)
 
 
@@ -289,7 +291,8 @@ def compute_zeta(
             if z.is_candidate():
                 # In a real run the witnessed edges all sit on the
                 # boundary of desc(w), so the count can never exceed it.
-                assert 1 <= z.gamma <= z.eta and z.w != info.root
+                if not 1 <= z.gamma <= z.eta or z.w == info.root:
+                    raise ProtocolError(f"zeta: impossible candidate {z}")
     return tables
 
 

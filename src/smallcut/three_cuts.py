@@ -13,6 +13,10 @@ Cases 1, 2 and 4 need nothing beyond the eta tables (case 4 after one
 quadratic downcast of self-framed crossing-count blocks).  Cases 3 and 6
 read partner candidates out of the k=3 sketches, case 7 out of the
 reduced k=2 sketches, which are re-merged from the same k=3 up-wave.
+Case 6 also reads its neighbours' ancestor sketches: one phase casts
+every sketch down the tree and, on the same clock, sends each node's
+chain across its non-tree edges, minus the root-path prefix both ends
+share.
 Case 5 — a fork seen from a node that is an ancestor of neither prong —
 is the one shape no single node can observe locally; it is covered by
 the layered scan (sizes 1 and 2 re-run inside every pivoted subgraph),
@@ -61,6 +65,9 @@ from .sketches import (
 )
 from .trees import (
     BfsInfo,
+    NodeBfs,
+    _Downcast,
+    _run_relay,
     # Unused here, but perfbench/tracing.py wraps this binding (tests/test_trace_sites.py).
     broadcast_t1,
     broadcast_t2,
@@ -72,7 +79,6 @@ from .trees import (
 LABEL_HCAST = "hcast"
 LABEL_PIVOT_PRE = "pivot:pre"
 LABEL_SKETCH_CAST = "sketchcast"
-LABEL_SKETCH_XCH = "sketchxch"
 LABEL_DETAILS1 = "details1"
 LABEL_DETAILS2 = "details2"
 
@@ -295,48 +301,105 @@ def detect_case3(g: Graph, state: EtaState, sketches: SketchUpResult) -> list[Cu
 
 @dataclass(frozen=True)
 class SketchExchange:
-    """Who knows whose sketch after the downcast and the edge swap.
+    """Who knows whose sketch after the sketch swap.
 
     ``chain[x]`` maps every ancestor of x (x included) to that
     ancestor's k=3 sketch entries as decoded from the wire; ``across[x]``
     holds, per incident non-tree edge, the same chain as seen from the
-    other endpoint.
+    other endpoint.  The ancestors both endpoints share are filled in
+    from x's own chain; only the others crossed the edge.
     """
 
     chain: tuple[dict[int, dict[int, SketchMeta]], ...]
     across: tuple[dict[int, dict[int, dict[int, SketchMeta]]], ...]
 
 
+class _SketchSwap(_Downcast):
+    """The sketch cast down the tree and the swap across non-tree edges.
+
+    Down the tree it is the plain relay of ``[count, entries...]``
+    blocks.  ``paths`` maps each non-tree edge to the neighbour's root
+    path as ``(level, eta, id)`` triples; ``shared`` is the length of the
+    prefix both ends have in common.  Across the edge the node sends
+    ``[owner, count, entries...]`` for itself and for every ancestor
+    below that prefix: its own record at start, an ancestor's as soon as
+    its block is complete in the parent stream.  Each edge has its own
+    budget per direction, so the swap overlaps the cast.  ``heard``
+    collects the neighbour's records, which skip the same prefix.
+    """
+
+    def __init__(self, node, nb: NodeBfs, block: tuple[int, ...],
+                 paths: Mapping[int, Sequence[tuple[int, int, int]]]):
+        super().__init__(node, nb.level, nb.parent_eid, nb.children, block, 1,
+                         lambda head: ENTRY_WORDS * head[0])
+        self.own = block
+        self.ancestors = nb.ancestors
+        self.paths = paths
+        self.shared = {eid: _shared_prefix(nb.ancestors, path) for eid, path in paths.items()}
+        self.heard: dict[int, list[tuple[int, ...]]] = {eid: [] for eid in paths}
+
+    def start(self):
+        super().start()
+        self._offer(self.records, self.own)
+        for eid, heard in self.heard.items():
+            for _ in range(len(self.paths[eid]) - self.shared[eid]):
+                self.expect(eid, 2, heard.append, lambda head: ENTRY_WORDS * head[1])
+
+    def _read(self, rec):
+        super()._read(rec)
+        self._offer(self.records - len(self.received), rec)
+
+    def _offer(self, level: int, block: tuple[int, ...]) -> None:
+        for eid, shared in self.shared.items():
+            if level >= shared:
+                self.send(eid, self.ancestors[level], *block)
+
+
+def _shared_prefix(ancestors: Sequence[int], path: Sequence[tuple[int, int, int]]) -> int:
+    """How many root-path levels two nodes have in common.  Two root
+    paths agree on a prefix and nowhere after it, so matches count it."""
+    return [a == t[2] for a, t in zip(ancestors, path)].count(True)
+
+
 def sketch_exchange(
-    engine: Engine, info: BfsInfo, sketches: SketchUpResult
+    engine: Engine,
+    info: BfsInfo,
+    sketches: SketchUpResult,
+    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
 ) -> SketchExchange:
-    """Downcast every sketch to its subtree, then swap whole ancestor
-    chains across non-tree edges.
+    """Downcast every sketch to its subtree and swap ancestor chains
+    across non-tree edges, in one phase.
 
     Every block frames itself, so nothing is padded and no width is
     agreed first: the downcast carries ``[count, entries...]`` per
     ancestor, cut-through, and the swap ``[owner, count, entries...]``
-    per ancestor of the sender.
+    per ancestor of the sender (see :class:`_SketchSwap`).
+    ``annotated`` is :func:`preprocess_zeta`'s view of each non-tree
+    neighbour's root path, so both endpoints work out the same shared
+    prefix locally; those blocks are never sent across (the root's, the
+    largest, never is), and the receiver takes them from its own chain.
     """
     n = engine.g.n
-    blocks = [(len(sk.meta), *encode_entries(sk.meta, n)) for sk in sketches.sketches]
-    received = broadcast_t2(
-        engine, info, blocks, 1, label=LABEL_SKETCH_CAST,
-        more=lambda head: ENTRY_WORDS * head[0],
-    )
-    chain = [{a: decode_entries(blk[1:], n) for a, blk in got.items()} for got in received]
+    programs = []
+    for v, h in enumerate(engine.handles):
+        meta = sketches.sketches[v].meta
+        block = (len(meta), *encode_entries(meta, n))
+        programs.append(_SketchSwap(h, info[v], block, annotated[v]))
+    _run_relay(engine, LABEL_SKETCH_CAST, programs)
 
-    def words(x: int) -> list[int]:
-        return [w for a in info[x].ancestors for w in (a, *blocks[a])]
-
-    heard = nontree_exchange(
-        engine, info, LABEL_SKETCH_XCH, words, lambda level: level + 1,
-        width=2, more=lambda head: ENTRY_WORDS * head[1],
-    )
-    across = [
-        {eid: {rec[0]: decode_entries(rec[2:], n) for rec in recs} for eid, recs in per_edge.items()}
-        for per_edge in heard
-    ]
+    chain = []
+    across = []
+    for nb, p in zip(info.nodes, programs):
+        blocks = zip(reversed(nb.ancestors), (p.own, *p.received))
+        own = {a: decode_entries(blk[1:], n) for a, blk in blocks}
+        chain.append(own)
+        across.append({
+            eid: {
+                **{a: own[a] for a in nb.ancestors[: p.shared[eid]]},
+                **{rec[0]: decode_entries(rec[2:], n) for rec in recs},
+            }
+            for eid, recs in p.heard.items()
+        })
     return SketchExchange(chain=tuple(chain), across=tuple(across))
 
 
@@ -745,14 +808,17 @@ class ConvergecastResult:
     two: tuple[tuple[tuple[int, PairRecord], ...], ...]
 
 
+_ABSENT = (0,)  # a detail record's presence flag, unset
+
+
 class _DetailWave(WordProgram):
     """Forward one record per level cohort, keeping the best.
 
     A node sends its own record first, then for each deeper cohort the
     winner — lowest pivot level (word 2), then lowest node id (word 1)
     — among what its children delivered for that cohort.  A record is
-    a presence flag plus the record's fields; absent ones travel as
-    zeros, so the framing stays fixed-width and deterministic.
+    a presence flag followed, when the flag is set, by the record's
+    fields; an absent record is the flag alone.
     """
 
     def __init__(self, node, nb, depth: int, width: int, block: tuple[int, ...] | None):
@@ -765,9 +831,6 @@ class _DetailWave(WordProgram):
         self._pend: dict[int, int] = {}
         self._best: dict[int, tuple[tuple[int, int], tuple[int, ...]] | None] = {}
 
-    def _phi(self) -> tuple[int, ...]:
-        return (0,) * self.width
-
     def start(self):
         lv = self.nb.level
         up = self.nb.parent_eid
@@ -776,15 +839,18 @@ class _DetailWave(WordProgram):
             self._pend[c] = kids
             self._best[c] = None
         if up is not None:
-            self.send(up, *(self.block or self._phi()))
+            self.send(up, *(self.block or _ABSENT))
             if kids == 0:
                 for _ in range(lv + 1, self.depth + 1):
-                    self.send(up, *self._phi())
+                    self.send(up, *_ABSENT)
         for cid, eid in self.nb.children:
             self._await(cid, eid, lv + 1)
 
     def _await(self, cid: int, eid: int, cohort: int):
-        self.expect(eid, self.width, lambda blk: self._block(cid, eid, cohort, blk))
+        self.expect(eid, 1, lambda blk: self._block(cid, eid, cohort, blk), self._tail)
+
+    def _tail(self, head: tuple[int, ...]) -> int:
+        return self.width - 1 if head[0] else 0
 
     def _block(self, cid: int, eid: int, cohort: int, blk: tuple[int, ...]):
         if blk[0]:
@@ -796,7 +862,7 @@ class _DetailWave(WordProgram):
         self._pend[cohort] -= 1
         if self._pend[cohort] == 0 and self.nb.parent_eid is not None:
             best = self._best[cohort]
-            self.send(self.nb.parent_eid, *(best[1] if best else self._phi()))
+            self.send(self.nb.parent_eid, *(best[1] if best else _ABSENT))
         if cohort < self.depth:
             self._await(cid, eid, cohort + 1)
 
@@ -923,7 +989,7 @@ def run_battery(
     reports += detect_case3(g, state, sk3)
     # The exchange is the battery's largest object; nothing after case 6
     # reads it, so it is not kept alive past that detector.
-    reports += detect_case6(g, state, sk3, sketch_exchange(engine, info, sk3))
+    reports += detect_case6(g, state, sk3, sketch_exchange(engine, info, sk3, annotated))
 
     red2 = distributed_reduced_sketch(engine, info, state, 2, annotated, up=sk3)
     reports += detect_case7(g, state, red2)

@@ -17,8 +17,10 @@ in the round it arrives (cut-through, never store-and-forward), and reads
 the parent's stream as records through ``expect``.  A record is a
 fixed-width block whose width every node knows, or a self-framed block
 whose head says how long it is, so no phase is spent agreeing on a width
-and nothing is padded to one.  Exchanges with neighbours read their
-replies as records the same way.
+and nothing is padded to one.  Only chunks from the parent are
+forwarded, so a program built on the relay may also talk across its
+other edges in the same phase (the sketch swap does).  Exchanges with
+neighbours read their replies as fixed-width records.
 
 Every fold record goes up as soon as it is complete, and the per-edge
 queues pace the wire: a node's partial toward ancestor level ``l`` is
@@ -233,16 +235,19 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
             depth=depths[v].depth,
             neighbor_levels=levels[v].neighbor_levels,
         )
-        assert len(nb.ancestors) == nb.level + 1
-        assert nb.ancestors[-1] == v and nb.ancestors[0] == root
-        assert len(nb.neighbor_levels) == len(engine.handles[v].ports)
+        if (len(nb.ancestors) != nb.level + 1 or nb.ancestors[-1] != v
+                or nb.ancestors[0] != root
+                or len(nb.neighbor_levels) != len(engine.handles[v].ports)):
+            raise ProtocolError(f"bfs: node {v} has an inconsistent view of the tree")
         nodes.append(nb)
-    assert nodes[root].level == 0
+    if nodes[root].level != 0:
+        raise ProtocolError(f"bfs: root {root} is at level {nodes[root].level}")
     for nb in nodes:
-        if not nb.is_root:
-            assert nb.level == nodes[nb.parent].level + 1
-            assert (nb.id, nb.parent_eid) in nodes[nb.parent].children
-        assert nb.depth == nodes[root].depth
+        if not nb.is_root and (nb.level != nodes[nb.parent].level + 1
+                               or (nb.id, nb.parent_eid) not in nodes[nb.parent].children):
+            raise ProtocolError(f"bfs: node {nb.id} and its parent {nb.parent} disagree")
+        if nb.depth != nodes[root].depth:
+            raise ProtocolError(f"bfs: node {nb.id} has depth {nb.depth}, the root {nodes[root].depth}")
     return BfsInfo(nodes, root)
 
 
@@ -262,7 +267,9 @@ class _Downcast(WordProgram):
     when blocks frame themselves.  No width is agreed beforehand and no
     block is stored before it moves on.  ``received`` holds the records,
     nearest ancestor first; :func:`_run_relay` checks that nothing
-    trails them.
+    trails them.  Only chunks from the parent move on, so a subclass may
+    read other edges in the same phase; ``_read`` sees each record as it
+    completes.
     """
 
     def __init__(self, node: NodeHandle, records: int, parent_eid: int | None,
@@ -291,17 +298,21 @@ class _Downcast(WordProgram):
         for eid, words in self.blocks.items():
             self.send(eid, *words)
         for _ in range(self.records):
-            self.expect(self.parent_eid, self.width, self.received.append, self.more)
+            self.expect(self.parent_eid, self.width, self._read, self.more)
+
+    def _read(self, rec: tuple[int, ...]) -> None:
+        self.received.append(rec)
 
     def on_chunk(self, eid, words):
-        for _, ceid in self.children:
-            self.send(ceid, *words)
+        if eid == self.parent_eid:
+            for _, ceid in self.children:
+                self.send(ceid, *words)
         super().on_chunk(eid, words)
 
     @property
     def stray(self) -> int:
-        """Words from the parent that no record claimed."""
-        return len(self._buf.get(self.parent_eid, ()))
+        """Words heard that no record claimed."""
+        return sum(len(buf) for buf in self._buf.values())
 
 
 def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> None:
@@ -322,7 +333,7 @@ def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> Non
         if p.stray:
             raise ProtocolError(
                 f"phase {label!r}: node {p.node.id} heard {p.stray} words "
-                f"past its {p.records} relayed blocks"
+                f"that no record claimed"
             )
 
 
@@ -388,20 +399,17 @@ class ListExchange(WordProgram):
     """Stream a word list over selected edges, read the replies as records.
 
     ``outgoing`` maps edge ids to the words sent there, ``incoming``
-    edge ids to the number of records expected back.  A record is
-    ``width`` words, or ``width`` head words plus ``more(head)`` when
-    records frame themselves.  ``received`` maps every edge in
-    ``incoming`` to its records in arrival order.
+    edge ids to the number of ``width``-word records expected back.
+    ``received`` maps every edge in ``incoming`` to its records in
+    arrival order.
     """
 
     def __init__(self, node: NodeHandle, outgoing: dict[int, tuple[int, ...]],
-                 incoming: dict[int, int], width: int = 1,
-                 more: Callable[[tuple[int, ...]], int] | None = None):
+                 incoming: dict[int, int], width: int = 1):
         super().__init__(node)
         self._outgoing = outgoing
         self._incoming = incoming
         self._width = width
-        self._more = more
         self.received: dict[int, list[tuple[int, ...]]] = {}
 
     def start(self) -> None:
@@ -411,7 +419,7 @@ class ListExchange(WordProgram):
         for eid, count in self._incoming.items():
             records = self.received[eid] = []
             for _ in range(count):
-                self.expect(eid, self._width, records.append, self._more)
+                self.expect(eid, self._width, records.append)
 
 
 def nontree_exchange(
@@ -421,15 +429,14 @@ def nontree_exchange(
     words: Callable[[int], Sequence[int]],
     incoming: Callable[[int], int],
     width: int = 1,
-    more: Callable[[tuple[int, ...]], int] | None = None,
 ) -> list[dict[int, list[tuple[int, ...]]]]:
     """Swap word lists across every non-tree edge, both ways at once.
 
     Node ``v`` sends ``words(v)`` over each incident non-tree edge and
-    reads ``incoming(l)`` records back from a neighbour at level ``l``,
-    framed as :class:`ListExchange` describes.  ``words`` is called only
-    for nodes that have a non-tree edge.  Returns, per node, a map from
-    non-tree edge id to the records heard.
+    reads ``incoming(l)`` records of ``width`` words back from a
+    neighbour at level ``l``.  ``words`` is called only for nodes that
+    have a non-tree edge.  Returns, per node, a map from non-tree edge
+    id to the records heard.
     """
     programs = []
     for v, handle in enumerate(engine.handles):
@@ -438,7 +445,7 @@ def nontree_exchange(
         nontree = [eid for _, eid in handle.ports if eid not in tree_eids]
         mine = tuple(words(v)) if nontree else ()
         expected = {eid: incoming(nb.neighbor_levels[eid]) for eid in nontree}
-        programs.append(ListExchange(handle, dict.fromkeys(nontree, mine), expected, width, more))
+        programs.append(ListExchange(handle, dict.fromkeys(nontree, mine), expected, width))
     engine.run_phase(label, programs)
     return [p.received for p in programs]
 

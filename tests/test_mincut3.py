@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from smallcut.graphs import Graph, boundary, generate, min_cut_oracle, edge_pairs
 from smallcut.runtime import Engine, SimulatorConfig
+from smallcut.sketches import distributed_k_sketch
 from smallcut.small_cuts import compute_eta, landing_combine, preprocess_eta, preprocess_zeta
 from smallcut.three_cuts import (
     CASE1,
@@ -31,6 +32,7 @@ from smallcut.three_cuts import (
     downcast_h,
     run_battery,
     run_full_pipeline,
+    sketch_exchange,
 )
 from smallcut.trees import build_bfs
 
@@ -293,6 +295,38 @@ def test_battery_reuses_the_k3_wave_and_sends_lean_blocks():
     assert per["details1"].rounds == 3 * depth + 1
     assert per["details2"].rounds == 4 * depth + 1
     assert per["hcast"].rounds == 16
+
+
+def test_sketch_swap_is_one_phase_without_shared_blocks():
+    # The sketch cast and the non-tree swap run as one phase; a block on
+    # the root path both endpoints share never crosses the non-tree edge.
+    res = pipeline(generate("cycle", 16), force_battery=True)
+    per = res.engine.stats.per_phase
+    assert "sketchxch" not in per
+    assert per["sketchcast"].rounds == 209  # 205 + 242 as two phases
+    assert res.battery_rounds == 718  # 956 as two phases
+
+    g = generate("cycle", 16)
+    engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
+    info = build_bfs(engine, 0)
+    state = compute_eta(engine, info, preprocess_eta(engine, info))
+    annotated = preprocess_zeta(engine, info, state)
+    up = distributed_k_sketch(engine, info, state, 3, annotated)
+    (eid,) = {e for per_edge in annotated for e in per_edge}  # the one non-tree edge
+    words = {}
+    send = engine._send
+
+    def tally(handle, e, ws):
+        words[e] = words.get(e, 0) + len(ws)
+        send(handle, e, ws)
+
+    engine._send = tally
+    sketch_exchange(engine, info, up, annotated)
+    x, y = g.edges[eid]
+    # The two root paths share the root alone.
+    unshared = info[x].ancestors[1:] + info[y].ancestors[1:]
+    assert len(set(unshared)) == len(unshared)
+    assert words[eid] == sum(2 + 4 * len(up.sketches[a].meta) for a in unshared)
 
 
 def test_rounds_split_between_stages():

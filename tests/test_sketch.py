@@ -391,14 +391,16 @@ def test_waves_are_deterministic():
         (generate("grid", n=16), (0, 5, 15)),
         (generate("prism", n=12), (0, 7)),
         (generate("random_connected", n=14, seed=11, lam_min=3, lam_max=3), (0, 2, 9)),
+        (generate("cycle", n=16), (0,)),
+        (generate("random_connected", n=40, seed=5, lam_min=3, lam_max=3), (0, 20)),
     ],
-    ids=["grid16", "prism12", "random14_l3"],
+    ids=["grid16", "prism12", "random14_l3", "cycle16", "random40_l3"],
 )
 def test_sketch_exchange_delivers_every_ancestor_chain(g, roots):
     for root in roots:
         engine, info, state, annotated = sketch_stage(g, root)
         up = distributed_k_sketch(engine, info, state, 3, annotated)
-        ex = sketch_exchange(engine, info, up)
+        ex = sketch_exchange(engine, info, up, annotated)
 
         def chain_of(y):
             # The wire carries every entry but the branching number.
