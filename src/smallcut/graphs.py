@@ -225,9 +225,9 @@ def is_induced_cut(g: Graph, cut: Iterable[int]) -> frozenset[int] | None:
                 queue.append(d)
             elif color[d] == color[c]:
                 return None
-    assert all(c != -1 for c in color), "component graph should be connected"
     witness = frozenset(v for v in range(g.n) if color[comp[v]] == 1)
-    assert boundary(g, witness) == f
+    if boundary(g, witness) != f:
+        raise RuntimeError(f"is_induced_cut: the two-coloured side does not induce {sorted(f)}")
     return witness
 
 
@@ -279,7 +279,6 @@ def min_cut_oracle(g: Graph, limit: int | None = None) -> OracleResult:
             cuts = {frozenset(ids)}
         elif size == best:
             cuts.add(frozenset(ids))
-    assert best >= 1
     ordered = tuple(sorted(cuts, key=lambda f: edge_pairs(g, f)))
     return OracleResult(best, ordered)
 
@@ -562,7 +561,8 @@ class RootedTree:
 
     def alpha(self, v: int, l: int) -> int:
         """The ancestor of ``v`` sitting at level ``l``."""
-        assert 0 <= l <= self.level[v]
+        if not 0 <= l <= self.level[v]:
+            raise ValueError(f"level {l} is outside 0..{self.level[v]} for vertex {v}")
         return self.ancestors(v)[l]
 
     def desc(self, v: int) -> frozenset[int]:
@@ -585,7 +585,8 @@ def non_tree_eids(g: Graph, t: RootedTree) -> frozenset[int]:
         if t.parent[u] == v or t.parent[v] == u:
             continue
         out.append(e)
-    assert len(out) == g.m - (g.n - 1)
+    if len(out) != g.m - (g.n - 1):
+        raise ValueError("the tree is not a spanning tree of the graph")
     return frozenset(out)
 
 

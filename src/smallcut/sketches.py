@@ -342,9 +342,8 @@ def reference_k_sketch(
     kept = {u for u in ct.nodes if xi[u] <= k or u not in desc_v or u in spine}
     # Removals are subtree-shaped (xi never decreases moving down past the
     # first branch node), so survivors stay ancestor-closed.
-    for u in kept:
-        p = ct.parent[u]
-        assert p is None or p in kept, "truncation broke ancestor closure"
+    if any(ct.parent[u] not in kept for u in kept if ct.parent[u] is not None):
+        raise RuntimeError("reference_k_sketch: truncation broke ancestor closure")
 
     members = source.members(tree)
     meta: dict[int, SketchMeta] = {}
@@ -713,9 +712,7 @@ def _merge_node_sketch(
     for eid in sorted(lists):
         path = lists[eid]
         own_paths.append(path)
-        chain = [t[2] for t in path]
-        shared = _common_prefix_len(rho_v, chain)
-        for u in chain[shared:]:
+        for _, _, u in path[_shared_prefix(rho_v, path):]:
             own_gamma[u] += 1
     for cid, _eid in me.children:
         own_gamma[cid] += 1  # the tree edge (v, child) crosses into desc(child)
@@ -743,13 +740,12 @@ def _merge_node_sketch(
     )
 
 
-def _common_prefix_len(a: Sequence[int], b: Sequence[int]) -> int:
-    shared = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        shared += 1
-    return shared
+def _shared_prefix(ancestors: Sequence[int], path: Sequence[tuple[int, int, int]]) -> int:
+    """How many root-path levels a node and a neighbour have in common,
+    the neighbour's path given as ``(level, eta, id)`` triples.  Two
+    root paths agree on a prefix and nowhere after it, so matches count
+    it."""
+    return sum(a == t[2] for a, t in zip(ancestors, path))
 
 
 def distributed_k_sketch(

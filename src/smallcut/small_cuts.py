@@ -27,7 +27,6 @@ from .graphs import Graph, boundary, edge_pairs
 from .runtime import Engine, ProtocolError
 from .trees import (
     BfsInfo,
-    ListExchange,
     SemigroupSpec,
     broadcast_t1,
     nontree_exchange,
@@ -155,28 +154,25 @@ class EtaState:
 
 
 def preprocess_eta(engine: Engine, info: BfsInfo) -> tuple[dict[int, int], ...]:
-    """Exchange ancestor lists with all neighbours; count escaping edges.
+    """Swap ancestor lists over non-tree edges; count escaping edges.
 
     An edge (a, b) leaves ``desc(v)`` exactly when v is not an ancestor
     of b, so after one pipelined exchange every node can fill in its own
-    crossing table locally (``EtaState.own_cross``).  Runs in O(depth)
-    rounds.
+    crossing table locally (``EtaState.own_cross``).  Tree edges need no
+    words: a child's root path contains all of a's, and the parent's
+    lacks only a, so the parent edge leaves ``desc(a)`` and no larger
+    subtree.  Runs in O(depth) rounds.
     """
-    g = engine.g
-    programs = []
-    for a in range(g.n):
-        nb = info[a]
-        outgoing = {eid: nb.ancestors for _, eid in g.inc[a]}
-        incoming = {eid: nb.neighbor_levels[eid] + 1 for _, eid in g.inc[a]}
-        programs.append(ListExchange(engine.handles[a], outgoing, incoming))
-    engine.run_phase(LABEL_ETA_PRE, programs)
-
+    heard = nontree_exchange(
+        engine, info, LABEL_ETA_PRE, lambda a: info[a].ancestors, lambda level: level + 1
+    )
     own_cross = []
-    for a in range(g.n):
-        sets = [{rec[0] for rec in recs} for recs in programs[a].received.values()]
-        own_cross.append(
-            {v: sum(1 for s in sets if v not in s) for v in info[a].ancestors}
-        )
+    for a, per_edge in enumerate(heard):
+        sets = [{rec[0] for rec in recs} for recs in per_edge.values()]
+        cross = {v: sum(1 for s in sets if v not in s) for v in info[a].ancestors}
+        if a != info.root:
+            cross[a] += 1  # the parent edge
+        own_cross.append(cross)
     return tuple(own_cross)
 
 

@@ -19,9 +19,11 @@ chain across its non-tree edges, minus the root-path prefix both ends
 share.
 Case 5 — a fork seen from a node that is an ancestor of neither prong —
 is the one shape no single node can observe locally; it is covered by
-the layered scan (sizes 1 and 2 re-run inside every pivoted subgraph),
-whose per-node outcome records are convergecast to the fork point with
-lowest-pivot-level contention, carrying only the fields case 5 reads.
+the layered scan (sizes 1 and 2 re-run inside every pivoted subgraph).
+Each finding exists as one record holding only what case 5 reads: the
+scan folds it, the node keeps its best bridge and pair record, and the
+records are convergecast to the fork point with lowest-pivot-level
+contention.
 
 Detectors report *witnesses* — the subtree stack whose symmetric
 difference induces the cut — and the reported edge set is materialized
@@ -58,6 +60,7 @@ from .sketches import (
     ReducedSketchResult,
     SketchMeta,
     SketchUpResult,
+    _shared_prefix,
     decode_entries,
     distributed_k_sketch,
     distributed_reduced_sketch,
@@ -355,12 +358,6 @@ class _SketchSwap(_Downcast):
                 self.send(eid, self.ancestors[level], *block)
 
 
-def _shared_prefix(ancestors: Sequence[int], path: Sequence[tuple[int, int, int]]) -> int:
-    """How many root-path levels two nodes have in common.  Two root
-    paths agree on a prefix and nowhere after it, so matches count it."""
-    return [a == t[2] for a, t in zip(ancestors, path)].count(True)
-
-
 def sketch_exchange(
     engine: Engine,
     info: BfsInfo,
@@ -526,57 +523,20 @@ def detect_case7(
 # the layered scan: sizes 1 and 2 inside every pivoted subgraph
 
 
-class OneCutDetail(NamedTuple):
-    """A node's record of its parent edge being a bridge somewhere.
-
-    ``pivot`` is the shallowest ancestor whose pivoted subgraph has
-    (parent(node), node) as a bridge; ``out_edges`` counts the node's
-    subtree edges that leave the pivot's subtree.
-    """
-
-    node: int
-    parent: int
-    eta: int
-    pivot: int
-    pivot_level: int
-    out_edges: int
-
-
-class TwoCutDetail(NamedTuple):
-    """A node's record of a disjoint two-edge cut inside a pivoted
-    subgraph, partner and counts included."""
-
-    node1: int
-    parent1: int
-    eta1: int
-    out1: int
-    node2: int
-    parent2: int
-    eta2: int
-    out2: int
-    between: int
-    lca: int
-    lca_level: int
-    pivot: int
-    pivot_level: int
-
-
 class LayerCand(NamedTuple):
     """Fold element for one layer: do all qualifying boundary edges land
-    in a single partner subtree, and with what attached counts?
+    in a single partner subtree ``desc(w)``, and with what attached counts?
 
-    ``stay`` is the partner's boundary within the pivot's subtree,
-    ``eta`` its full boundary, ``lca_level`` the level where the two
-    chains part ways — everything the detail record will need, carried
-    through the fold so no second pass is necessary.
+    ``stay`` is the partner's boundary within the pivot's subtree and
+    ``eta`` its full boundary: with ``gamma``, all that case 5 reads.
+    At a fixed pivot and reference level both are functions of ``w``,
+    so two candidates merge exactly when they name the same partner.
     """
 
     tag: int
     w: int = 0
-    parent: int = 0
     stay: int = 0
     eta: int = 0
-    lca_level: int = 0
     gamma: int = 0
 
     def is_candidate(self) -> bool:
@@ -634,68 +594,29 @@ def _layer_atom(pivot_level: int, node_state, l: int) -> LayerCand:
             continue  # the edge leaves the pivot's subtree: not ours to count
         if lq < l:
             return LAYER_ABSORBING  # lands between the pivot and the layer
-        w = triples[l][2]
+        _, eta_w, w = triples[l]
         if w == v:
             continue  # stays inside desc(v)
         cross_wu = tri_rows[eid][l][pivot_level - 1] if pivot_level else 0
-        j = 1
-        top = min(nb.level, lq)
-        while j <= top and triples[j][2] == nb.ancestors[j]:
-            j += 1
-        cand = LayerCand(
-            TAG_CANDIDATE,
-            w,
-            triples[l - 1][2],
-            triples[l][1] - cross_wu,
-            triples[l][1],
-            j - 1,
-            1,
-        )
-        acc = landing_combine(acc, cand)
+        acc = landing_combine(acc, LayerCand(TAG_CANDIDATE, w, eta_w - cross_wu, eta_w, 1))
     return acc
-
-
-@dataclass(frozen=True)
-class LayeredScan:
-    """Everything the per-pivot instances produced.
-
-    ``one[a]`` lists (pivot level, pivot) pairs where the parent edge of
-    ``a`` is a bridge of the pivoted subgraph — a pure table lookup,
-    since the subtree boundary within a pivot is eta minus the crossing
-    count.  ``two[a][i][l]`` is the layer-i fold toward the level-l
-    ancestor, candidate entries only.
-    """
-
-    one: tuple[tuple[tuple[int, int], ...], ...]
-    two: tuple[dict[int, dict[int, LayerCand]], ...]
 
 
 def layered_min_cut(
     engine: Engine,
     info: BfsInfo,
-    state: EtaState,
     annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
     hcast: Sequence[Mapping[int, tuple[int, ...]]],
-) -> LayeredScan:
-    """Run the size-1/2 search inside every pivoted subgraph at once.
+) -> tuple[dict[int, dict[int, LayerCand]], ...]:
+    """Run the size-2 search inside every pivoted subgraph at once.
 
     Level by level, every subtree rooted below the layer folds the
     landing algebra restricted to edges that stay under its level-i
-    ancestor.  The bridge half costs nothing at all: a parent edge is a
-    bridge of the pivot exactly when the crossing table already says
-    eta minus crossings is one.
+    ancestor.  Returns, per node a, ``two[a][i][l]``: the layer-i fold
+    toward the level-l ancestor, candidate entries only.  The size-1
+    half needs no phase: see :func:`compute_cut_details`.
     """
     g = engine.g
-    one: list[tuple[tuple[int, int], ...]] = []
-    for a in range(g.n):
-        nb = info[a]
-        hits = []
-        if a != info.root:
-            for lvl, u in enumerate(nb.ancestors[:-1]):
-                if state.eta[a] - state.subtree_cross[a][u] == 1:
-                    hits.append((lvl, u))
-        one.append(tuple(hits))
-
     tri = preprocess_pivot(engine, info, hcast)
     two: list[dict[int, dict[int, LayerCand]]] = [dict() for _ in range(g.n)]
     states = [(info[a], annotated[a], tri[a]) for a in range(g.n)]
@@ -714,71 +635,16 @@ def layered_min_cut(
             }
             if cands:
                 two[a][i] = cands
-    return LayeredScan(one=tuple(one), two=tuple(two))
-
-
-def compute_cut_details(
-    info: BfsInfo, state: EtaState, scan: LayeredScan
-) -> tuple[list[OneCutDetail | None], list[TwoCutDetail | None]]:
-    """Condense the scan into one record of each kind per node.
-
-    The bridge record keeps the shallowest pivot.  The pair record keeps
-    the shallowest pivot that admits any partner, then the shallowest
-    (and lowest-id) partner at that pivot.
-    """
-    n = len(state.eta)
-    ones: list[OneCutDetail | None] = [None] * n
-    twos: list[TwoCutDetail | None] = [None] * n
-    for a in range(n):
-        if a == info.root:
-            continue
-        nb = info[a]
-        if scan.one[a]:
-            lvl, u = scan.one[a][0]
-            ones[a] = OneCutDetail(
-                node=a,
-                parent=nb.parent,
-                eta=state.eta[a],
-                pivot=u,
-                pivot_level=lvl,
-                out_edges=state.subtree_cross[a][u],
-            )
-        for i in sorted(scan.two[a]):
-            u = nb.ancestors[i]
-            stay_a = state.eta[a] - state.subtree_cross[a][u]
-            picks = []
-            for l, z in sorted(scan.two[a][i].items()):
-                if z.gamma >= 1 and stay_a - 1 == z.gamma and z.stay - 1 == z.gamma:
-                    picks.append((l, z.w, z))
-            if not picks:
-                continue
-            l, b, z = min(picks)
-            twos[a] = TwoCutDetail(
-                node1=a,
-                parent1=nb.parent,
-                eta1=state.eta[a],
-                out1=state.subtree_cross[a][u],
-                node2=b,
-                parent2=z.parent,
-                eta2=z.eta,
-                out2=z.eta - z.stay,
-                between=z.gamma,
-                lca=nb.ancestors[z.lca_level],
-                lca_level=z.lca_level,
-                pivot=u,
-                pivot_level=i,
-            )
-            break
-    return ones, twos
-
-
-# ---------------------------------------------------------------------------
-# convergecast of the detail records
+    return tuple(two)
 
 
 class BridgeRecord(NamedTuple):
-    """The part of a :class:`OneCutDetail` that case 5 reads, in wire
-    order: node id, then pivot level (the contention key), then counts."""
+    """A node's parent edge is a bridge of some pivoted subgraph.
+
+    Wire order: node id, then the shallowest such pivot's level (the
+    contention key), then the node's eta and its subtree edges that
+    leave the pivot's subtree.
+    """
 
     node: int
     pivot_level: int
@@ -787,9 +653,12 @@ class BridgeRecord(NamedTuple):
 
 
 class PairRecord(NamedTuple):
-    """The part of a :class:`TwoCutDetail` that case 5 reads, in wire
-    order: first node id, then pivot level (the contention key), then
-    the partner and the counts."""
+    """A node's parent edge and a partner's form a two-edge cut of some
+    pivoted subgraph.
+
+    Wire order: first node id, then the pivot level (the contention
+    key), then the partner and the counts.
+    """
 
     node1: int
     pivot_level: int
@@ -797,6 +666,45 @@ class PairRecord(NamedTuple):
     node2: int
     eta2: int
     between: int
+
+
+def compute_cut_details(
+    info: BfsInfo, state: EtaState, two: Sequence[Mapping[int, Mapping[int, LayerCand]]]
+) -> tuple[list[BridgeRecord | None], list[PairRecord | None]]:
+    """Condense the scan into at most one record of each kind per node.
+
+    The bridge record keeps the shallowest pivot whose subgraph has the
+    node's parent edge as a bridge: a table lookup, since the subtree
+    boundary within a pivot is eta minus the crossing count.  The pair
+    record keeps the shallowest pivot that admits any partner in the
+    layer folds ``two``, then the shallowest partner at that pivot.
+    """
+    n = len(state.eta)
+    bridges: list[BridgeRecord | None] = [None] * n
+    pairs: list[PairRecord | None] = [None] * n
+    for a in range(n):
+        if a == info.root:
+            continue
+        eta = state.eta[a]
+        cross = state.subtree_cross[a]
+        for lvl, u in enumerate(info[a].ancestors[:-1]):
+            if eta - cross[u] == 1:
+                bridges[a] = BridgeRecord(a, lvl, eta, cross[u])
+                break
+        for i in sorted(two[a]):
+            stay_a = eta - cross[info[a].ancestors[i]]
+            z = next((
+                z for _, z in sorted(two[a][i].items())
+                if z.gamma >= 1 and stay_a - 1 == z.gamma and z.stay - 1 == z.gamma
+            ), None)
+            if z is not None:
+                pairs[a] = PairRecord(a, i, eta, z.w, z.eta, z.gamma)
+                break
+    return bridges, pairs
+
+
+# ---------------------------------------------------------------------------
+# convergecast of the detail records
 
 
 @dataclass(frozen=True)
@@ -867,19 +775,18 @@ class _DetailWave(WordProgram):
             self._await(cid, eid, cohort + 1)
 
 
-def _run_wave(engine, info, details, record, label):
-    """One wave of ``record``-shaped blocks cut from the full details."""
-    width = 1 + len(record._fields)
+def _run_wave(engine, info, records, cls, label):
+    """One wave of ``cls`` records, each sent as ``(1, *record)``."""
     programs = [
         _DetailWave(
-            engine.handles[v], info[v], info.depth, width,
-            None if d is None else (1, *(getattr(d, f) for f in record._fields)),
+            engine.handles[v], info[v], info.depth, 1 + len(cls._fields),
+            None if r is None else (1, *r),
         )
-        for v, d in enumerate(details)
+        for v, r in enumerate(records)
     ]
     engine.run_phase(label, programs)
     return tuple(
-        tuple((cid, record(*blk[1:])) for cid, blk in sorted(p.collected))
+        tuple((cid, cls(*blk[1:])) for cid, blk in sorted(p.collected))
         for p in programs
     )
 
@@ -887,18 +794,18 @@ def _run_wave(engine, info, details, record, label):
 def convergecast_details(
     engine: Engine,
     info: BfsInfo,
-    ones: Sequence[OneCutDetail | None],
-    twos: Sequence[TwoCutDetail | None],
+    bridges: Sequence[BridgeRecord | None],
+    pairs: Sequence[PairRecord | None],
 ) -> ConvergecastResult:
     """Two pipelined waves, bridge records first, pair records second.
 
-    Only what case 5 reads goes on the wire: a :class:`BridgeRecord` is
-    4 of a bridge detail's 6 fields, a :class:`PairRecord` 6 of a pair
-    detail's 13.  The full details stay with the nodes that made them.
+    Each node ships the records :func:`compute_cut_details` made for it,
+    4 and 6 words behind a presence flag, and forwards the best of each
+    deeper level cohort.
     """
     return ConvergecastResult(
-        one=_run_wave(engine, info, ones, BridgeRecord, LABEL_DETAILS1),
-        two=_run_wave(engine, info, twos, PairRecord, LABEL_DETAILS2),
+        one=_run_wave(engine, info, bridges, BridgeRecord, LABEL_DETAILS1),
+        two=_run_wave(engine, info, pairs, PairRecord, LABEL_DETAILS2),
     )
 
 
@@ -957,12 +864,10 @@ def detect_case5(
 
 @dataclass(frozen=True)
 class BatteryResult:
-    """Raw and deduplicated outcome of the size-3 stage."""
+    """The size-3 stage's deduplicated reports (``perfbench/tracing.py``
+    reads ``reports`` off :func:`run_battery`'s result)."""
 
     reports: tuple[CutReport, ...]
-    one_details: tuple[OneCutDetail | None, ...]
-    two_details: tuple[TwoCutDetail | None, ...]
-    scan: LayeredScan
 
 
 def run_battery(
@@ -994,17 +899,11 @@ def run_battery(
     red2 = distributed_reduced_sketch(engine, info, state, 2, annotated, up=sk3)
     reports += detect_case7(g, state, red2)
 
-    scan = layered_min_cut(engine, info, state, annotated, hcast)
-    ones, twos = compute_cut_details(info, state, scan)
-    cc = convergecast_details(engine, info, ones, twos)
-    reports += detect_case5(g, state, cc)
+    two = layered_min_cut(engine, info, annotated, hcast)
+    bridges, pairs = compute_cut_details(info, state, two)
+    reports += detect_case5(g, state, convergecast_details(engine, info, bridges, pairs))
 
-    return BatteryResult(
-        reports=tuple(dedupe_reports(reports, _CASE_RANK)),
-        one_details=tuple(ones),
-        two_details=tuple(twos),
-        scan=scan,
-    )
+    return BatteryResult(tuple(dedupe_reports(reports, _CASE_RANK)))
 
 
 @dataclass(frozen=True)

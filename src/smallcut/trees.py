@@ -19,8 +19,14 @@ fixed-width block whose width every node knows, or a self-framed block
 whose head says how long it is, so no phase is spent agreeing on a width
 and nothing is padded to one.  Only chunks from the parent are
 forwarded, so a program built on the relay may also talk across its
-other edges in the same phase (the sketch swap does).  Exchanges with
-neighbours read their replies as fixed-width records.
+other edges in the same phase (the sketch swap does).
+
+Exchanges between neighbours cross non-tree edges only: after
+``build_bfs`` a tree neighbour's root path is already known (a child's
+is one's own plus the child, the parent's one's own minus oneself), so
+whatever follows from it is worked out locally.  ``nontree_exchange``
+sends one word list over every non-tree edge and reads the replies as
+fixed-width records.
 
 Every fold record goes up as soon as it is complete, and the per-edge
 queues pace the wire: a node's partial toward ancestor level ``l`` is
@@ -396,27 +402,25 @@ def broadcast_t2(
 
 
 class ListExchange(WordProgram):
-    """Stream a word list over selected edges, read the replies as records.
+    """Stream one word list over selected edges, read the replies as records.
 
-    ``outgoing`` maps edge ids to the words sent there, ``incoming``
-    edge ids to the number of ``width``-word records expected back.
-    ``received`` maps every edge in ``incoming`` to its records in
-    arrival order.
+    ``incoming`` maps edge ids to the number of ``width``-word records
+    expected back; ``words`` goes out over each of them.  ``received``
+    maps every such edge to its records in arrival order.
     """
 
-    def __init__(self, node: NodeHandle, outgoing: dict[int, tuple[int, ...]],
-                 incoming: dict[int, int], width: int = 1):
+    def __init__(self, node: NodeHandle, words: tuple[int, ...], incoming: dict[int, int],
+                 width: int):
         super().__init__(node)
-        self._outgoing = outgoing
+        self._words = words
         self._incoming = incoming
         self._width = width
         self.received: dict[int, list[tuple[int, ...]]] = {}
 
     def start(self) -> None:
-        for eid, words in sorted(self._outgoing.items()):
-            if words:
-                self.node.send(eid, *words)
         for eid, count in self._incoming.items():
+            if self._words:
+                self.node.send(eid, *self._words)
             records = self.received[eid] = []
             for _ in range(count):
                 self.expect(eid, self._width, records.append)
@@ -445,7 +449,7 @@ def nontree_exchange(
         nontree = [eid for _, eid in handle.ports if eid not in tree_eids]
         mine = tuple(words(v)) if nontree else ()
         expected = {eid: incoming(nb.neighbor_levels[eid]) for eid in nontree}
-        programs.append(ListExchange(handle, dict.fromkeys(nontree, mine), expected, width))
+        programs.append(ListExchange(handle, mine, expected, width))
     engine.run_phase(label, programs)
     return [p.received for p in programs]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -38,3 +39,15 @@ def test_ledger_unchanged_with_asserts_stripped():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == GOLDEN
+
+
+def test_src_has_no_asserts():
+    # An assert vanishes under python -O; checks in src/ must raise instead.
+    src = Path(__file__).resolve().parent.parent / "src" / "smallcut"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found

@@ -30,7 +30,6 @@ from smallcut.three_cuts import (
     detect_case5,
     layered_min_cut,
     downcast_h,
-    run_battery,
     run_full_pipeline,
     sketch_exchange,
 )
@@ -102,11 +101,13 @@ def pipeline(g, root=0, **kw):
 
 
 def battery_stage(g, root=0):
+    """The layered scan's bridge and pair records, as case 5 receives them."""
     engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
     info = build_bfs(engine, root)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
     annotated = preprocess_zeta(engine, info, state)
-    return engine, info, state, run_battery(engine, info, state, annotated)
+    two = layered_min_cut(engine, info, annotated, downcast_h(engine, info, state))
+    return info, state, compute_cut_details(info, state, two)
 
 
 def oracle_edge_sets(g):
@@ -295,6 +296,8 @@ def test_battery_reuses_the_k3_wave_and_sends_lean_blocks():
     assert per["details1"].rounds == 3 * depth + 1
     assert per["details2"].rounds == 4 * depth + 1
     assert per["hcast"].rounds == 16
+    # a layer-fold candidate is 6 words: its level, then (tag, w, stay, eta, gamma)
+    assert sum(p.rounds for label, p in per.items() if label.startswith("trsf:layer")) == 49
 
 
 def test_sketch_swap_is_one_phase_without_shared_blocks():
@@ -304,7 +307,7 @@ def test_sketch_swap_is_one_phase_without_shared_blocks():
     per = res.engine.stats.per_phase
     assert "sketchxch" not in per
     assert per["sketchcast"].rounds == 209  # 205 + 242 as two phases
-    assert res.battery_rounds == 718  # 956 as two phases
+    assert res.battery_rounds == 711  # 956 as two phases, 718 with 8-word layer candidates
 
     g = generate("cycle", 16)
     engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
@@ -354,30 +357,32 @@ def staying(state, a, u):
 
 def test_one_cut_details_are_pivot_bridges():
     for g in (FORK_BRIDGES, generate("prism", 6), generate("random_connected", 10, seed=3)):
-        engine, info, state, result = battery_stage(g)
+        info, state, (bridges, _) = battery_stage(g)
         tree = info.tree()
-        for d in result.one_details:
+        for d in bridges:
             if d is None:
                 continue
-            sub = PivotedSubgraph.build(g, tree, d.pivot)
+            pivot = info[d.node].ancestors[d.pivot_level]
+            sub = PivotedSubgraph.build(g, tree, pivot)
             inside = set(tree.desc(d.node))
             crossing = [
                 e for e in sub.graph.edges
                 if (sub.nodes[e[0]] in inside) != (sub.nodes[e[1]] in inside)
             ]
             assert len(crossing) == 1, (d, g.edges)
-            assert staying(state, d.node, d.pivot) == 1
-            assert d.out_edges == state.subtree_cross[d.node][d.pivot]
+            assert staying(state, d.node, pivot) == 1
+            assert d.eta == state.eta[d.node]
+            assert d.out_edges == state.subtree_cross[d.node][pivot]
 
 
 def test_two_cut_details_are_pivot_pair_cuts():
     for g in (FORK_PAIRED, SHADOWED_FORK, generate("random_connected", 10, seed=5)):
-        engine, info, state, result = battery_stage(g)
+        info, state, (_, pairs) = battery_stage(g)
         tree = info.tree()
-        for d in result.two_details:
+        for d in pairs:
             if d is None:
                 continue
-            sub = PivotedSubgraph.build(g, tree, d.pivot)
+            sub = PivotedSubgraph.build(g, tree, info[d.node1].ancestors[d.pivot_level])
             side = tree.desc(d.node1) | tree.desc(d.node2)
             crossing = [
                 e for e in sub.graph.edges
@@ -394,18 +399,24 @@ def test_two_cut_details_are_pivot_pair_cuts():
             assert d.between == between
 
 
-def test_scan_one_records_every_unit_staying():
+def test_bridge_records_keep_the_shallowest_pivot():
     g = FORK_BRIDGES
-    engine, info, state, result = battery_stage(g)
+    info, state, (bridges, _) = battery_stage(g)
+    assert bridges[info.root] is None
     for a in range(g.n):
         if a == info.root:
             continue
-        expected = [
-            (lvl, u)
+        levels = [
+            lvl
             for lvl, u in enumerate(info[a].ancestors[:-1])
             if staying(state, a, u) == 1
         ]
-        assert list(result.scan.one[a]) == expected
+        if not levels:
+            assert bridges[a] is None
+            continue
+        assert bridges[a].node == a
+        assert bridges[a].pivot_level == levels[0]
+    assert bridges[3] is not None and bridges[4] is not None  # the fork's prongs
 
 
 def test_convergecast_delivers_fork_prongs():
@@ -415,10 +426,10 @@ def test_convergecast_delivers_fork_prongs():
     state = compute_eta(engine, info, preprocess_eta(engine, info))
     annotated = preprocess_zeta(engine, info, state)
     hcast = downcast_h(engine, info, state)
-    scan = layered_min_cut(engine, info, state, annotated, hcast)
-    ones, twos = compute_cut_details(info, state, scan)
-    assert ones[3] is not None and ones[4] is not None
-    received = convergecast_details(engine, info, ones, twos)
+    two = layered_min_cut(engine, info, annotated, hcast)
+    bridges, pairs = compute_cut_details(info, state, two)
+    assert bridges[3] is not None and bridges[4] is not None
+    received = convergecast_details(engine, info, bridges, pairs)
     got = {d.node for _, d in received.one[1]}
     assert {3, 4} <= got
     reports = detect_case5(g, state, received)
@@ -431,10 +442,8 @@ cands = st.builds(
     LayerCand,
     tag=st.just(TAG_CANDIDATE),
     w=st.integers(0, 5),
-    parent=st.integers(0, 5),
     stay=st.integers(0, 4),
     eta=st.integers(0, 4),
-    lca_level=st.integers(0, 3),
     gamma=st.integers(1, 3),
 )
 elements = st.one_of(st.just(LAYER_IDENTITY), st.just(LAYER_ABSORBING), cands)
@@ -460,7 +469,7 @@ def test_layer_combine_identity_and_absorption(z):
 @given(cands, cands)
 def test_layer_combine_merges_only_exact_matches(a, b):
     out = landing_combine(a, b)
-    if a[:6] == b[:6]:
+    if a[:-1] == b[:-1]:
         assert out == a._replace(gamma=a.gamma + b.gamma)
     else:
         assert out == LAYER_ABSORBING

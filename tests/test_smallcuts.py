@@ -20,6 +20,7 @@ from smallcut.small_cuts import (
     CASE_DISJOINT,
     CASE_NESTED,
     CASE_ONE_RESPECT,
+    LABEL_ETA_PRE,
     TAG_ABSORBING,
     TAG_CANDIDATE,
     ZETA_ABSORBING,
@@ -115,6 +116,8 @@ def test_crossing_table_examples():
     for leaf in range(1, 6):
         assert pre[leaf][0] == 0
         assert pre[leaf][leaf] == 1
+    # a tree neighbour's root path is known without asking for it
+    assert LABEL_ETA_PRE not in engine.stats.per_phase
 
     p4 = generate("path", 4)
     engine, info = start(p4)
@@ -123,6 +126,7 @@ def test_crossing_table_examples():
         assert pre[a][a] >= 1
         for v in info[a].ancestors[:-1]:
             assert pre[a][v] == 0
+    assert LABEL_ETA_PRE not in engine.stats.per_phase
 
 
 def test_eta_values_on_fixed_graphs():

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,3 +50,19 @@ def test_golden_phase_labels_have_groups():
     assert labels
     ungrouped = sorted(label for label in labels if TRACING.phase_group(label) == "other")
     assert not ungrouped
+
+
+def test_traced_battery_counts_its_reports():
+    # The tracer reads the battery's result, not only its name.
+    mods = SimpleNamespace(**{
+        m: importlib.import_module(f"smallcut.{m}")
+        for m in ("cli", "graphs", "runtime", "small_cuts", "sketches", "three_cuts")
+    })
+    tracer = TRACING.Tracer()
+    tracer.install(mods)
+    try:
+        res = mods.three_cuts.run_full_pipeline(mods.graphs.generate("complete", 4), root=0)
+    finally:
+        tracer.uninstall()
+    assert res.lambda_detected == 3
+    assert tracer.results["three_cuts.reports_unique"] == len(res.reports) == 4
