@@ -450,7 +450,7 @@ def _merge_sources(
     spine: Sequence[int],
     spine_eta: Mapping[int, int],
     sources: Sequence[_Source],
-    own_paths: Sequence[Sequence[tuple[int, int, int]]] = (),
+    own_paths: Sequence[Sequence[tuple[int, int]]] = (),
     own_gamma: Mapping[int, int] | None = None,
     own_spine_gamma: Mapping[int, int] | None = None,
     exclude: int | None = None,
@@ -459,8 +459,8 @@ def _merge_sources(
 ) -> _MergeResult:
     """Union ingredient sketches into the truncated sketch owned by ``v``.
 
-    ``own_paths`` are annotated ancestor lists ``(level, eta, id)`` of the
-    owner's non-tree neighbours; ``own_gamma`` / ``own_spine_gamma`` carry
+    ``own_paths`` are the root paths of the owner's non-tree neighbours
+    as ``(eta, id)`` pairs; ``own_gamma`` / ``own_spine_gamma`` carry
     the owner's incident-edge crossing contributions for non-spine and
     spine nodes; ``spine_gamma_table`` — available when the source region
     is exactly ``desc(v)`` — provides authoritative spine values the
@@ -509,7 +509,7 @@ def _merge_sources(
             certified.update(src.certify_on_self)
     for path in own_paths:
         prev = None
-        for _lvl, eta_u, u in path:
+        for eta_u, u in path:
             _add(u, prev, eta_u)
             certified.add(u)
             prev = u
@@ -659,7 +659,7 @@ class _SketchUp(WordProgram):
         node,
         info: BfsInfo,
         state: EtaState,
-        annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
+        annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
         k: int,
     ) -> None:
         super().__init__(node)
@@ -697,7 +697,7 @@ class _SketchUp(WordProgram):
 def _merge_node_sketch(
     info: BfsInfo,
     state: EtaState,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
+    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
     k: int,
     v: int,
     views: Mapping[int, WireView],
@@ -712,7 +712,7 @@ def _merge_node_sketch(
     for eid in sorted(lists):
         path = lists[eid]
         own_paths.append(path)
-        for _, _, u in path[_shared_prefix(rho_v, path):]:
+        for _, u in path[_shared_prefix(rho_v, path):]:
             own_gamma[u] += 1
     for cid, _eid in me.children:
         own_gamma[cid] += 1  # the tree edge (v, child) crosses into desc(child)
@@ -740,12 +740,11 @@ def _merge_node_sketch(
     )
 
 
-def _shared_prefix(ancestors: Sequence[int], path: Sequence[tuple[int, int, int]]) -> int:
+def _shared_prefix(ancestors: Sequence[int], path: Sequence[tuple[int, int]]) -> int:
     """How many root-path levels a node and a neighbour have in common,
-    the neighbour's path given as ``(level, eta, id)`` triples.  Two
-    root paths agree on a prefix and nowhere after it, so matches count
-    it."""
-    return sum(a == t[2] for a, t in zip(ancestors, path))
+    the neighbour's path given as ``(eta, id)`` pairs.  Two root paths
+    agree on a prefix and nowhere after it, so matches count it."""
+    return sum(a == t[1] for a, t in zip(ancestors, path))
 
 
 def distributed_k_sketch(
@@ -753,7 +752,7 @@ def distributed_k_sketch(
     info: BfsInfo,
     state: EtaState,
     k: int,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
+    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
 ) -> SketchUpResult:
     """Run the bottom-up sketch wave; node ``v`` ends up holding ``S_k(v)``.
 
@@ -844,7 +843,7 @@ def distributed_reduced_sketch(
     info: BfsInfo,
     state: EtaState,
     k: int,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
+    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
     up: SketchUpResult | None = None,
 ) -> ReducedSketchResult:
     """Compute ``S_k(v \\ x)`` at every node ``x`` for each proper ancestor.

@@ -11,8 +11,10 @@ Size-2 cuts split into three shapes, each decided by a local test:
 * two nested tree edges -- a subtree-crossing count drops both boundaries
   to one;
 * two disjoint tree edges -- found by folding the landing algebra
-  (:func:`landing_combine` over :class:`Zeta`) that tracks where a
-  subtree's outgoing edges land.
+  (:func:`landing_combine` over :class:`LayerCand`) that tracks where a
+  subtree's outgoing edges land.  The same fold, restricted to edges
+  under a deeper pivot, is the size-3 battery's layered scan; this one
+  is its layer 0.
 
 Detected cuts are collected by the observer, never shipped over the
 simulated network.
@@ -21,6 +23,7 @@ simulated network.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .graphs import Graph, boundary, edge_pairs
@@ -47,19 +50,25 @@ TAG_ABSORBING = 1
 TAG_CANDIDATE = 2
 
 
-class Zeta(NamedTuple):
-    """Element of the fold algebra behind the disjoint-pair search.
+class LayerCand(NamedTuple):
+    """Element of the landing algebra: do all qualifying boundary edges
+    land in a single partner subtree ``desc(w)``?
 
-    A candidate ``<w, parent, eta, gamma>`` says: every non-tree edge seen
-    so far that leaves the reference subtree lands inside ``desc(w)``, and
-    there are ``gamma`` of them.  The identity means "no such edge yet";
-    absorbing means the edges already scatter over two different targets
-    (or escape above the reference level), so no single partner exists.
+    Seen from a pivot ``u`` and a reference ancestor ``v``, a candidate
+    says: every non-tree edge so far that stays under ``u`` but leaves
+    ``desc(v)`` lands inside ``desc(w)``, and there are ``gamma`` of
+    them.  ``stay`` is the partner's boundary within ``desc(u)`` and
+    ``eta`` its full boundary; at pivot 0 (the root, the whole graph)
+    the two agree.  At a fixed pivot and reference level both are
+    functions of ``w``, so two candidates merge exactly when they name
+    the same partner.  The identity means "no such edge yet"; absorbing
+    means the edges scatter over two targets or land between the pivot
+    and the reference level, so no single partner exists.
     """
 
     tag: int
     w: int = 0
-    parent: int = 0
+    stay: int = 0
     eta: int = 0
     gamma: int = 0
 
@@ -67,22 +76,17 @@ class Zeta(NamedTuple):
         return self.tag == TAG_CANDIDATE
 
 
-ZETA_IDENTITY = Zeta(TAG_IDENTITY)
-ZETA_ABSORBING = Zeta(TAG_ABSORBING)
-
-
-def zeta_candidate(w: int, parent: int, eta: int, gamma: int) -> Zeta:
-    if gamma < 1:
-        raise ValueError("candidate without any witnessed edge")
-    return Zeta(TAG_CANDIDATE, w, parent, eta, gamma)
+LAYER_IDENTITY = LayerCand(TAG_IDENTITY)
+LAYER_ABSORBING = LayerCand(TAG_ABSORBING)
 
 
 def landing_combine(a, b):
     """Merge two elements of a landing algebra (commutative, associative).
 
-    The elements are ``Zeta``-shaped named tuples: a leading ``tag`` and a
-    trailing ``gamma`` count.  Two candidates merge only when every other
-    field agrees, and their counts then add; any disagreement absorbs.
+    The elements are :class:`LayerCand`-shaped named tuples: a leading
+    ``tag`` and a trailing ``gamma`` count.  Two candidates merge only
+    when every other field agrees, and their counts then add; any
+    disagreement absorbs.
     """
     if a.tag == TAG_IDENTITY:
         return b
@@ -95,22 +99,23 @@ def landing_combine(a, b):
     return type(a)(TAG_ABSORBING)
 
 
-def landing_spec(name: str, cls, atomic) -> SemigroupSpec:
-    """Fold of the landing algebra over elements of the named tuple ``cls``.
+def landing_spec(name: str, pivot_level: int) -> SemigroupSpec:
+    """Fold of the landing algebra pivoted at ``pivot_level``, atoms from
+    :func:`_layer_atom`.
 
     A candidate travels as all of its fields, tag first; the identity and
     absorbing elements as the tag alone.
     """
-    tail = len(cls._fields) - 1
+    tail = len(LayerCand._fields) - 1
     return SemigroupSpec(
         name=name,
         combine=landing_combine,
-        atomic=atomic,
+        atomic=partial(_layer_atom, pivot_level),
         encode=lambda z: tuple(z) if z.tag == TAG_CANDIDATE else (z.tag,),
-        decode=lambda words: cls(*words),
+        decode=lambda words: LayerCand(*words),
         head_words=1,
         tail_words=lambda head: tail if head[0] == TAG_CANDIDATE else 0,
-        identity=cls(TAG_IDENTITY),
+        identity=LAYER_IDENTITY,
     )
 
 
@@ -228,55 +233,61 @@ def detect_1cuts(state: EtaState) -> list[CutReport]:
 
 def preprocess_zeta(
     engine: Engine, info: BfsInfo, state: EtaState
-) -> tuple[dict[int, tuple[tuple[int, int, int], ...]], ...]:
-    """Exchange (level, eta, id) annotated ancestor lists over non-tree edges.
+) -> tuple[dict[int, tuple[tuple[int, int], ...]], ...]:
+    """Exchange ancestor lists annotated with eta over non-tree edges.
 
     Returns, per node, a map from non-tree edge id to the neighbour's
-    annotated ancestor list in root-to-node order.
+    root path as ``(eta, id)`` pairs in root-to-node order; a pair's
+    index is its level.
     """
     def words(a: int) -> list[int]:
-        return [x for lvl, u in enumerate(info[a].ancestors) for x in (lvl, state.anc_eta[a][u], u)]
+        return [x for u in info[a].ancestors for x in (state.anc_eta[a][u], u)]
 
-    heard = nontree_exchange(engine, info, LABEL_ZETA_PRE, words, lambda level: level + 1, 3)
+    heard = nontree_exchange(engine, info, LABEL_ZETA_PRE, words, lambda level: level + 1, 2)
     return tuple({eid: tuple(recs) for eid, recs in per_edge.items()} for per_edge in heard)
 
 
-def _zeta_atom(node_state, l: int) -> Zeta:
-    """Where do this node's non-tree edges land, seen from ancestor level l?"""
-    nb, per_edge = node_state
+def _layer_atom(pivot_level: int, node_state, l: int) -> LayerCand:
+    """Where do this node's non-tree edges that stay under its
+    level-``pivot_level`` ancestor land, seen from ancestor level ``l``?
+
+    ``node_state`` is the node's ``BfsInfo`` entry, its neighbours' root
+    paths from :func:`preprocess_zeta` and, per non-tree edge, the
+    neighbour's crossing-count rows (read only below pivot 0).
+    """
+    nb, per_edge, tri_rows = node_state
     v = nb.ancestors[l]
-    best: Zeta | None = None
-    for triples in per_edge.values():
-        if len(triples) - 1 < l:
-            return ZETA_ABSORBING  # the edge climbs above level l entirely
-        _, eta_w, w = triples[l]
+    u = nb.ancestors[pivot_level]
+    acc = LAYER_IDENTITY
+    for eid, path in per_edge.items():
+        lq = len(path) - 1
+        if lq < pivot_level or path[pivot_level][1] != u:
+            continue  # the edge leaves the pivot's subtree: not ours to count
+        if lq < l:
+            return LAYER_ABSORBING  # lands between the pivot and the layer
+        eta_w, w = path[l]
         if w == v:
-            continue  # edge stays inside desc(v)
-        parent_w = triples[l - 1][2]
-        if best is None:
-            best = zeta_candidate(w, parent_w, eta_w, 1)
-        elif best.w == w:
-            best = best._replace(gamma=best.gamma + 1)
-        else:
-            return ZETA_ABSORBING
-    return ZETA_IDENTITY if best is None else best
+            continue  # stays inside desc(v)
+        cross_wu = tri_rows[eid][l][pivot_level - 1] if pivot_level else 0
+        acc = landing_combine(acc, LayerCand(TAG_CANDIDATE, w, eta_w - cross_wu, eta_w, 1))
+    return acc
 
 
 def compute_zeta(
     engine: Engine,
     info: BfsInfo,
     state: EtaState,
-    annotated: tuple[dict[int, tuple[tuple[int, int, int], ...]], ...],
-) -> tuple[dict[int, Zeta], ...]:
-    """Fold the landing algebra over each subtree.
+    annotated: tuple[dict[int, tuple[tuple[int, int], ...]], ...],
+) -> tuple[dict[int, LayerCand], ...]:
+    """Fold the landing algebra over each subtree, pivoted at the root.
 
     ``annotated`` is what :func:`preprocess_zeta` heard.  Returns, per
     node a, a map v -> fold over desc(a) for every ancestor v of a
-    (including a itself).
+    (including a itself).  This is also layer 0 of the layered scan.
     """
     n = engine.g.n
-    spec = landing_spec("zeta", Zeta, _zeta_atom)
-    states = [(info[a], annotated[a]) for a in range(n)]
+    spec = landing_spec("zeta", 0)
+    states = [(info[a], annotated[a], None) for a in range(n)]
     folds = trsf_compute(engine, info, spec, states)
     tables = tuple(
         {info[a].ancestors[l]: z for l, z in folds[a].partials.items()}
@@ -293,7 +304,7 @@ def compute_zeta(
 
 
 def detect_2cuts(
-    g: Graph, state: EtaState, zeta: tuple[dict[int, Zeta], ...]
+    g: Graph, state: EtaState, zeta: tuple[dict[int, LayerCand], ...]
 ) -> list[CutReport]:
     """All induced two-edge cuts, each reported once.
 
@@ -325,7 +336,8 @@ def detect_2cuts(
             if not z.is_candidate():
                 continue
             if state.eta[a] - z.gamma == 1 and z.eta - z.gamma == 1:
-                other = (min(z.parent, z.w), max(z.parent, z.w))
+                pw = info[z.w].parent
+                other = (min(pw, z.w), max(pw, z.w))
                 pair = tuple(sorted({other, own_edge}))
                 found.append(CutReport(pair, CASE_DISJOINT, a))
 

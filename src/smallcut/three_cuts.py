@@ -20,6 +20,8 @@ share.
 Case 5 — a fork seen from a node that is an ancestor of neither prong —
 is the one shape no single node can observe locally; it is covered by
 the layered scan (sizes 1 and 2 re-run inside every pivoted subgraph).
+The scan folds the size-2 stage's landing candidate with the same atom;
+its layer 0 is the whole graph, so it reuses the zeta fold there.
 Each finding exists as one record holding only what case 5 reads: the
 scan folds it, the node keeps its best bridge and pair record, and the
 records are convergecast to the fork point with lowest-pivot-level
@@ -40,17 +42,14 @@ from typing import Mapping, NamedTuple, Sequence
 from .graphs import Graph, RootedTree, boundary, edge_pairs
 from .runtime import Engine, SimulatorConfig, WordProgram
 from .small_cuts import (
-    TAG_ABSORBING,
-    TAG_CANDIDATE,
-    TAG_IDENTITY,
     CutReport,
     EtaState,
+    LayerCand,
     compute_eta,
     compute_zeta,
     dedupe_reports,
     detect_1cuts,
     detect_2cuts,
-    landing_combine,
     landing_spec,
     preprocess_eta,
     preprocess_zeta,
@@ -322,8 +321,8 @@ class _SketchSwap(_Downcast):
 
     Down the tree it is the plain relay of ``[count, entries...]``
     blocks.  ``paths`` maps each non-tree edge to the neighbour's root
-    path as ``(level, eta, id)`` triples; ``shared`` is the length of the
-    prefix both ends have in common.  Across the edge the node sends
+    path as ``(eta, id)`` pairs; ``shared`` is the length of the prefix
+    both ends have in common.  Across the edge the node sends
     ``[owner, count, entries...]`` for itself and for every ancestor
     below that prefix: its own record at start, an ancestor's as soon as
     its block is complete in the parent stream.  Each edge has its own
@@ -332,7 +331,7 @@ class _SketchSwap(_Downcast):
     """
 
     def __init__(self, node, nb: NodeBfs, block: tuple[int, ...],
-                 paths: Mapping[int, Sequence[tuple[int, int, int]]]):
+                 paths: Mapping[int, Sequence[tuple[int, int]]]):
         super().__init__(node, nb.level, nb.parent_eid, nb.children, block, 1,
                          lambda head: ENTRY_WORDS * head[0])
         self.own = block
@@ -362,7 +361,7 @@ def sketch_exchange(
     engine: Engine,
     info: BfsInfo,
     sketches: SketchUpResult,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
+    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
 ) -> SketchExchange:
     """Downcast every sketch to its subtree and swap ancestor chains
     across non-tree edges, in one phase.
@@ -523,30 +522,6 @@ def detect_case7(
 # the layered scan: sizes 1 and 2 inside every pivoted subgraph
 
 
-class LayerCand(NamedTuple):
-    """Fold element for one layer: do all qualifying boundary edges land
-    in a single partner subtree ``desc(w)``, and with what attached counts?
-
-    ``stay`` is the partner's boundary within the pivot's subtree and
-    ``eta`` its full boundary: with ``gamma``, all that case 5 reads.
-    At a fixed pivot and reference level both are functions of ``w``,
-    so two candidates merge exactly when they name the same partner.
-    """
-
-    tag: int
-    w: int = 0
-    stay: int = 0
-    eta: int = 0
-    gamma: int = 0
-
-    def is_candidate(self) -> bool:
-        return self.tag == TAG_CANDIDATE
-
-
-LAYER_IDENTITY = LayerCand(TAG_IDENTITY)
-LAYER_ABSORBING = LayerCand(TAG_ABSORBING)
-
-
 def preprocess_pivot(
     engine: Engine,
     info: BfsInfo,
@@ -581,58 +556,36 @@ def preprocess_pivot(
     return tuple(tri)
 
 
-def _layer_atom(pivot_level: int, node_state, l: int) -> LayerCand:
-    """One node's non-tree edges, classified for layer ``pivot_level``
-    at reference level ``l``."""
-    nb, per_edge, tri_rows = node_state
-    v = nb.ancestors[l]
-    u = nb.ancestors[pivot_level]
-    acc = LAYER_IDENTITY
-    for eid, triples in sorted(per_edge.items()):
-        lq = len(triples) - 1
-        if lq < pivot_level or triples[pivot_level][2] != u:
-            continue  # the edge leaves the pivot's subtree: not ours to count
-        if lq < l:
-            return LAYER_ABSORBING  # lands between the pivot and the layer
-        _, eta_w, w = triples[l]
-        if w == v:
-            continue  # stays inside desc(v)
-        cross_wu = tri_rows[eid][l][pivot_level - 1] if pivot_level else 0
-        acc = landing_combine(acc, LayerCand(TAG_CANDIDATE, w, eta_w - cross_wu, eta_w, 1))
-    return acc
-
-
 def layered_min_cut(
     engine: Engine,
     info: BfsInfo,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
+    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
     hcast: Sequence[Mapping[int, tuple[int, ...]]],
+    zeta: Sequence[Mapping[int, LayerCand]],
 ) -> tuple[dict[int, dict[int, LayerCand]], ...]:
     """Run the size-2 search inside every pivoted subgraph at once.
 
     Level by level, every subtree rooted below the layer folds the
     landing algebra restricted to edges that stay under its level-i
-    ancestor.  Returns, per node a, ``two[a][i][l]``: the layer-i fold
-    toward the level-l ancestor, candidate entries only.  The size-1
-    half needs no phase: see :func:`compute_cut_details`.
+    ancestor.  Layer 0 is the whole graph, whose fold the size-2 stage
+    already ran: it is read off ``zeta`` (:func:`compute_zeta`'s
+    tables), and only layers 1 to depth - 1 run a phase.  Returns, per
+    node a, ``two[a][i][l]``: the layer-i fold toward the level-l
+    ancestor, candidate entries only.  The size-1 half needs no phase:
+    see :func:`compute_cut_details`.
     """
     g = engine.g
     tri = preprocess_pivot(engine, info, hcast)
     two: list[dict[int, dict[int, LayerCand]]] = [dict() for _ in range(g.n)]
+    for a, nb in enumerate(info.nodes):
+        cands = {l: zeta[a][v] for l, v in enumerate(nb.ancestors) if zeta[a][v].is_candidate()}
+        if cands:
+            two[a][0] = cands
     states = [(info[a], annotated[a], tri[a]) for a in range(g.n)]
-    for i in range(info.depth):
-        spec = landing_spec(
-            f"layer{i}", LayerCand, lambda st, l, _i=i: _layer_atom(_i, st, l)
-        )
-        folds = trsf_compute(engine, info, spec, states, min_level=i + 1)
+    for i in range(1, info.depth):
+        folds = trsf_compute(engine, info, landing_spec(f"layer{i}", i), states, min_level=i + 1)
         for a in range(g.n):
-            if info[a].level < i + 1:
-                continue
-            cands = {
-                l: z
-                for l, z in folds[a].partials.items()
-                if z.is_candidate()
-            }
+            cands = {l: z for l, z in folds[a].partials.items() if z.is_candidate()}
             if cands:
                 two[a][i] = cands
     return tuple(two)
@@ -874,13 +827,16 @@ def run_battery(
     engine: Engine,
     info: BfsInfo,
     state: EtaState,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int, int]]]],
+    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
+    zeta: Sequence[Mapping[int, LayerCand]],
 ) -> BatteryResult:
     """All seven detectors, every report validated, duplicates collapsed.
 
     Nothing here early-exits: a cut found by one detector does not
     excuse the others, since distinct cuts of the same size routinely
-    live in different shape classes.
+    live in different shape classes.  ``annotated`` and ``zeta`` are
+    the size-2 stage's root-path exchange and fold; the latter is the
+    layered scan's layer 0.
     """
     g = engine.g
     reports: list[CutReport] = []
@@ -899,7 +855,7 @@ def run_battery(
     red2 = distributed_reduced_sketch(engine, info, state, 2, annotated, up=sk3)
     reports += detect_case7(g, state, red2)
 
-    two = layered_min_cut(engine, info, annotated, hcast)
+    two = layered_min_cut(engine, info, annotated, hcast, zeta)
     bridges, pairs = compute_cut_details(info, state, two)
     reports += detect_case5(g, state, convergecast_details(engine, info, bridges, pairs))
 
@@ -949,7 +905,7 @@ def run_full_pipeline(
 
     lam: int | str
     pairs: list[CutReport] = []
-    annotated = None
+    annotated = zeta = None
     if max_size >= 2 and (not bridges or force_battery):
         annotated = preprocess_zeta(engine, info, state)
         zeta = compute_zeta(engine, info, state, annotated)
@@ -960,7 +916,7 @@ def run_full_pipeline(
     battery_rounds = None
     if max_size >= 3 and annotated is not None and (not (bridges or pairs) or force_battery):
         mark = engine.round
-        battery = run_battery(engine, info, state, annotated)
+        battery = run_battery(engine, info, state, annotated, zeta)
         battery_rounds = engine.round - mark
 
     if bridges:

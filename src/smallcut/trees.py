@@ -488,13 +488,10 @@ class TrsfNodeResult:
 
     ``partials[l]`` is the fold of the node's own subtree toward its
     level-``l`` ancestor; ``f`` (the full-subtree value) is the partial
-    at the node's own level.  ``from_child`` keeps each child's
-    contribution per ancestor level.  Nothing reads it yet; it is kept
-    for eliding the spine from the sketch waves (ROADMAP item 3).
+    at the node's own level.
     """
 
     partials: dict[int, object] = field(default_factory=dict)
-    from_child: dict[int, dict[int, object]] = field(default_factory=dict)
     f: object = None
 
 
@@ -510,7 +507,6 @@ class _TrsfProgram(WordProgram):
         self.lo = lo
         self.acc: dict[int, object] = {}
         self.pending: dict[int, set[int]] = {}
-        self.from_child: dict[int, dict[int, object]] = {}
         self.f: object = self._UNSET
         self.next_l = lo
 
@@ -524,7 +520,6 @@ class _TrsfProgram(WordProgram):
         tail = self.spec.tail_words
         more = (lambda rec: tail(rec[1:])) if tail else None  # a record is (level, *element)
         for cid, eid in self.nb.children:
-            self.from_child[cid] = {}
             for _ in range(self.lo, lv + 1):
                 self.expect(eid, 1 + self.spec.head_words, partial(self._record, cid), more)
         self._settle()
@@ -535,7 +530,6 @@ class _TrsfProgram(WordProgram):
         if cid not in self.pending.get(l, ()):
             raise ProtocolError(f"node {self.node.id}: record out of range (level {l}, child {cid})")
         self.pending[l].discard(cid)
-        self.from_child[cid][l] = elem
         self.acc[l] = self.spec.combine(self.acc[l], elem)
         self._settle()
 
@@ -607,7 +601,7 @@ def trsf_compute(
         if p.nb.level >= min_level and (p.next_l != p.nb.level or p.f is _TrsfProgram._UNSET):
             raise ProtocolError(f"{spec.name}: node {p.node.id} did not complete its fold")
         f = None if p.f is _TrsfProgram._UNSET else p.f
-        results.append(TrsfNodeResult(partials=dict(p.acc), from_child=p.from_child, f=f))
+        results.append(TrsfNodeResult(partials=dict(p.acc), f=f))
         seen.extend(p.acc.values())
     _check_algebra(spec, seen)
     return results

@@ -11,7 +11,17 @@ from hypothesis import strategies as st
 from smallcut.graphs import Graph, boundary, generate, min_cut_oracle, edge_pairs
 from smallcut.runtime import Engine, SimulatorConfig
 from smallcut.sketches import distributed_k_sketch
-from smallcut.small_cuts import compute_eta, landing_combine, preprocess_eta, preprocess_zeta
+from smallcut.small_cuts import (
+    LAYER_ABSORBING,
+    LAYER_IDENTITY,
+    TAG_CANDIDATE,
+    LayerCand,
+    compute_eta,
+    compute_zeta,
+    landing_combine,
+    preprocess_eta,
+    preprocess_zeta,
+)
 from smallcut.three_cuts import (
     CASE1,
     CASE2,
@@ -20,11 +30,7 @@ from smallcut.three_cuts import (
     CASE5,
     CASE6,
     CASE7,
-    LAYER_ABSORBING,
-    LAYER_IDENTITY,
-    LayerCand,
     PivotedSubgraph,
-    TAG_CANDIDATE,
     compute_cut_details,
     convergecast_details,
     detect_case5,
@@ -106,7 +112,8 @@ def battery_stage(g, root=0):
     info = build_bfs(engine, root)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
     annotated = preprocess_zeta(engine, info, state)
-    two = layered_min_cut(engine, info, annotated, downcast_h(engine, info, state))
+    zeta = compute_zeta(engine, info, state, annotated)
+    two = layered_min_cut(engine, info, annotated, downcast_h(engine, info, state), zeta)
     return info, state, compute_cut_details(info, state, two)
 
 
@@ -296,8 +303,9 @@ def test_battery_reuses_the_k3_wave_and_sends_lean_blocks():
     assert per["details1"].rounds == 3 * depth + 1
     assert per["details2"].rounds == 4 * depth + 1
     assert per["hcast"].rounds == 16
-    # a layer-fold candidate is 6 words: its level, then (tag, w, stay, eta, gamma)
-    assert sum(p.rounds for label, p in per.items() if label.startswith("trsf:layer")) == 49
+    # a layer-fold candidate is 6 words: its level, then (tag, w, stay, eta, gamma);
+    # layer 0 is the size-2 stage's zeta fold, so layers 1..7 alone run (49 with layer 0)
+    assert sum(p.rounds for label, p in per.items() if label.startswith("trsf:layer")) == 27
 
 
 def test_sketch_swap_is_one_phase_without_shared_blocks():
@@ -307,7 +315,8 @@ def test_sketch_swap_is_one_phase_without_shared_blocks():
     per = res.engine.stats.per_phase
     assert "sketchxch" not in per
     assert per["sketchcast"].rounds == 209  # 205 + 242 as two phases
-    assert res.battery_rounds == 711  # 956 as two phases, 718 with 8-word layer candidates
+    # 956 as two phases, 718 with 8-word layer candidates, 711 with a layer-0 fold
+    assert res.battery_rounds == 689
 
     g = generate("cycle", 16)
     engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
@@ -330,6 +339,18 @@ def test_sketch_swap_is_one_phase_without_shared_blocks():
     unshared = info[x].ancestors[1:] + info[y].ancestors[1:]
     assert len(set(unshared)) == len(unshared)
     assert words[eid] == sum(2 + 4 * len(up.sketches[a].meta) for a in unshared)
+
+
+def test_scan_takes_layer0_from_the_zeta_fold():
+    # The pivot-0 subgraph is the whole graph, so the size-2 stage's zeta
+    # fold is the scan's layer 0 and no trsf:layer0 phase runs; root paths
+    # cross non-tree edges as (eta, id) pairs, 2 words per ancestor.
+    res = pipeline(generate("cycle", 16), force_battery=True)
+    per = res.engine.stats.per_phase
+    assert "trsf:zeta" in per and "trsf:layer0" not in per
+    assert "trsf:layer1" in per
+    res = pipeline(generate("cycle", 12))
+    assert res.engine.stats.per_phase["zeta:pre"].rounds == 8  # 12 with a level word
 
 
 def test_rounds_split_between_stages():
@@ -425,8 +446,9 @@ def test_convergecast_delivers_fork_prongs():
     info = build_bfs(engine, 0)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
     annotated = preprocess_zeta(engine, info, state)
+    zeta = compute_zeta(engine, info, state, annotated)
     hcast = downcast_h(engine, info, state)
-    two = layered_min_cut(engine, info, annotated, hcast)
+    two = layered_min_cut(engine, info, annotated, hcast, zeta)
     bridges, pairs = compute_cut_details(info, state, two)
     assert bridges[3] is not None and bridges[4] is not None
     received = convergecast_details(engine, info, bridges, pairs)

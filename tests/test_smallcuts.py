@@ -21,11 +21,11 @@ from smallcut.small_cuts import (
     CASE_NESTED,
     CASE_ONE_RESPECT,
     LABEL_ETA_PRE,
+    LAYER_ABSORBING,
+    LAYER_IDENTITY,
     TAG_ABSORBING,
     TAG_CANDIDATE,
-    ZETA_ABSORBING,
-    ZETA_IDENTITY,
-    Zeta,
+    LayerCand,
     compute_eta,
     compute_zeta,
     detect_1cuts,
@@ -33,7 +33,6 @@ from smallcut.small_cuts import (
     landing_combine,
     preprocess_eta,
     preprocess_zeta,
-    zeta_candidate,
 )
 from smallcut.trees import build_bfs
 
@@ -87,18 +86,23 @@ def zeta_ref(g, tree, members, v):
             if p not in members or q in desc_v:
                 continue
             if tree.level[q] < lv:
-                return ZETA_ABSORBING
+                return LAYER_ABSORBING
             w = tree.ancestors(q)[lv]
             if target is None:
                 target, count = w, 1
             elif target == w:
                 count += 1
             else:
-                return ZETA_ABSORBING
+                return LAYER_ABSORBING
     if target is None:
-        return ZETA_IDENTITY
+        return LAYER_IDENTITY
     eta_w = len(boundary(g, tree.desc(target)))
-    return zeta_candidate(target, tree.parent[target], eta_w, count)
+    return cand(target, eta_w, count)
+
+
+def cand(w, eta, gamma):
+    """A root-pivot candidate: the partner's boundary stays whole."""
+    return LayerCand(TAG_CANDIDATE, w, eta, eta, gamma)
 
 
 # -- crossing tables and eta ------------------------------------------------
@@ -178,25 +182,18 @@ def test_bridge_reports():
 # -- the fold algebra -------------------------------------------------------
 
 def test_combine_frozen_cases():
-    z = zeta_candidate(3, 0, 2, 1)
-    assert landing_combine(ZETA_IDENTITY, z) == z
-    assert landing_combine(z, ZETA_IDENTITY) == z
-    assert landing_combine(ZETA_ABSORBING, z) == ZETA_ABSORBING
-    assert landing_combine(z, zeta_candidate(3, 0, 2, 2)) == zeta_candidate(3, 0, 2, 3)
-    assert landing_combine(z, zeta_candidate(4, 0, 2, 1)) == ZETA_ABSORBING
+    z = cand(3, 2, 1)
+    assert landing_combine(LAYER_IDENTITY, z) == z
+    assert landing_combine(z, LAYER_IDENTITY) == z
+    assert landing_combine(LAYER_ABSORBING, z) == LAYER_ABSORBING
+    assert landing_combine(z, cand(3, 2, 2)) == cand(3, 2, 3)
+    assert landing_combine(z, cand(4, 2, 1)) == LAYER_ABSORBING
 
 
 zeta_elements = st.one_of(
-    st.just(ZETA_IDENTITY),
-    st.just(ZETA_ABSORBING),
-    st.builds(
-        Zeta,
-        tag=st.just(TAG_CANDIDATE),
-        w=st.integers(1, 3),
-        parent=st.integers(0, 2),
-        eta=st.integers(2, 4),
-        gamma=st.integers(1, 2),
-    ),
+    st.just(LAYER_IDENTITY),
+    st.just(LAYER_ABSORBING),
+    st.builds(cand, w=st.integers(1, 3), eta=st.integers(2, 4), gamma=st.integers(1, 2)),
 )
 
 
@@ -211,14 +208,14 @@ def test_fold_atoms_on_fixed_graphs():
     engine, info = start(g)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
     tables = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
-    assert tables[2][1] == zeta_candidate(3, 0, 2, 1)  # leaf: fold == atom
-    assert tables[2][0] == ZETA_IDENTITY
+    assert tables[2][1] == cand(3, 2, 1)  # leaf: fold == atom
+    assert tables[2][0] == LAYER_IDENTITY
 
     p4 = generate("path", 4)
     engine, info = start(p4)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
     tables = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
-    assert all(z == ZETA_IDENTITY for t in tables for z in t.values())
+    assert all(z == LAYER_IDENTITY for t in tables for z in t.values())
 
     k4 = generate("complete", 4)
     engine, info = start(k4)
@@ -239,7 +236,7 @@ def test_fold_matches_centralized_property(seed, root_pick):
     for a in range(g.n):
         for v in ref.ancestors(a):
             direct = zeta_ref(g, ref, ref.desc(a), v)
-            folded = ZETA_IDENTITY
+            folded = LAYER_IDENTITY
             for x in sorted(ref.desc(a)):
                 folded = landing_combine(folded, zeta_ref(g, ref, {x}, v))
             assert tables[a][v] == direct == folded

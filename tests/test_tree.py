@@ -205,10 +205,6 @@ def test_fold_partials_and_round_count(seed):
         assert folds[v].f == size * (info[v].level + 1)
         for l, val in folds[v].partials.items():
             assert val == size * (l + 1)
-        for c, _ in info[v].children:
-            csize = len(ref.desc(c))
-            for l in range(0, info[v].level + 1):
-                assert folds[v].from_child[c][l] == csize * (l + 1)
     assert engine.stats.per_phase["trsf:weighted"].rounds == info.depth + 1
 
 
