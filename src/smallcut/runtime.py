@@ -93,27 +93,33 @@ class SimulatorConfig:
 class PhaseStats:
     rounds: int = 0
     messages: int = 0
+    words: int = 0
     max_bits_per_edge_per_round: int = 0
 
 
 class RoundStats:
-    """Round and bandwidth accounting, total and per labeled phase."""
+    """Round, message, word and bandwidth accounting, total and per
+    labeled phase.  A message is one edge's frame in one round; its
+    words are the frame's length."""
 
     def __init__(self):
         self.rounds_elapsed = 0
         self.total_messages = 0
+        self.total_words = 0
         self.max_bits_per_edge_per_round = 0
         self.per_phase: dict[str, PhaseStats] = {}
 
-    def record_round(self, label: str, messages: int, max_bits: int) -> None:
+    def record_round(self, label: str, messages: int, words: int, max_bits: int) -> None:
         phase = self.per_phase.setdefault(label, PhaseStats())
         phase.rounds += 1
         phase.messages += messages
+        phase.words += words
         phase.max_bits_per_edge_per_round = max(
             phase.max_bits_per_edge_per_round, max_bits
         )
         self.rounds_elapsed += 1
         self.total_messages += messages
+        self.total_words += words
         self.max_bits_per_edge_per_round = max(
             self.max_bits_per_edge_per_round, max_bits
         )
@@ -122,11 +128,13 @@ class RoundStats:
         return {
             "rounds_elapsed": self.rounds_elapsed,
             "total_messages": self.total_messages,
+            "total_words": self.total_words,
             "max_bits_per_edge_per_round": self.max_bits_per_edge_per_round,
             "per_phase": {
                 label: {
                     "rounds": p.rounds,
                     "messages": p.messages,
+                    "words": p.words,
                     "max_bits_per_edge_per_round": p.max_bits_per_edge_per_round,
                 }
                 for label, p in self.per_phase.items()
@@ -209,6 +217,11 @@ class WordProgram:
         self._buf.setdefault(eid, []).extend(words)
         self._drain_buffer(eid)
 
+    @property
+    def stray(self) -> int:
+        """Words heard that no record claimed."""
+        return sum(len(buf) for buf in self._buf.values())
+
     def _drain_buffer(self, eid: int) -> None:
         buf = self._buf.get(eid)
         want = self._want.get(eid)
@@ -278,6 +291,7 @@ class Engine:
                 programs[dst].on_chunk(eid, payload)
             self._pending = []
             messages = 0
+            words = 0
             max_bits = 0
             for key in sorted(self._outbox):
                 src, eid = key
@@ -290,8 +304,9 @@ class Engine:
                 dst = v if src == u else u
                 self._pending.append((dst, eid, payload))
                 messages += 1
+                words += take
                 max_bits = max(max_bits, take * self.word_size)
-            self.stats.record_round(label, messages, max_bits)
+            self.stats.record_round(label, messages, words, max_bits)
         for p in programs:
             if any(p._want.values()):
                 raise ProtocolError(

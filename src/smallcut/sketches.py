@@ -629,13 +629,14 @@ def _merge_sources(
     return _MergeResult(sketch, flagged, branch_out)
 
 
-def _chain_has(structure: Mapping[int, int | None], u: int, target: int) -> bool:
-    """True when ``target`` is ``u`` itself or an ancestor of ``u``."""
+def _chain_has(parent: Mapping[int, int | None], u: int, target: int) -> bool:
+    """True when ``target`` is ``u`` itself or an ancestor of ``u`` under
+    the parent pointers ``parent`` (a merge's structure or a sketch's)."""
     w: int | None = u
     while w is not None:
         if w == target:
             return True
-        w = structure[w]
+        w = parent[w]
     return False
 
 
@@ -706,14 +707,15 @@ def _merge_node_sketch(
     """Owner-side merge shared by the plain wave and the reduced re-merge."""
     me = info[v]
     rho_v = list(me.ancestors)
+    spine = frozenset(rho_v)
     own_paths = []
     own_gamma: Counter[int] = Counter()
     lists = annotated[v]
     for eid in sorted(lists):
         path = lists[eid]
         own_paths.append(path)
-        for _, u in path[_shared_prefix(rho_v, path):]:
-            own_gamma[u] += 1
+        # the edge crosses into desc(u) for every u off the shared prefix
+        own_gamma.update(u for _, u in path if u not in spine)
     for cid, _eid in me.children:
         own_gamma[cid] += 1  # the tree edge (v, child) crosses into desc(child)
 
@@ -721,7 +723,7 @@ def _merge_node_sketch(
     for cid in sorted(views):
         if cid == exclude:
             continue
-        rho_child = frozenset(rho_v) | {cid}
+        rho_child = spine | {cid}
         sources.append(_Source(views[cid], rho_child, frozenset((cid,))))
 
     return _merge_sources(
@@ -738,13 +740,6 @@ def _merge_node_sketch(
         spine_gamma_table=(dict(state.subtree_cross[v]) if exclude is None else None),
         depth_hint=info.depth,
     )
-
-
-def _shared_prefix(ancestors: Sequence[int], path: Sequence[tuple[int, int]]) -> int:
-    """How many root-path levels a node and a neighbour have in common,
-    the neighbour's path given as ``(eta, id)`` pairs.  Two root paths
-    agree on a prefix and nowhere after it, so matches count it."""
-    return sum(a == t[1] for a, t in zip(ancestors, path))
 
 
 def distributed_k_sketch(
@@ -882,8 +877,8 @@ def distributed_reduced_sketch(
 
     # The root casts nothing, so a node at level l reads l - 1 strata.
     programs = [
-        _Downcast(h, max(info[v].level - 1, 0), info[v].parent_eid, info[v].children,
-                  blobs[v], _VIEW_HEAD, _view_body_words)
+        _Downcast(h, info[v].level, info[v].parent_eid, info[v].children,
+                  blobs[v], _VIEW_HEAD, _view_body_words, lo=1)
         for v, h in enumerate(engine.handles)
     ]
     _run_relay(engine, f"{LABEL_REDUCED}{k}", programs)

@@ -1,9 +1,11 @@
 """Finding every cut of size one and two.
 
 The whole stage runs on top of one BFS tree.  Each node first learns, for
-every ancestor ``v``, how many of its own edges leave ``desc(v)``; folding
-those per-node counts up the tree gives ``eta(v) = |boundary(desc(v))|``
-for every vertex at once.  A bridge is a tree edge with ``eta(v) = 1``.
+every ancestor ``v``, how many of its own edges leave ``desc(v)``, from
+the root paths its non-tree neighbours send once as ids and every later
+stage reuses; folding those per-node counts up the tree gives
+``eta(v) = |boundary(desc(v))|`` for every vertex at once.  A bridge is a
+tree edge with ``eta(v) = 1``.
 
 Size-2 cuts split into three shapes, each decided by a local test:
 
@@ -12,7 +14,8 @@ Size-2 cuts split into three shapes, each decided by a local test:
   to one;
 * two disjoint tree edges -- found by folding the landing algebra
   (:func:`landing_combine` over :class:`LayerCand`) that tracks where a
-  subtree's outgoing edges land.  The same fold, restricted to edges
+  subtree's outgoing edges land; its input is each neighbour's root
+  path, whose etas alone cross the edge.  The same fold, restricted to edges
   under a deeper pivot, is the size-3 battery's layered scan; this one
   is its layer 0.
 
@@ -143,12 +146,26 @@ def dedupe_reports(reports: list[CutReport], case_rank: dict[str, int]) -> list[
 
 
 @dataclass(frozen=True)
+class EtaPre:
+    """What ``eta:pre`` leaves at every node.
+
+    ``cross[a][v]`` counts edges at ``a`` leaving ``desc(v)``;
+    ``paths[a]`` maps each non-tree edge at ``a`` to the neighbour's
+    root path, as the ids it sent.
+    """
+
+    cross: tuple[dict[int, int], ...]
+    paths: tuple[dict[int, tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
 class EtaState:
     """Everything the size-1/2 tests need, as each node ends up knowing it.
 
     ``own_cross[a][v]`` counts edges at ``a`` leaving ``desc(v)``;
     ``subtree_cross[a][v]`` sums that over ``desc(a)``; ``anc_eta[a]``
-    maps every ancestor ``v`` of ``a`` to ``eta(v)``.
+    maps every ancestor ``v`` of ``a`` to ``eta(v)``; ``paths[a]`` maps
+    each non-tree edge at ``a`` to the neighbour's root path (ids).
     """
 
     info: BfsInfo
@@ -156,9 +173,10 @@ class EtaState:
     own_cross: tuple[dict[int, int], ...]
     subtree_cross: tuple[dict[int, int], ...]
     anc_eta: tuple[dict[int, int], ...]
+    paths: tuple[dict[int, tuple[int, ...]], ...]
 
 
-def preprocess_eta(engine: Engine, info: BfsInfo) -> tuple[dict[int, int], ...]:
+def preprocess_eta(engine: Engine, info: BfsInfo) -> EtaPre:
     """Swap ancestor lists over non-tree edges; count escaping edges.
 
     An edge (a, b) leaves ``desc(v)`` exactly when v is not an ancestor
@@ -166,22 +184,26 @@ def preprocess_eta(engine: Engine, info: BfsInfo) -> tuple[dict[int, int], ...]:
     crossing table locally (``EtaState.own_cross``).  Tree edges need no
     words: a child's root path contains all of a's, and the parent's
     lacks only a, so the parent edge leaves ``desc(a)`` and no larger
-    subtree.  Runs in O(depth) rounds.
+    subtree.  The root paths heard are kept for the later stages.  Runs
+    in O(depth) rounds.
     """
     heard = nontree_exchange(
         engine, info, LABEL_ETA_PRE, lambda a: info[a].ancestors, lambda level: level + 1
     )
     own_cross = []
+    paths = []
     for a, per_edge in enumerate(heard):
-        sets = [{rec[0] for rec in recs} for recs in per_edge.values()]
+        mine = {eid: tuple(path) for eid, path in per_edge.items()}
+        sets = [set(path) for path in mine.values()]
         cross = {v: sum(1 for s in sets if v not in s) for v in info[a].ancestors}
         if a != info.root:
             cross[a] += 1  # the parent edge
         own_cross.append(cross)
-    return tuple(own_cross)
+        paths.append(mine)
+    return EtaPre(tuple(own_cross), tuple(paths))
 
 
-def compute_eta(engine: Engine, info: BfsInfo, own_cross: tuple[dict[int, int], ...]) -> EtaState:
+def compute_eta(engine: Engine, info: BfsInfo, pre: EtaPre) -> EtaState:
     """Fold the crossing counts into eta(v) for every v, then push each
     eta(v) back down to desc(v)."""
     n = engine.g.n
@@ -194,15 +216,16 @@ def compute_eta(engine: Engine, info: BfsInfo, own_cross: tuple[dict[int, int], 
         decode=lambda words: words[0],
         identity=0,
     )
+    own_cross = pre.cross
     states = [
         [own_cross[a][v] for v in info[a].ancestors] for a in range(n)
     ]
     folds = trsf_compute(engine, info, spec, states)
 
-    eta = tuple(folds[a].f for a in range(n))
+    eta = tuple(folds[a][info[a].level] for a in range(n))
     anc_eta = tuple(broadcast_t1(engine, info, list(eta)))
     subtree_cross = tuple(
-        {info[a].ancestors[l]: val for l, val in folds[a].partials.items()}
+        {info[a].ancestors[l]: val for l, val in folds[a].items()}
         for a in range(n)
     )
 
@@ -211,12 +234,10 @@ def compute_eta(engine: Engine, info: BfsInfo, own_cross: tuple[dict[int, int], 
     for a in range(n):
         if a != info.root and eta[a] < 1:
             raise ProtocolError(f"eta: node {a}'s subtree boundary is empty in a connected graph")
-        if subtree_cross[a][a] != eta[a]:
-            raise ProtocolError(f"eta: node {a}'s own partial disagrees with eta")
         for v in info[a].ancestors:
             if not 0 <= own_cross[a][v] <= subtree_cross[a][v] <= anc_eta[a][v] <= m:
                 raise ProtocolError(f"eta: node {a}'s crossing counts toward {v} are out of order")
-    return EtaState(info, eta, own_cross, subtree_cross, anc_eta)
+    return EtaState(info, eta, own_cross, subtree_cross, anc_eta, pre.paths)
 
 
 def detect_1cuts(state: EtaState) -> list[CutReport]:
@@ -234,17 +255,21 @@ def detect_1cuts(state: EtaState) -> list[CutReport]:
 def preprocess_zeta(
     engine: Engine, info: BfsInfo, state: EtaState
 ) -> tuple[dict[int, tuple[tuple[int, int], ...]], ...]:
-    """Exchange ancestor lists annotated with eta over non-tree edges.
+    """Annotate each non-tree neighbour's root path with etas.
 
-    Returns, per node, a map from non-tree edge id to the neighbour's
-    root path as ``(eta, id)`` pairs in root-to-node order; a pair's
-    index is its level.
+    ``eta:pre`` already delivered the ids (``state.paths``), so only the
+    etas cross, one word per ancestor.  Returns, per node, a map from
+    non-tree edge id to the neighbour's root path as ``(eta, id)`` pairs
+    in root-to-node order; a pair's index is its level.
     """
     def words(a: int) -> list[int]:
-        return [x for u in info[a].ancestors for x in (state.anc_eta[a][u], u)]
+        return [state.anc_eta[a][u] for u in info[a].ancestors]
 
-    heard = nontree_exchange(engine, info, LABEL_ZETA_PRE, words, lambda level: level + 1, 2)
-    return tuple({eid: tuple(recs) for eid, recs in per_edge.items()} for per_edge in heard)
+    heard = nontree_exchange(engine, info, LABEL_ZETA_PRE, words, lambda level: level + 1)
+    return tuple(
+        {eid: tuple(zip(etas, state.paths[a][eid])) for eid, etas in per_edge.items()}
+        for a, per_edge in enumerate(heard)
+    )
 
 
 def _layer_atom(pivot_level: int, node_state, l: int) -> LayerCand:
@@ -252,14 +277,14 @@ def _layer_atom(pivot_level: int, node_state, l: int) -> LayerCand:
     level-``pivot_level`` ancestor land, seen from ancestor level ``l``?
 
     ``node_state`` is the node's ``BfsInfo`` entry, its neighbours' root
-    paths from :func:`preprocess_zeta` and, per non-tree edge, the
-    neighbour's crossing-count rows (read only below pivot 0).
+    paths from :func:`preprocess_zeta` and the crossing-count rows it
+    holds after ``hcast``, by owner id (read only below pivot 0).
     """
-    nb, per_edge, tri_rows = node_state
+    nb, per_edge, rows = node_state
     v = nb.ancestors[l]
     u = nb.ancestors[pivot_level]
     acc = LAYER_IDENTITY
-    for eid, path in per_edge.items():
+    for path in per_edge.values():
         lq = len(path) - 1
         if lq < pivot_level or path[pivot_level][1] != u:
             continue  # the edge leaves the pivot's subtree: not ours to count
@@ -268,7 +293,7 @@ def _layer_atom(pivot_level: int, node_state, l: int) -> LayerCand:
         eta_w, w = path[l]
         if w == v:
             continue  # stays inside desc(v)
-        cross_wu = tri_rows[eid][l][pivot_level - 1] if pivot_level else 0
+        cross_wu = rows[w][pivot_level - 1] if pivot_level else 0
         acc = landing_combine(acc, LayerCand(TAG_CANDIDATE, w, eta_w - cross_wu, eta_w, 1))
     return acc
 
@@ -290,7 +315,7 @@ def compute_zeta(
     states = [(info[a], annotated[a], None) for a in range(n)]
     folds = trsf_compute(engine, info, spec, states)
     tables = tuple(
-        {info[a].ancestors[l]: z for l, z in folds[a].partials.items()}
+        {info[a].ancestors[l]: z for l, z in folds[a].items()}
         for a in range(n)
     )
     for table in tables:

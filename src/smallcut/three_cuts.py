@@ -10,13 +10,15 @@ class gets its own detector; the battery runs all seven and unions the
 results.
 
 Cases 1, 2 and 4 need nothing beyond the eta tables (case 4 after one
-quadratic downcast of self-framed crossing-count blocks).  Cases 3 and 6
+quadratic downcast of crossing-count rows, ``hcast``).  Cases 3 and 6
 read partner candidates out of the k=3 sketches, case 7 out of the
 reduced k=2 sketches, which are re-merged from the same k=3 up-wave.
-Case 6 also reads its neighbours' ancestor sketches: one phase casts
-every sketch down the tree and, on the same clock, sends each node's
-chain across its non-tree edges, minus the root-path prefix both ends
-share.
+Two phases send ancestor-indexed blocks across non-tree edges, and
+both ride the tree relay's cast (``trees._Downcast``): it sends each
+node's chain across its non-tree edges on the cast's clock, minus the
+root-path prefix both ends share, and the receiver names each block
+from the sender's root path.  ``hcast`` swaps the crossing-count
+rows the layered scan reads, ``sketchcast`` the sketches case 6 reads.
 Case 5 — a fork seen from a node that is an ancestor of neither prong —
 is the one shape no single node can observe locally; it is covered by
 the layered scan (sizes 1 and 2 re-run inside every pivoted subgraph).
@@ -59,7 +61,7 @@ from .sketches import (
     ReducedSketchResult,
     SketchMeta,
     SketchUpResult,
-    _shared_prefix,
+    _chain_has,
     decode_entries,
     distributed_k_sketch,
     distributed_reduced_sketch,
@@ -67,19 +69,15 @@ from .sketches import (
 )
 from .trees import (
     BfsInfo,
-    NodeBfs,
-    _Downcast,
-    _run_relay,
+    _relay_to_subtrees,
     # Unused here, but perfbench/tracing.py wraps this binding (tests/test_trace_sites.py).
     broadcast_t1,
     broadcast_t2,
     build_bfs,
-    nontree_exchange,
     trsf_compute,
 )
 
 LABEL_HCAST = "hcast"
-LABEL_PIVOT_PRE = "pivot:pre"
 LABEL_SKETCH_CAST = "sketchcast"
 LABEL_DETAILS1 = "details1"
 LABEL_DETAILS2 = "details2"
@@ -200,23 +198,27 @@ def detect_case2(g: Graph, state: EtaState) -> list[CutReport]:
 def downcast_h(
     engine: Engine, info: BfsInfo, state: EtaState
 ) -> list[dict[int, tuple[int, ...]]]:
-    """Ship every node's crossing counts to its whole subtree.
+    """Ship every node's crossing-count row to its whole subtree and
+    across its non-tree edges, in one phase.
 
-    After this, a node knows H(desc(y), z) — the number of edges from
-    desc(y) leaving desc(z) — for every ancestor y and every z strictly
-    between the root and y: ``hcast[x][y]`` holds them by level of z.
-    A level-l node has l - 1 counts and sends them as the self-framed
-    block ``[l - 1, counts...]``, so nothing is padded to the depth.
-    One pipelined pass; the quadratic half of the battery's round
-    budget.
+    The row of a level-l node y holds H(desc(y), z) — the number of
+    edges from desc(y) leaving desc(z) — for every z strictly between
+    the root and y, by level of z: l - 1 counts, no more and no fewer,
+    so nothing is padded to the depth and no head word is sent (every
+    receiver knows the owner's level).  Rows of levels 0 and 1 are empty
+    and nothing reads them, so those nodes cast nothing.  The relay
+    swaps the rows across every non-tree edge on the cast's clock
+    (``state.paths`` names the neighbour's chain), minus the root-path
+    prefix both ends share.  Returns, per node x, ``hcast[x][y]`` for
+    every y whose row x holds: x's own chain from level 2 on, and its
+    non-tree neighbours' chains.  One pipelined pass, quadratic in
+    depth.
     """
-    blocks = []
-    for y in range(engine.g.n):
-        nb = info[y]
-        counts = [state.subtree_cross[y][nb.ancestors[j]] for j in range(1, nb.level)]
-        blocks.append([len(counts), *counts])
-    got = broadcast_t2(engine, info, blocks, 1, label=LABEL_HCAST, more=lambda head: head[0])
-    return [{y: blk[1:] for y, blk in per.items()} for per in got]
+    rows = [
+        [state.subtree_cross[y][a] for a in info[y].ancestors[1:-1]] for y in range(engine.g.n)
+    ]
+    return broadcast_t2(engine, info, rows, lambda level: level - 1, None, LABEL_HCAST,
+                        lo=2, paths=state.paths)
 
 
 def detect_case4(
@@ -260,18 +262,10 @@ def detect_case4(
 # cases 3 and 6: partner candidates live in the k=3 sketches
 
 
-def _on_chain(meta: Mapping[int, SketchMeta], u: int, target: int) -> bool:
-    """Is ``target`` equal to ``u`` or an ancestor of it, per the sketch?"""
-    w: int | None = u
-    while w is not None:
-        if w == target:
-            return True
-        w = meta[w].parent
-    return False
-
-
-def _sketch_disjoint(meta: Mapping[int, SketchMeta], x: int, y: int) -> bool:
-    return not _on_chain(meta, x, y) and not _on_chain(meta, y, x)
+def _sketch_disjoint(parent: Mapping[int, int | None], x: int, y: int) -> bool:
+    """Is neither of ``x`` and ``y`` on the other's root chain, per a
+    sketch's parent pointers?"""
+    return not _chain_has(parent, x, y) and not _chain_has(parent, y, x)
 
 
 def detect_case3(g: Graph, state: EtaState, sketches: SketchUpResult) -> list[CutReport]:
@@ -289,9 +283,10 @@ def detect_case3(g: Graph, state: EtaState, sketches: SketchUpResult) -> list[Cu
         if v == info.root:
             continue
         meta = sketches.sketches[v].meta
+        parent = {u: m.parent for u, m in meta.items()}
         ev = state.eta[v]
         for u, m in sorted(meta.items()):
-            if u == v or not _sketch_disjoint(meta, u, v):
+            if u == v or not _sketch_disjoint(parent, u, v):
                 continue
             eu, guv = m.eta, m.gamma
             if (ev - 2 == guv == eu - 1) or (ev - 1 == guv == eu - 2):
@@ -303,7 +298,7 @@ def detect_case3(g: Graph, state: EtaState, sketches: SketchUpResult) -> list[Cu
 
 @dataclass(frozen=True)
 class SketchExchange:
-    """Who knows whose sketch after the sketch swap.
+    """Who knows whose sketch after the sketch cast.
 
     ``chain[x]`` maps every ancestor of x (x included) to that
     ancestor's k=3 sketch entries as decoded from the wire; ``across[x]``
@@ -316,86 +311,36 @@ class SketchExchange:
     across: tuple[dict[int, dict[int, dict[int, SketchMeta]]], ...]
 
 
-class _SketchSwap(_Downcast):
-    """The sketch cast down the tree and the swap across non-tree edges.
-
-    Down the tree it is the plain relay of ``[count, entries...]``
-    blocks.  ``paths`` maps each non-tree edge to the neighbour's root
-    path as ``(eta, id)`` pairs; ``shared`` is the length of the prefix
-    both ends have in common.  Across the edge the node sends
-    ``[owner, count, entries...]`` for itself and for every ancestor
-    below that prefix: its own record at start, an ancestor's as soon as
-    its block is complete in the parent stream.  Each edge has its own
-    budget per direction, so the swap overlaps the cast.  ``heard``
-    collects the neighbour's records, which skip the same prefix.
-    """
-
-    def __init__(self, node, nb: NodeBfs, block: tuple[int, ...],
-                 paths: Mapping[int, Sequence[tuple[int, int]]]):
-        super().__init__(node, nb.level, nb.parent_eid, nb.children, block, 1,
-                         lambda head: ENTRY_WORDS * head[0])
-        self.own = block
-        self.ancestors = nb.ancestors
-        self.paths = paths
-        self.shared = {eid: _shared_prefix(nb.ancestors, path) for eid, path in paths.items()}
-        self.heard: dict[int, list[tuple[int, ...]]] = {eid: [] for eid in paths}
-
-    def start(self):
-        super().start()
-        self._offer(self.records, self.own)
-        for eid, heard in self.heard.items():
-            for _ in range(len(self.paths[eid]) - self.shared[eid]):
-                self.expect(eid, 2, heard.append, lambda head: ENTRY_WORDS * head[1])
-
-    def _read(self, rec):
-        super()._read(rec)
-        self._offer(self.records - len(self.received), rec)
-
-    def _offer(self, level: int, block: tuple[int, ...]) -> None:
-        for eid, shared in self.shared.items():
-            if level >= shared:
-                self.send(eid, self.ancestors[level], *block)
-
-
 def sketch_exchange(
     engine: Engine,
     info: BfsInfo,
     sketches: SketchUpResult,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
+    paths: Sequence[Mapping[int, Sequence[int]]],
 ) -> SketchExchange:
     """Downcast every sketch to its subtree and swap ancestor chains
     across non-tree edges, in one phase.
 
-    Every block frames itself, so nothing is padded and no width is
-    agreed first: the downcast carries ``[count, entries...]`` per
-    ancestor, cut-through, and the swap ``[owner, count, entries...]``
-    per ancestor of the sender (see :class:`_SketchSwap`).
-    ``annotated`` is :func:`preprocess_zeta`'s view of each non-tree
-    neighbour's root path, so both endpoints work out the same shared
-    prefix locally; those blocks are never sent across (the root's, the
-    largest, never is), and the receiver takes them from its own chain.
+    Every block frames itself as ``[count, entries...]``, so nothing is
+    padded and no width is agreed first.  ``paths`` (``EtaState.paths``)
+    holds each non-tree neighbour's root path: it names the blocks that
+    cross, and both endpoints work out the same shared prefix locally;
+    those blocks never cross (the root's, the largest, never does), and
+    the receiver takes them from its own chain.
     """
     n = engine.g.n
-    programs = []
-    for v, h in enumerate(engine.handles):
+    blocks = []
+    for v in range(n):
         meta = sketches.sketches[v].meta
-        block = (len(meta), *encode_entries(meta, n))
-        programs.append(_SketchSwap(h, info[v], block, annotated[v]))
-    _run_relay(engine, LABEL_SKETCH_CAST, programs)
+        blocks.append((len(meta), *encode_entries(meta, n)))
+    held = _relay_to_subtrees(engine, info, LABEL_SKETCH_CAST, blocks, 1,
+                              lambda head: ENTRY_WORDS * head[0], paths=paths)
 
     chain = []
     across = []
-    for nb, p in zip(info.nodes, programs):
-        blocks = zip(reversed(nb.ancestors), (p.own, *p.received))
-        own = {a: decode_entries(blk[1:], n) for a, blk in blocks}
-        chain.append(own)
-        across.append({
-            eid: {
-                **{a: own[a] for a in nb.ancestors[: p.shared[eid]]},
-                **{rec[0]: decode_entries(rec[2:], n) for rec in recs},
-            }
-            for eid, recs in p.heard.items()
-        })
+    for nb, got, per_edge in zip(info.nodes, held, paths):
+        decoded = {a: decode_entries(blk[1:], n) for a, blk in got.items()}
+        chain.append({a: decoded[a] for a in nb.ancestors})
+        across.append({eid: {a: decoded[a] for a in path} for eid, path in per_edge.items()})
     return SketchExchange(chain=tuple(chain), across=tuple(across))
 
 
@@ -427,16 +372,17 @@ def detect_case6(
         if v == info.root:
             continue
         meta = sketches.sketches[v].meta
+        parent = {u: m.parent for u, m in meta.items()}
         ev = state.eta[v]
         partners = [
             u
             for u in sorted(meta)
-            if u != v and _sketch_disjoint(meta, u, v)
+            if u != v and _sketch_disjoint(parent, u, v)
         ]
         for i, x in enumerate(partners):
             ex, gvx = meta[x].eta, meta[x].gamma
             for y in partners[i + 1 :]:
-                if not _sketch_disjoint(meta, x, y):
+                if not _sketch_disjoint(parent, x, y):
                     continue
                 ey, gvy = meta[y].eta, meta[y].gamma
                 if ev - 1 == gvx + gvy and ex - 1 == gvx and ey - 1 == gvy:
@@ -446,6 +392,10 @@ def detect_case6(
 
     for w in range(g.n):
         own = exchange.chain[w]
+        parents = {
+            a: {u: m.parent for u, m in sk.items()}
+            for chain in (own, *exchange.across[w].values()) for a, sk in chain.items()
+        }
         for eid, theirs in sorted(exchange.across[w].items()):
             for v in info[w].ancestors:
                 if v == info.root:
@@ -455,7 +405,7 @@ def detect_case6(
                 cands = [
                     u
                     for u in sorted(sv)
-                    if u != v and _sketch_disjoint(sv, u, v)
+                    if u != v and _sketch_disjoint(parents[v], u, v)
                 ]
                 for x in cands:
                     if x not in theirs:
@@ -463,9 +413,9 @@ def detect_case6(
                     sx = theirs[x]
                     ex, gvx = sv[x].eta, sv[x].gamma
                     for y in cands:
-                        if y == x or not _sketch_disjoint(sv, x, y):
+                        if y == x or not _sketch_disjoint(parents[v], x, y):
                             continue
-                        if y not in sx or not _sketch_disjoint(sx, x, y):
+                        if y not in sx or not _sketch_disjoint(parents[x], x, y):
                             continue
                         ey, gvy = sv[y].eta, sv[y].gamma
                         gxy = sx[y].gamma
@@ -522,40 +472,6 @@ def detect_case7(
 # the layered scan: sizes 1 and 2 inside every pivoted subgraph
 
 
-def preprocess_pivot(
-    engine: Engine,
-    info: BfsInfo,
-    hcast: Sequence[Mapping[int, tuple[int, ...]]],
-) -> tuple[dict[int, dict[int, tuple[int, ...]]], ...]:
-    """Swap crossing-count triangles over non-tree edges.
-
-    After the downcast each node knows H(desc(w), u) for its own
-    ancestors w and their ancestors u; here it forwards that triangle to
-    its non-tree neighbours, giving them the same numbers about the
-    *other* side's chain.  Row l of the triangle describes the level-l
-    ancestor, one entry per level strictly between the root and l.
-    """
-    def words(q: int) -> list[int]:
-        return [h for l, w in enumerate(info[q].ancestors) if l for h in hcast[q][w][: l - 1]]
-
-    heard = nontree_exchange(
-        engine, info, LABEL_PIVOT_PRE, words, lambda level: level * (level - 1) // 2
-    )
-    tri = []
-    for q, per_edge in enumerate(heard):
-        rows_by_edge: dict[int, dict[int, tuple[int, ...]]] = {}
-        for eid, recs in per_edge.items():
-            ws = [rec[0] for rec in recs]
-            rows: dict[int, tuple[int, ...]] = {}
-            off = 0
-            for l in range(1, info[q].neighbor_levels[eid] + 1):
-                rows[l] = tuple(ws[off : off + l - 1])
-                off += l - 1
-            rows_by_edge[eid] = rows
-        tri.append(rows_by_edge)
-    return tuple(tri)
-
-
 def layered_min_cut(
     engine: Engine,
     info: BfsInfo,
@@ -569,23 +485,25 @@ def layered_min_cut(
     landing algebra restricted to edges that stay under its level-i
     ancestor.  Layer 0 is the whole graph, whose fold the size-2 stage
     already ran: it is read off ``zeta`` (:func:`compute_zeta`'s
-    tables), and only layers 1 to depth - 1 run a phase.  Returns, per
+    tables), and only layers 1 to depth - 1 run a phase.  The atoms
+    read the crossing-count rows of the non-tree neighbours' chains out
+    of ``hcast`` (:func:`downcast_h` swapped them), so no phase of the
+    scan's own sends them.  Returns, per
     node a, ``two[a][i][l]``: the layer-i fold toward the level-l
     ancestor, candidate entries only.  The size-1 half needs no phase:
     see :func:`compute_cut_details`.
     """
     g = engine.g
-    tri = preprocess_pivot(engine, info, hcast)
     two: list[dict[int, dict[int, LayerCand]]] = [dict() for _ in range(g.n)]
     for a, nb in enumerate(info.nodes):
         cands = {l: zeta[a][v] for l, v in enumerate(nb.ancestors) if zeta[a][v].is_candidate()}
         if cands:
             two[a][0] = cands
-    states = [(info[a], annotated[a], tri[a]) for a in range(g.n)]
+    states = [(info[a], annotated[a], hcast[a]) for a in range(g.n)]
     for i in range(1, info.depth):
         folds = trsf_compute(engine, info, landing_spec(f"layer{i}", i), states, min_level=i + 1)
         for a in range(g.n):
-            cands = {l: z for l, z in folds[a].partials.items() if z.is_candidate()}
+            cands = {l: z for l, z in folds[a].items() if z.is_candidate()}
             if cands:
                 two[a][i] = cands
     return tuple(two)
@@ -850,7 +768,7 @@ def run_battery(
     reports += detect_case3(g, state, sk3)
     # The exchange is the battery's largest object; nothing after case 6
     # reads it, so it is not kept alive past that detector.
-    reports += detect_case6(g, state, sk3, sketch_exchange(engine, info, sk3, annotated))
+    reports += detect_case6(g, state, sk3, sketch_exchange(engine, info, sk3, state.paths))
 
     red2 = distributed_reduced_sketch(engine, info, state, 2, annotated, up=sk3)
     reports += detect_case7(g, state, red2)

@@ -4,40 +4,46 @@ Everything downstream runs over one rooted BFS spanning tree.  This
 module builds that tree distributedly (``build_bfs``), provides the two
 pipelined dissemination patterns — every node's one-word message to its
 whole subtree (``broadcast_t1``) and every node's word *list* to its
-subtree (``broadcast_t2``) — plus the swap of word lists across every
-non-tree edge (``nontree_exchange``), and implements the generic bottom-up fold
-engine (``trsf_compute``) that evaluates, for every node ``v``, the
-semigroup fold of per-node atomic values over the subtree below ``v``,
-while every node ``a`` also learns the partial folds of its own subtree
-toward each of its ancestors.
+subtree, optionally swapped across non-tree edges too
+(``broadcast_t2``) — plus the swap of one word list across every
+non-tree edge (``nontree_exchange``), and implements the generic
+bottom-up fold engine (``trsf_compute``) that evaluates, for every node
+``v``, the semigroup fold of per-node atomic values over the subtree
+below ``v``, while every node ``a`` also learns the partial folds of its
+own subtree toward each of its ancestors.
 
-Everything that moves down the tree rides one relay, ``_Downcast``: a
+Every block that moves down the tree rides one relay, ``_Downcast``: a
 node queues its own block, forwards each chunk from its parent unchanged
 in the round it arrives (cut-through, never store-and-forward), and reads
 the parent's stream as records through ``expect``.  A record is a
-fixed-width block whose width every node knows, or a self-framed block
-whose head says how long it is, so no phase is spent agreeing on a width
-and nothing is padded to one.  Only chunks from the parent are
-forwarded, so a program built on the relay may also talk across its
-other edges in the same phase (the sketch swap does).
+block whose width every node knows, possibly from its owner's level, or
+a self-framed block whose head says how long it is, so no phase is
+spent agreeing on a width and nothing is padded to one.  Given each
+non-tree neighbour's root
+path, the same relay swaps the blocks across non-tree edges in the same
+phase: a node sends its own block and then each ancestor's as it
+completes, minus the root-path prefix both ends share, and the receiver
+names each block by its place in the sender's root path.  A lowest
+casting level lets the nodes whose blocks nobody reads cast nothing.
 
 Exchanges between neighbours cross non-tree edges only: after
 ``build_bfs`` a tree neighbour's root path is already known (a child's
 is one's own plus the child, the parent's one's own minus oneself), so
 whatever follows from it is worked out locally.  ``nontree_exchange``
-sends one word list over every non-tree edge and reads the replies as
-fixed-width records.
+sends one word list over every non-tree edge and reads the replies
+word by word.
 
 Every fold record goes up as soon as it is complete, and the per-edge
 queues pace the wire: a node's partial toward ancestor level ``l`` is
-sent once all of its children have reported theirs.  When a record
-fits one round's budget, a fold restricted to levels ``>= min_level``
-takes ``depth - min_level + 1`` rounds.
+sent once all of its children have reported theirs.  A child's records
+arrive in ascending level order, so none carries its level.  When a
+record fits one round's budget, a fold restricted to levels
+``>= min_level`` takes ``depth - min_level + 1`` rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
@@ -262,52 +268,85 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
 
 
 class _Downcast(WordProgram):
-    """The one downward relay: own block first, then cut-through forwarding.
+    """The one relay: casts blocks down the tree and swaps them across
+    non-tree edges, cut-through.
 
-    A node queues its own block on its child edges: ``block`` is one
-    word list for all children, or a map from child edge id to that
-    child's block (the reduced-sketch strata).  It then forwards every
-    chunk from its parent unchanged, in the round the chunk arrives, and
-    reads the parent's stream as ``records`` records through ``expect``:
-    ``width`` words each, or ``width`` head words plus ``more(head)``
-    when blocks frame themselves.  No width is agreed beforehand and no
-    block is stored before it moves on.  ``received`` holds the records,
-    nearest ancestor first; :func:`_run_relay` checks that nothing
-    trails them.  Only chunks from the parent move on, so a subclass may
-    read other edges in the same phase; ``_read`` sees each record as it
-    completes.
+    A node at ``level >= lo`` queues its own block on its child edges
+    (nodes nearer the root cast nothing): ``block`` is one word list for
+    all children, or a map from child edge id to that child's block (the
+    reduced-sketch strata).  It then forwards every chunk from its
+    parent unchanged, in the round the chunk arrives, and reads the
+    parent's stream as records through ``expect``: ``width`` words each
+    (``width(l)`` for the block of a level-``l`` owner, when a block's
+    length follows from its owner's level), or ``width`` head words plus
+    ``more(head)`` when blocks frame themselves.  No width is agreed
+    beforehand and no block is stored before it moves on.
+    ``received`` holds the ``level - lo`` records, nearest ancestor
+    first.
+
+    ``swap`` maps each non-tree edge to ``(first, path)``: the lowest
+    level whose block crosses the edge, and the neighbour's root path.
+    Across it the node sends its own (single) block at start and each
+    ancestor's as soon as it completes in the parent stream, down to
+    level ``first``.  The neighbour does the same, so its blocks arrive
+    in a fixed order, its own first and then its ancestors nearest
+    first, and are named from ``path`` into ``across``: no owner word
+    crosses.  Each edge has its own budget per direction, so the swap
+    rides the cast's rounds.  :func:`_run_relay` checks that nothing
+    trails the records.
     """
 
-    def __init__(self, node: NodeHandle, records: int, parent_eid: int | None,
+    def __init__(self, node: NodeHandle, level: int, parent_eid: int | None,
                  children: tuple[tuple[int, int], ...],
-                 block: Sequence[int] | Mapping[int, Sequence[int]], width: int,
-                 more: Callable[[tuple[int, ...]], int] | None = None):
+                 block: Sequence[int] | Mapping[int, Sequence[int]],
+                 width: int | Callable[[int], int],
+                 more: Callable[[tuple[int, ...]], int] | None = None, lo: int = 0,
+                 swap: Mapping[int, tuple[int, Sequence[int]]] | None = None):
         super().__init__(node)
-        self.records = records
+        self.level = level
+        self.lo = lo
         self.parent_eid = parent_eid
         self.children = children
-        if isinstance(block, Mapping):
+        self.swap = swap or {}
+        if level < lo:
+            self.blocks = {}
+        elif isinstance(block, Mapping):
             self.blocks = {eid: tuple(words) for eid, words in block.items()}
         else:
-            self.blocks = dict.fromkeys((eid for _, eid in children), tuple(block))
-        self.width = width
+            own = tuple(block)
+            self.blocks = dict.fromkeys((eid for _, eid in children), own)
+            self.blocks.update(
+                (eid, own) for eid, (first, _) in self.swap.items() if level >= first
+            )
+        self.width = width if callable(width) else lambda level: width
         self.more = more
         self.received: list[tuple[int, ...]] = []
+        self.across: dict[int, tuple[int, ...]] = {}
 
     def frames(self, words: tuple[int, ...]) -> bool:
-        """Is ``words`` exactly one record as this relay reads them?"""
-        if len(words) < self.width:
+        """Is ``words`` exactly one record of this node's level as the
+        relay reads them?"""
+        head = self.width(self.level)
+        if len(words) < head:
             return False
-        return len(words) == self.width + (self.more(words[:self.width]) if self.more else 0)
+        return len(words) == head + (self.more(words[:head]) if self.more else 0)
 
     def start(self):
         for eid, words in self.blocks.items():
             self.send(eid, *words)
-        for _ in range(self.records):
-            self.expect(self.parent_eid, self.width, self._read, self.more)
+        for level in range(self.level - 1, self.lo - 1, -1):
+            self.expect(self.parent_eid, self.width(level), self._read, self.more)
+        for eid, (first, path) in self.swap.items():
+            for level in range(len(path) - 1, first - 1, -1):
+                self.expect(eid, self.width(level), partial(self.across.__setitem__, path[level]),
+                            self.more)
 
     def _read(self, rec: tuple[int, ...]) -> None:
         self.received.append(rec)
+        level = self.level - len(self.received)
+        for eid, (first, _) in self.swap.items():
+            if level >= first:
+                self.send(eid, *rec)
 
     def on_chunk(self, eid, words):
         if eid == self.parent_eid:
@@ -315,14 +354,10 @@ class _Downcast(WordProgram):
                 self.send(ceid, *words)
         super().on_chunk(eid, words)
 
-    @property
-    def stray(self) -> int:
-        """Words heard that no record claimed."""
-        return sum(len(buf) for buf in self._buf.values())
-
 
 def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> None:
-    """Run one relay phase; every node must read exactly its ancestors' blocks.
+    """Run one relay phase; every node must read exactly the blocks owed
+    to it, its ancestors' and its non-tree neighbours'.
 
     A block that does not frame itself is refused before anything is
     sent.  A missing record leaves an ``expect`` unmet, which the engine
@@ -344,19 +379,35 @@ def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> Non
 
 
 def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
-                       blocks: Sequence[Sequence[int]], width: int,
-                       more: Callable[[tuple[int, ...]], int] | None = None,
+                       blocks: Sequence[Sequence[int]], width: int | Callable[[int], int],
+                       more: Callable[[tuple[int, ...]], int] | None = None, lo: int = 0,
+                       paths: Sequence[Mapping[int, Sequence[int]]] | None = None,
                        ) -> list[dict[int, tuple[int, ...]]]:
-    """Relay every node's block to its subtree; key what arrived by ancestor."""
-    programs = [
-        _Downcast(h, info[v].level, info[v].parent_eid, info[v].children, blocks[v], width, more)
-        for v, h in enumerate(engine.handles)
-    ]
+    """Relay every node's block to its subtree and, given ``paths`` (per
+    node, each non-tree neighbour's root path), across its non-tree
+    edges; key what each node holds by owner.
+
+    Nodes nearer the root than level ``lo`` cast nothing.  The blocks of
+    the root-path prefix both ends of a non-tree edge share are already
+    in both chains, so they never cross it.
+    """
+    programs = []
+    for v, h in enumerate(engine.handles):
+        nb = info[v]
+        swap = {}
+        for eid, path in (paths[v] if paths else {}).items():
+            shared = sum(a == b for a, b in zip(nb.ancestors, path))
+            swap[eid] = (max(shared, lo), tuple(path))
+        programs.append(
+            _Downcast(h, nb.level, nb.parent_eid, nb.children, blocks[v], width, more, lo, swap)
+        )
     _run_relay(engine, label, programs)
     received = []
     for nb, p, own in zip(info.nodes, programs, blocks):
-        got = dict(zip(reversed(nb.ancestors[:-1]), p.received))
-        got[nb.id] = tuple(own)
+        got = dict(zip(reversed(nb.ancestors[lo:-1]), p.received))
+        if nb.level >= lo:
+            got[nb.id] = tuple(own)
+        got.update(p.across)
         received.append(got)
     return received
 
@@ -381,20 +432,29 @@ def broadcast_t2(
     engine: Engine,
     info: BfsInfo,
     lists: Sequence[Sequence[int]],
-    width: int,
-    more: Callable[[tuple[int, ...]], int],
+    width: int | Callable[[int], int],
+    more: Callable[[tuple[int, ...]], int] | None,
     label: str = LABEL_BCAST2,
+    lo: int = 0,
+    paths: Sequence[Mapping[int, Sequence[int]]] | None = None,
 ) -> list[dict[int, tuple[int, ...]]]:
     """Deliver each node's word list to its entire subtree.
 
     Lists frame themselves: ``width`` head words, then ``more(head)``
-    further words, so each ancestor's block costs exactly its own
-    length.  The relay is cut-through, so the cost is one pipelined pass
-    of each ancestor's block, quadratic in depth when blocks are of
-    depth order.  Returns, per node, a map from every ancestor (the node
-    included) to its list, head words kept.
+    further words; or, without ``more``, a level-``l`` node's list is
+    ``width(l)`` words long.  Either way each ancestor's block costs
+    exactly its own length.  The relay is cut-through, so the cost is
+    one pipelined pass of each ancestor's block, quadratic in depth when
+    blocks are of depth order.  Nodes nearer the root than level ``lo``
+    cast nothing.  With ``paths``
+    (per node, each non-tree neighbour's root path) the same blocks are
+    also swapped across non-tree edges in the same phase, minus those of
+    the root-path prefix both ends share.  Returns, per node, a map from
+    every owner whose list it holds (its ancestors from level ``lo``,
+    itself, and its non-tree neighbours' chains) to that list, head
+    words kept.
     """
-    return _relay_to_subtrees(engine, info, label, lists, width, more)
+    return _relay_to_subtrees(engine, info, label, lists, width, more, lo, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -402,28 +462,26 @@ def broadcast_t2(
 
 
 class ListExchange(WordProgram):
-    """Stream one word list over selected edges, read the replies as records.
+    """Stream one word list over selected edges, read the replies word by word.
 
-    ``incoming`` maps edge ids to the number of ``width``-word records
-    expected back; ``words`` goes out over each of them.  ``received``
-    maps every such edge to its records in arrival order.
+    ``incoming`` maps edge ids to the number of words expected back;
+    ``words`` goes out over each of them.  ``received`` maps every such
+    edge to its words in arrival order.
     """
 
-    def __init__(self, node: NodeHandle, words: tuple[int, ...], incoming: dict[int, int],
-                 width: int):
+    def __init__(self, node: NodeHandle, words: tuple[int, ...], incoming: dict[int, int]):
         super().__init__(node)
         self._words = words
         self._incoming = incoming
-        self._width = width
-        self.received: dict[int, list[tuple[int, ...]]] = {}
+        self.received: dict[int, list[int]] = {}
 
     def start(self) -> None:
         for eid, count in self._incoming.items():
             if self._words:
                 self.node.send(eid, *self._words)
-            records = self.received[eid] = []
+            words = self.received[eid] = []
             for _ in range(count):
-                self.expect(eid, self._width, records.append)
+                self.expect(eid, 1, lambda rec, out=words: out.append(rec[0]))
 
 
 def nontree_exchange(
@@ -432,15 +490,13 @@ def nontree_exchange(
     label: str,
     words: Callable[[int], Sequence[int]],
     incoming: Callable[[int], int],
-    width: int = 1,
-) -> list[dict[int, list[tuple[int, ...]]]]:
+) -> list[dict[int, list[int]]]:
     """Swap word lists across every non-tree edge, both ways at once.
 
     Node ``v`` sends ``words(v)`` over each incident non-tree edge and
-    reads ``incoming(l)`` records of ``width`` words back from a
-    neighbour at level ``l``.  ``words`` is called only for nodes that
-    have a non-tree edge.  Returns, per node, a map from non-tree edge
-    id to the records heard.
+    reads ``incoming(l)`` words back from a neighbour at level ``l``.
+    ``words`` is called only for nodes that have a non-tree edge.
+    Returns, per node, a map from non-tree edge id to the words heard.
     """
     programs = []
     for v, handle in enumerate(engine.handles):
@@ -449,7 +505,7 @@ def nontree_exchange(
         nontree = [eid for _, eid in handle.ports if eid not in tree_eids]
         mine = tuple(words(v)) if nontree else ()
         expected = {eid: incoming(nb.neighbor_levels[eid]) for eid in nontree}
-        programs.append(ListExchange(handle, mine, expected, width))
+        programs.append(ListExchange(handle, mine, expected))
     engine.run_phase(label, programs)
     return [p.received for p in programs]
 
@@ -482,21 +538,9 @@ class SemigroupSpec:
     identity: object = None
 
 
-@dataclass
-class TrsfNodeResult:
-    """Per-node fold outputs.
-
-    ``partials[l]`` is the fold of the node's own subtree toward its
-    level-``l`` ancestor; ``f`` (the full-subtree value) is the partial
-    at the node's own level.
-    """
-
-    partials: dict[int, object] = field(default_factory=dict)
-    f: object = None
-
-
 class _TrsfProgram(WordProgram):
-    _UNSET = object()
+    """One node's part of a fold: a record per level, sent up in
+    ascending level order, so no record carries its level."""
 
     def __init__(self, node: NodeHandle, nb: NodeBfs, spec: SemigroupSpec,
                  state: object, lo: int):
@@ -506,8 +550,7 @@ class _TrsfProgram(WordProgram):
         self.state = state
         self.lo = lo
         self.acc: dict[int, object] = {}
-        self.pending: dict[int, set[int]] = {}
-        self.f: object = self._UNSET
+        self.pending: dict[int, int] = {}
         self.next_l = lo
 
     def start(self):
@@ -516,31 +559,23 @@ class _TrsfProgram(WordProgram):
             return
         for l in range(self.lo, lv + 1):
             self.acc[l] = self.spec.atomic(self.state, l)
-            self.pending[l] = {cid for cid, _ in self.nb.children}
-        tail = self.spec.tail_words
-        more = (lambda rec: tail(rec[1:])) if tail else None  # a record is (level, *element)
-        for cid, eid in self.nb.children:
-            for _ in range(self.lo, lv + 1):
-                self.expect(eid, 1 + self.spec.head_words, partial(self._record, cid), more)
+            self.pending[l] = len(self.nb.children)
+        # A child's records for levels lo..lv arrive in that order.
+        for _, eid in self.nb.children:
+            for l in range(self.lo, lv + 1):
+                self.expect(eid, self.spec.head_words, partial(self._record, l),
+                            self.spec.tail_words)
         self._settle()
 
-    def _record(self, cid: int, rec: tuple[int, ...]):
-        l = rec[0]
-        elem = self.spec.decode(rec[1:])
-        if cid not in self.pending.get(l, ()):
-            raise ProtocolError(f"node {self.node.id}: record out of range (level {l}, child {cid})")
-        self.pending[l].discard(cid)
-        self.acc[l] = self.spec.combine(self.acc[l], elem)
+    def _record(self, l: int, rec: tuple[int, ...]):
+        self.pending[l] -= 1
+        self.acc[l] = self.spec.combine(self.acc[l], self.spec.decode(rec))
         self._settle()
 
     def _settle(self):
-        lv = self.nb.level
-        while self.next_l < lv and not self.pending[self.next_l]:
-            words = self.spec.encode(self.acc[self.next_l])
-            self.send(self.nb.parent_eid, self.next_l, *words)
+        while self.next_l < self.nb.level and not self.pending[self.next_l]:
+            self.send(self.nb.parent_eid, *self.spec.encode(self.acc[self.next_l]))
             self.next_l += 1
-        if self.f is self._UNSET and not self.pending[lv]:
-            self.f = self.acc[lv]
 
 
 def _check_algebra(spec: SemigroupSpec, seen: list[object]) -> None:
@@ -574,18 +609,21 @@ def trsf_compute(
     spec: SemigroupSpec,
     states: Sequence[object],
     min_level: int = 0,
-) -> list[TrsfNodeResult]:
+) -> list[dict[int, object]]:
     """Fold atomic values over every subtree, one wave up the tree.
 
     Every node ``a`` at level ``l_a >= min_level`` ends up with its
     partial fold toward each ancestor level in ``[min_level, l_a]``
-    (the one at ``l_a`` being the node's own subtree value ``f``).
+    (the one at ``l_a`` being the node's own subtree value): the
+    result's ``[a][l]``.
     ``min_level`` restricts the fold to the forest of subtrees rooted
     at that level, which is how per-pivot instances reuse this engine.
     A node sends each partial up as soon as all its children's records
     for that level are in; the per-edge queues pace the wire, so a fold
     whose records fit one round's budget takes ``depth - min_level + 1``
-    rounds.  Afterwards the combine operation is checked for
+    rounds.  Records go up in ascending level order and carry no level
+    word, so a record past the last level is left unread and refused
+    here.  Afterwards the combine operation is checked for
     commutativity and associativity on a sample of the folded elements.
     """
     if not 0 <= min_level <= max(info.depth, 0):
@@ -595,13 +633,11 @@ def trsf_compute(
         for v, h in enumerate(engine.handles)
     ]
     engine.run_phase(f"trsf:{spec.name}", programs)
-    results = []
-    seen: list[object] = []
+    # A record short leaves an expect unmet, which the engine reports.
     for p in programs:
-        if p.nb.level >= min_level and (p.next_l != p.nb.level or p.f is _TrsfProgram._UNSET):
-            raise ProtocolError(f"{spec.name}: node {p.node.id} did not complete its fold")
-        f = None if p.f is _TrsfProgram._UNSET else p.f
-        results.append(TrsfNodeResult(partials=dict(p.acc), f=f))
-        seen.extend(p.acc.values())
-    _check_algebra(spec, seen)
-    return results
+        if p.stray:
+            raise ProtocolError(
+                f"{spec.name}: node {p.node.id} heard {p.stray} words that no record claimed"
+            )
+    _check_algebra(spec, [x for p in programs for x in p.acc.values()])
+    return [p.acc for p in programs]

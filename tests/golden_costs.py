@@ -1,12 +1,12 @@
 """Golden cost ledger: the simulated cost and the answer of fixed runs.
 
 Each instance is one ``run_full_pipeline`` call under strict bandwidth.
-The ledger records, per instance, the rounds, messages and peak bits
-per edge per round of every phase label, the detected lambda with the
-reported cuts, and the battery's reports with the case and node that
-found each.  ``tests/test_golden_costs.py`` compares fresh runs against
-``golden_costs.json`` exactly, so a refactor that claims to leave the
-protocols alone can prove it.
+The ledger records, per instance, the rounds, messages, words and peak
+bits per edge per round of every phase label and in total, the detected
+lambda with the reported cuts, and the battery's reports with the case
+and node that found each.  ``tests/test_golden_costs.py`` compares fresh
+runs against ``golden_costs.json`` exactly, so a refactor that claims to
+leave the protocols alone can prove it.
 
 Regenerate only when a change is meant to move these numbers, and say
 why in CHANGES.md:
@@ -14,10 +14,10 @@ why in CHANGES.md:
     PYTHONPATH=src python tests/golden_costs.py
 
 To see what a change moves before regenerating, ``--diff`` prints, per
-instance and phase, the committed -> fresh rounds, messages and max bits,
-and any change in lambda or the reports; it writes nothing.  It exits 1
-when anything moved and 0 when it prints "no change", so a script can
-gate on it:
+instance and phase, the committed -> fresh rounds, messages, words and
+max bits ('-' where one side lacks the figure), and any change in lambda
+or the reports; it writes nothing.  It exits 1 when anything moved and 0
+when it prints "no change", so a script can gate on it:
 
     PYTHONPATH=src python tests/golden_costs.py --diff
 """
@@ -92,6 +92,7 @@ def measure(spec, root: int, force_battery: bool) -> dict:
         "battery_rounds": res.battery_rounds,
         "rounds_elapsed": stats["rounds_elapsed"],
         "total_messages": stats["total_messages"],
+        "total_words": stats["total_words"],
         "phases": stats["per_phase"],
     }
 
@@ -100,10 +101,11 @@ def collect() -> dict:
     return {name: measure(*inst) for name, inst in INSTANCES.items()}
 
 
-PHASE_FIELDS = (("rounds", "rounds"), ("messages", "messages"),
+PHASE_FIELDS = (("rounds", "rounds"), ("messages", "messages"), ("words", "words"),
                 ("max_bits_per_edge_per_round", "max bits"))
 ANSWER_FIELDS = ("lambda", "reports", "battery_reports")
-TOTAL_FIELDS = ("small_rounds", "battery_rounds", "rounds_elapsed", "total_messages")
+TOTAL_FIELDS = ("small_rounds", "battery_rounds", "rounds_elapsed", "total_messages",
+                "total_words")
 
 
 def diff(committed: dict, fresh: dict) -> list[str]:
@@ -119,15 +121,14 @@ def diff(committed: dict, fresh: dict) -> list[str]:
             if old[key] != new[key]:
                 lines.append(f"{name}: {key} changed: {old[key]} -> {new[key]}")
         for key in TOTAL_FIELDS:
-            if old[key] != new[key]:
-                lines.append(f"{name}: {key} {old[key]} -> {new[key]}")
+            if old.get(key) != new.get(key):
+                lines.append(f"{name}: {key} {old.get(key, '-')} -> {new.get(key, '-')}")
         for label in sorted(set(old["phases"]) | set(new["phases"])):
-            a, b = old["phases"].get(label), new["phases"].get(label)
+            a, b = old["phases"].get(label, {}), new["phases"].get(label, {})
             if a == b:
                 continue
             parts = [
-                f"{title} {'-' if a is None else a[key]} -> {'-' if b is None else b[key]}"
-                for key, title in PHASE_FIELDS
+                f"{title} {a.get(key, '-')} -> {b.get(key, '-')}" for key, title in PHASE_FIELDS
             ]
             lines.append(f"{name}: {label}: " + ", ".join(parts))
     return lines

@@ -294,7 +294,8 @@ def test_force_battery_measures_rounds_below_lambda_three():
 def test_battery_reuses_the_k3_wave_and_sends_lean_blocks():
     # One sketch up-wave serves the k=3 detectors and the reduced k=2
     # sketches; detail records carry only what case 5 reads, and hcast
-    # blocks frame themselves instead of padding to the depth.
+    # rows are as long as their owner's level says, without padding or a
+    # head word, and the levels 0 and 1 cast none.
     res = pipeline(generate("cycle", 16), force_battery=True)
     per = res.engine.stats.per_phase
     depth = res.depth
@@ -302,10 +303,13 @@ def test_battery_reuses_the_k3_wave_and_sends_lean_blocks():
     assert "sketch3" in per and "sketch2" not in per
     assert per["details1"].rounds == 3 * depth + 1
     assert per["details2"].rounds == 4 * depth + 1
-    assert per["hcast"].rounds == 16
-    # a layer-fold candidate is 6 words: its level, then (tag, w, stay, eta, gamma);
+    # 16 with a head word per row, and a separate 15-round pivot:pre phase
+    assert per["hcast"].rounds == 15
+    # a layer-fold candidate is 5 words, (tag, w, stay, eta, gamma), with no level word;
     # layer 0 is the size-2 stage's zeta fold, so layers 1..7 alone run (49 with layer 0)
-    assert sum(p.rounds for label, p in per.items() if label.startswith("trsf:layer")) == 27
+    layers = [p for label, p in per.items() if label.startswith("trsf:layer")]
+    assert sum(p.rounds for p in layers) == 27
+    assert sum(p.words for p in layers) == 91  # 182 with a level word per record
 
 
 def test_sketch_swap_is_one_phase_without_shared_blocks():
@@ -314,9 +318,10 @@ def test_sketch_swap_is_one_phase_without_shared_blocks():
     res = pipeline(generate("cycle", 16), force_battery=True)
     per = res.engine.stats.per_phase
     assert "sketchxch" not in per
-    assert per["sketchcast"].rounds == 209  # 205 + 242 as two phases
-    # 956 as two phases, 718 with 8-word layer candidates, 711 with a layer-0 fold
-    assert res.battery_rounds == 689
+    assert per["sketchcast"].rounds == 205  # 209 with an owner word, 205 + 242 as two phases
+    # 956 as two phases, 718 with 8-word layer candidates, 711 with a layer-0 fold,
+    # 689 with owner, level and head words and a pivot:pre phase
+    assert res.battery_rounds == 669
 
     g = generate("cycle", 16)
     engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
@@ -333,24 +338,63 @@ def test_sketch_swap_is_one_phase_without_shared_blocks():
         send(handle, e, ws)
 
     engine._send = tally
-    sketch_exchange(engine, info, up, annotated)
+    sketch_exchange(engine, info, up, state.paths)
     x, y = g.edges[eid]
-    # The two root paths share the root alone.
+    # The two root paths share the root alone; a block is its entry count
+    # and entries, and the receiver names it from the sender's root path.
     unshared = info[x].ancestors[1:] + info[y].ancestors[1:]
     assert len(set(unshared)) == len(unshared)
-    assert words[eid] == sum(2 + 4 * len(up.sketches[a].meta) for a in unshared)
+    assert words[eid] == sum(1 + 4 * len(up.sketches[a].meta) for a in unshared)
+
+
+def test_hcast_swaps_rows_without_shared_or_empty_ones():
+    # The crossing-count rows cross non-tree edges in the hcast phase
+    # itself, so no pivot:pre phase runs; a row on the root-path prefix
+    # both ends share, or of level 0 or 1 (empty), never crosses.
+    res = pipeline(generate("grid", 16), force_battery=True)
+    assert "hcast" in res.engine.stats.per_phase
+    assert "pivot:pre" not in res.engine.stats.per_phase
+
+    g = generate("grid", 16)
+    engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
+    info = build_bfs(engine, 0)
+    state = compute_eta(engine, info, preprocess_eta(engine, info))
+    words = {}
+    send = engine._send
+
+    def tally(handle, e, ws):
+        words[e] = words.get(e, 0) + len(ws)
+        send(handle, e, ws)
+
+    engine._send = tally
+    hcast = downcast_h(engine, info, state)
+    deepest = 0
+    for x in range(g.n):
+        for eid, path in state.paths[x].items():
+            y = engine.handles[x].neighbor(eid)
+            assert path == info[y].ancestors
+            shared = sum(a == b for a, b in zip(info[x].ancestors, path))
+            deepest = max(deepest, shared)
+            first = max(shared, 2)
+            chains = info[x].ancestors[first:] + info[y].ancestors[first:]
+            # a level-l row is l - 1 counts, and nothing else crosses
+            assert words.get(eid, 0) == sum(info[a].level - 1 for a in chains)
+            for a in info[y].ancestors[2:]:
+                assert hcast[x][a] == hcast[y][a]
+    assert deepest > 2  # some edge's ends share more than the root and level 1
 
 
 def test_scan_takes_layer0_from_the_zeta_fold():
     # The pivot-0 subgraph is the whole graph, so the size-2 stage's zeta
-    # fold is the scan's layer 0 and no trsf:layer0 phase runs; root paths
-    # cross non-tree edges as (eta, id) pairs, 2 words per ancestor.
+    # fold is the scan's layer 0 and no trsf:layer0 phase runs; eta:pre
+    # already sent the root paths' ids, so zeta:pre sends etas only.
     res = pipeline(generate("cycle", 16), force_battery=True)
     per = res.engine.stats.per_phase
     assert "trsf:zeta" in per and "trsf:layer0" not in per
     assert "trsf:layer1" in per
     res = pipeline(generate("cycle", 12))
-    assert res.engine.stats.per_phase["zeta:pre"].rounds == 8  # 12 with a level word
+    # 8 with (eta, id) pairs, 12 with a level word too
+    assert res.engine.stats.per_phase["zeta:pre"].rounds == 5
 
 
 def test_rounds_split_between_stages():

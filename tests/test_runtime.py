@@ -327,6 +327,8 @@ def test_phase_accounting_sums_to_totals():
     assert after_first == stats.per_phase["first"].rounds
     assert stats.rounds_elapsed == sum(p.rounds for p in stats.per_phase.values())
     assert stats.total_messages == sum(p.messages for p in stats.per_phase.values())
+    assert stats.total_words == sum(p.words for p in stats.per_phase.values())
+    assert stats.total_words >= stats.total_messages > 0
     assert stats.max_bits_per_edge_per_round == max(
         p.max_bits_per_edge_per_round for p in stats.per_phase.values()
     )

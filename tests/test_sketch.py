@@ -400,7 +400,7 @@ def test_sketch_exchange_delivers_every_ancestor_chain(g, roots):
     for root in roots:
         engine, info, state, annotated = sketch_stage(g, root)
         up = distributed_k_sketch(engine, info, state, 3, annotated)
-        ex = sketch_exchange(engine, info, up, annotated)
+        ex = sketch_exchange(engine, info, up, state.paths)
 
         def chain_of(y):
             # The wire carries every entry but the branching number.

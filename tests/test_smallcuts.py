@@ -111,15 +111,16 @@ def test_crossing_table_examples():
     g = generate("cycle", 4)
     engine, info = start(g)
     pre = preprocess_eta(engine, info)
-    assert pre[2][1] == 1  # only neighbour 3 lies outside desc(1)
-    assert pre[2][2] == 2
+    assert pre.cross[2][1] == 1  # only neighbour 3 lies outside desc(1)
+    assert pre.cross[2][2] == 2
+    assert pre.paths[2] == {g.eid(2, 3): (0, 3)}  # kept for zeta:pre and hcast
 
     star = Graph(6, [(0, i) for i in range(1, 6)])
     engine, info = start(star)
     pre = preprocess_eta(engine, info)
     for leaf in range(1, 6):
-        assert pre[leaf][0] == 0
-        assert pre[leaf][leaf] == 1
+        assert pre.cross[leaf][0] == 0
+        assert pre.cross[leaf][leaf] == 1
     # a tree neighbour's root path is known without asking for it
     assert LABEL_ETA_PRE not in engine.stats.per_phase
 
@@ -127,9 +128,9 @@ def test_crossing_table_examples():
     engine, info = start(p4)
     pre = preprocess_eta(engine, info)
     for a in range(1, 4):
-        assert pre[a][a] >= 1
+        assert pre.cross[a][a] >= 1
         for v in info[a].ancestors[:-1]:
-            assert pre[a][v] == 0
+            assert pre.cross[a][v] == 0
     assert LABEL_ETA_PRE not in engine.stats.per_phase
 
 
@@ -142,6 +143,16 @@ def test_eta_values_on_fixed_graphs():
         engine, info = start(g)
         state = compute_eta(engine, info, preprocess_eta(engine, info))
         assert state.eta == expected
+
+
+def test_eta_fold_sends_one_word_per_record():
+    # A level-l node sends l records, one per ancestor level below its
+    # own, in level order; each is the count alone, with no level word.
+    for g, root in ((generate("grid", 16), 5), (generate("random_connected", 14, seed=2), 3)):
+        engine, info = start(g, root)
+        compute_eta(engine, info, preprocess_eta(engine, info))
+        records = sum(info[v].level for v in range(g.n))
+        assert engine.stats.per_phase["trsf:eta"].words == records
 
 
 @settings(deadline=None, max_examples=40)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallcut.graphs import Graph, RootedTree, generate
+from smallcut import trees
 from smallcut.runtime import Engine, ProtocolError, SimulatorConfig, measure_diameter
 from smallcut.trees import (
     SemigroupError,
@@ -162,7 +163,7 @@ def test_subtree_sizes_by_counting_fold():
     folds = trsf_compute(engine, info, counting_spec(), [None] * 4)
     ref = info.tree()
     for v in range(4):
-        assert folds[v].f == len(ref.desc(v))
+        assert folds[v][info[v].level] == len(ref.desc(v))
     assert engine.stats.per_phase["trsf:size"].rounds == info.depth + 1
 
 
@@ -180,7 +181,7 @@ def test_max_id_fold():
     folds = trsf_compute(engine, info, spec, list(range(g.n)))
     ref = info.tree()
     for v in range(g.n):
-        assert folds[v].f == max(ref.desc(v))
+        assert folds[v][info[v].level] == max(ref.desc(v))
 
 
 @settings(deadline=None, max_examples=30)
@@ -202,8 +203,8 @@ def test_fold_partials_and_round_count(seed):
     ref = info.tree()
     for v in range(g.n):
         size = len(ref.desc(v))
-        assert folds[v].f == size * (info[v].level + 1)
-        for l, val in folds[v].partials.items():
+        assert folds[v][info[v].level] == size * (info[v].level + 1)
+        for l, val in folds[v].items():
             assert val == size * (l + 1)
     assert engine.stats.per_phase["trsf:weighted"].rounds == info.depth + 1
 
@@ -216,11 +217,10 @@ def test_fold_with_min_level_restricts_to_deep_forest():
     ref = info.tree()
     for v in range(6):
         if info[v].level < 2:
-            assert folds[v].f is None
-            assert folds[v].partials == {}
+            assert folds[v] == {}
         else:
-            assert folds[v].f == len(ref.desc(v))
-            assert sorted(folds[v].partials) == list(range(2, info[v].level + 1))
+            assert folds[v][info[v].level] == len(ref.desc(v))
+            assert sorted(folds[v]) == list(range(2, info[v].level + 1))
     assert engine.stats.per_phase["trsf:deep"].rounds == info.depth - 2 + 1
 
 
@@ -241,7 +241,25 @@ def test_variable_length_fold_collects_subtree_ids():
     folds = trsf_compute(engine, info, spec, list(range(g.n)))
     ref = info.tree()
     for v in range(g.n):
-        assert folds[v].f == tuple(sorted(ref.desc(v)))
+        assert folds[v][info[v].level] == tuple(sorted(ref.desc(v)))
+
+
+def test_fold_refuses_an_extra_record(monkeypatch):
+    # Records carry no level word: a child's records arrive in level
+    # order, and one past the last is left unread and refused.
+    g = generate("path", 4)
+    engine = strict_engine(g)
+    info = build_bfs(engine, 0)
+    start = trees._TrsfProgram.start
+
+    def start_and_add_one(self):
+        start(self)
+        if self.node.id == 3:
+            self.send(self.nb.parent_eid, 1)
+
+    monkeypatch.setattr(trees._TrsfProgram, "start", start_and_add_one)
+    with pytest.raises(ProtocolError, match="node 2 heard 1 words"):
+        trsf_compute(engine, info, counting_spec(), [None] * 4)
 
 
 def test_fold_rejects_broken_algebra():
@@ -274,5 +292,4 @@ def test_fold_single_vertex():
     engine = strict_engine(Graph(1, []))
     info = build_bfs(engine, 0)
     folds = trsf_compute(engine, info, counting_spec(), [None])
-    assert folds[0].f == 1
-    assert folds[0].partials == {0: 1}
+    assert folds[0] == {0: 1}
