@@ -16,8 +16,9 @@ Three layers live here:
   :func:`reference_k_sketch`) computing canonical trees, branching numbers
   and sketches straight from the graph — the oracle the tests trust;
 * a distributed bottom-up wave (:func:`distributed_k_sketch`): each node
-  merges its children's sketches with its own incident-edge information,
-  truncates, and forwards the result — one simulator phase;
+  merges its children's sketches with its non-tree neighbours' root
+  paths (ids from ``EtaState.paths``, etas from the lookup
+  ``preprocess_zeta`` returns), truncates, and forwards the result;
 * the reduced variant (:func:`distributed_reduced_sketch`): every internal
   node re-merges its children's contributions leaving one child out, casts
   the per-child results down that child's subtree, and each descendant
@@ -448,9 +449,9 @@ def _merge_sources(
     v: int,
     k: int,
     spine: Sequence[int],
-    spine_eta: Mapping[int, int],
+    eta_of: Mapping[int, int],
     sources: Sequence[_Source],
-    own_paths: Sequence[Sequence[tuple[int, int]]] = (),
+    own_paths: Sequence[Sequence[int]] = (),
     own_gamma: Mapping[int, int] | None = None,
     own_spine_gamma: Mapping[int, int] | None = None,
     exclude: int | None = None,
@@ -459,8 +460,9 @@ def _merge_sources(
 ) -> _MergeResult:
     """Union ingredient sketches into the truncated sketch owned by ``v``.
 
-    ``own_paths`` are the root paths of the owner's non-tree neighbours
-    as ``(eta, id)`` pairs; ``own_gamma`` / ``own_spine_gamma`` carry
+    ``own_paths`` are the root paths (ids) of the owner's non-tree
+    neighbours; ``eta_of`` looks up the eta of every node on the spine
+    and on those paths; ``own_gamma`` / ``own_spine_gamma`` carry
     the owner's incident-edge crossing contributions for non-spine and
     spine nodes; ``spine_gamma_table`` — available when the source region
     is exactly ``desc(v)`` — provides authoritative spine values the
@@ -496,7 +498,7 @@ def _merge_sources(
 
     prev: int | None = None
     for u in spine:
-        _add(u, prev, spine_eta[u])
+        _add(u, prev, eta_of[u])
         prev = u
     for src in sources:
         entries = src.view.entries
@@ -509,8 +511,8 @@ def _merge_sources(
             certified.update(src.certify_on_self)
     for path in own_paths:
         prev = None
-        for eta_u, u in path:
-            _add(u, prev, eta_u)
+        for u in path:
+            _add(u, prev, eta_of[u])
             certified.add(u)
             prev = u
 
@@ -660,13 +662,13 @@ class _SketchUp(WordProgram):
         node,
         info: BfsInfo,
         state: EtaState,
-        annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
+        etas: Sequence[Mapping[int, int]],
         k: int,
     ) -> None:
         super().__init__(node)
         self.info = info
         self.state = state
-        self.annotated = annotated
+        self.etas = etas
         self.k = k
         self.me = info[node.id]
         self.views: dict[int, WireView] = {}
@@ -687,7 +689,7 @@ class _SketchUp(WordProgram):
 
     def _finish_up(self) -> None:
         merged = _merge_node_sketch(
-            self.info, self.state, self.annotated, self.k, self.node.id, self.views
+            self.info, self.state, self.etas, self.k, self.node.id, self.views
         )
         self.result = merged.sketch
         if not self.me.is_root:
@@ -698,24 +700,21 @@ class _SketchUp(WordProgram):
 def _merge_node_sketch(
     info: BfsInfo,
     state: EtaState,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
+    etas: Sequence[Mapping[int, int]],
     k: int,
     v: int,
     views: Mapping[int, WireView],
     exclude: int | None = None,
 ) -> _MergeResult:
-    """Owner-side merge shared by the plain wave and the reduced re-merge."""
+    """Owner-side merge shared by the plain wave and the reduced re-merge;
+    the neighbours' ids come from ``state.paths``, their etas from ``etas``."""
     me = info[v]
     rho_v = list(me.ancestors)
     spine = frozenset(rho_v)
-    own_paths = []
-    own_gamma: Counter[int] = Counter()
-    lists = annotated[v]
-    for eid in sorted(lists):
-        path = lists[eid]
-        own_paths.append(path)
-        # the edge crosses into desc(u) for every u off the shared prefix
-        own_gamma.update(u for _, u in path if u not in spine)
+    paths = state.paths[v]
+    own_paths = [paths[eid] for eid in sorted(paths)]
+    # each edge crosses into desc(u) for every u off the shared prefix
+    own_gamma = Counter(u for path in own_paths for u in path if u not in spine)
     for cid, _eid in me.children:
         own_gamma[cid] += 1  # the tree edge (v, child) crosses into desc(child)
 
@@ -731,7 +730,7 @@ def _merge_node_sketch(
         v=v,
         k=k,
         spine=rho_v,
-        spine_eta=dict(state.anc_eta[v]),
+        eta_of=etas[v],
         sources=sources,
         own_paths=own_paths,
         own_gamma=own_gamma,
@@ -747,17 +746,18 @@ def distributed_k_sketch(
     info: BfsInfo,
     state: EtaState,
     k: int,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
+    etas: Sequence[Mapping[int, int]],
 ) -> SketchUpResult:
     """Run the bottom-up sketch wave; node ``v`` ends up holding ``S_k(v)``.
 
-    ``annotated`` is the non-tree neighbour ancestor exchange, the output
-    of :func:`smallcut.small_cuts.preprocess_zeta`.
+    Each merge reads the ids of the node's non-tree neighbours' root
+    paths from ``state.paths`` and their etas from ``etas``, the lookups
+    :func:`smallcut.small_cuts.preprocess_zeta` returns.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     programs = [
-        _SketchUp(handle, info, state, annotated, k) for handle in engine.handles
+        _SketchUp(handle, info, state, etas, k) for handle in engine.handles
     ]
     engine.run_phase(f"{LABEL_SKETCH}{k}", programs)
     for p in programs:
@@ -815,7 +815,7 @@ def _strata_merge(
         v=v,
         k=k,
         spine=rho_v,
-        spine_eta=spine_eta,
+        eta_of=spine_eta,
         sources=sources,
         exclude=x,
         depth_hint=info.depth,
@@ -838,7 +838,7 @@ def distributed_reduced_sketch(
     info: BfsInfo,
     state: EtaState,
     k: int,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
+    etas: Sequence[Mapping[int, int]],
     up: SketchUpResult | None = None,
 ) -> ReducedSketchResult:
     """Compute ``S_k(v \\ x)`` at every node ``x`` for each proper ancestor.
@@ -857,7 +857,7 @@ def distributed_reduced_sketch(
     Without ``up`` the wave is run here at ``k``.
     """
     if up is None:
-        up = distributed_k_sketch(engine, info, state, k, annotated)
+        up = distributed_k_sketch(engine, info, state, k, etas)
     elif up.k < k:
         raise ValueError(f"a k={up.k} up-wave cannot serve reduced sketches at k={k}")
 
@@ -868,7 +868,7 @@ def distributed_reduced_sketch(
         if v != info.root:
             for cid, eid in info[v].children:
                 merged = _merge_node_sketch(
-                    info, state, annotated, k, v, up.child_views[v], exclude=cid
+                    info, state, etas, k, v, up.child_views[v], exclude=cid
                 )
                 per_edge[eid] = _encode_view(
                     merged.sketch, merged.flagged, merged.branch_bit, n

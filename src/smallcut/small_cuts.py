@@ -15,7 +15,8 @@ Size-2 cuts split into three shapes, each decided by a local test:
 * two disjoint tree edges -- found by folding the landing algebra
   (:func:`landing_combine` over :class:`LayerCand`) that tracks where a
   subtree's outgoing edges land; its input is each neighbour's root
-  path, whose etas alone cross the edge.  The same fold, restricted to edges
+  path, whose ids are already known and of whose etas only those off
+  the prefix both ends share cross the edge.  The same fold, restricted to edges
   under a deeper pivot, is the size-3 battery's layered scan; this one
   is its layer 0.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, boundary, edge_pairs
 from .runtime import Engine, ProtocolError
@@ -36,6 +37,7 @@ from .trees import (
     SemigroupSpec,
     broadcast_t1,
     nontree_exchange,
+    shared_prefix,
     trsf_compute,
 )
 
@@ -106,16 +108,29 @@ def landing_spec(name: str, pivot_level: int) -> SemigroupSpec:
     """Fold of the landing algebra pivoted at ``pivot_level``, atoms from
     :func:`_layer_atom`.
 
-    A candidate travels as all of its fields, tag first; the identity and
-    absorbing elements as the tag alone.
+    A candidate travels as its fields, tag first; the identity and
+    absorbing elements as the tag alone.  At pivot 0 ``stay == eta``, so
+    a candidate goes without ``stay`` and the receiver fills it in.
     """
-    tail = len(LayerCand._fields) - 1
+    full = pivot_level > 0
+
+    def encode(z: LayerCand) -> tuple[int, ...]:
+        if z.tag != TAG_CANDIDATE:
+            return (z.tag,)
+        return tuple(z) if full else (z.tag, z.w, z.eta, z.gamma)
+
+    def decode(words: tuple[int, ...]) -> LayerCand:
+        if full or len(words) == 1:
+            return LayerCand(*words)
+        return LayerCand(*words[:3], *words[2:])  # (tag, w, eta, gamma): stay = eta
+
+    tail = len(LayerCand._fields) - (1 if full else 2)
     return SemigroupSpec(
         name=name,
         combine=landing_combine,
         atomic=partial(_layer_atom, pivot_level),
-        encode=lambda z: tuple(z) if z.tag == TAG_CANDIDATE else (z.tag,),
-        decode=lambda words: LayerCand(*words),
+        encode=encode,
+        decode=decode,
         head_words=1,
         tail_words=lambda head: tail if head[0] == TAG_CANDIDATE else 0,
         identity=LAYER_IDENTITY,
@@ -188,19 +203,18 @@ def preprocess_eta(engine: Engine, info: BfsInfo) -> EtaPre:
     in O(depth) rounds.
     """
     heard = nontree_exchange(
-        engine, info, LABEL_ETA_PRE, lambda a: info[a].ancestors, lambda level: level + 1
+        engine, info, LABEL_ETA_PRE,
+        lambda a, eid: (info[a].ancestors, info[a].neighbor_levels[eid] + 1),
     )
     own_cross = []
-    paths = []
-    for a, per_edge in enumerate(heard):
-        mine = {eid: tuple(path) for eid, path in per_edge.items()}
-        sets = [set(path) for path in mine.values()]
-        cross = {v: sum(1 for s in sets if v not in s) for v in info[a].ancestors}
+    for a, paths in enumerate(heard):
+        shared = [shared_prefix(info[a].ancestors, path) for path in paths.values()]
+        # the edge leaves desc(v) exactly when v is off the shared prefix
+        cross = {v: sum(1 for s in shared if s <= l) for l, v in enumerate(info[a].ancestors)}
         if a != info.root:
             cross[a] += 1  # the parent edge
         own_cross.append(cross)
-        paths.append(mine)
-    return EtaPre(tuple(own_cross), tuple(paths))
+    return EtaPre(tuple(own_cross), tuple(heard))
 
 
 def compute_eta(engine: Engine, info: BfsInfo, pre: EtaPre) -> EtaState:
@@ -252,24 +266,28 @@ def detect_1cuts(state: EtaState) -> list[CutReport]:
     return reports
 
 
-def preprocess_zeta(
-    engine: Engine, info: BfsInfo, state: EtaState
-) -> tuple[dict[int, tuple[tuple[int, int], ...]], ...]:
-    """Annotate each non-tree neighbour's root path with etas.
+def preprocess_zeta(engine: Engine, info: BfsInfo, state: EtaState) -> tuple[dict[int, int], ...]:
+    """Learn the etas of each non-tree neighbour's root path.
 
-    ``eta:pre`` already delivered the ids (``state.paths``), so only the
-    etas cross, one word per ancestor.  Returns, per node, a map from
-    non-tree edge id to the neighbour's root path as ``(eta, id)`` pairs
-    in root-to-node order; a pair's index is its level.
+    ``eta:pre`` already delivered the ids (``state.paths``), and the etas
+    of the root-path prefix both ends share are in both ``anc_eta``
+    tables, so only the etas of the sender's chain below that prefix
+    cross, one word per ancestor in root-to-node order.  Returns, per
+    node, one eta lookup by owner id: its own ancestors and the unshared
+    part of each non-tree neighbour's chain.
     """
-    def words(a: int) -> list[int]:
-        return [state.anc_eta[a][u] for u in info[a].ancestors]
+    def plan(a: int, eid: int) -> tuple[list[int], int]:
+        path = state.paths[a][eid]
+        shared = shared_prefix(info[a].ancestors, path)
+        return [state.anc_eta[a][u] for u in info[a].ancestors[shared:]], len(path) - shared
 
-    heard = nontree_exchange(engine, info, LABEL_ZETA_PRE, words, lambda level: level + 1)
-    return tuple(
-        {eid: tuple(zip(etas, state.paths[a][eid])) for eid, etas in per_edge.items()}
-        for a, per_edge in enumerate(heard)
-    )
+    heard = nontree_exchange(engine, info, LABEL_ZETA_PRE, plan)
+    etas = [dict(anc_eta) for anc_eta in state.anc_eta]
+    for a, per_edge in enumerate(heard):
+        for eid, words in per_edge.items():
+            path = state.paths[a][eid]
+            etas[a].update(zip(path[shared_prefix(info[a].ancestors, path):], words))
+    return tuple(etas)
 
 
 def _layer_atom(pivot_level: int, node_state, l: int) -> LayerCand:
@@ -277,42 +295,42 @@ def _layer_atom(pivot_level: int, node_state, l: int) -> LayerCand:
     level-``pivot_level`` ancestor land, seen from ancestor level ``l``?
 
     ``node_state`` is the node's ``BfsInfo`` entry, its neighbours' root
-    paths from :func:`preprocess_zeta` and the crossing-count rows it
-    holds after ``hcast``, by owner id (read only below pivot 0).
+    paths (``EtaState.paths``), its eta lookup from :func:`preprocess_zeta`
+    and the crossing-count rows it holds after ``hcast`` (read only below
+    pivot 0); etas and rows are looked up by owner id.
     """
-    nb, per_edge, rows = node_state
+    nb, paths, etas, rows = node_state
     v = nb.ancestors[l]
     u = nb.ancestors[pivot_level]
     acc = LAYER_IDENTITY
-    for path in per_edge.values():
+    for path in paths.values():
         lq = len(path) - 1
-        if lq < pivot_level or path[pivot_level][1] != u:
+        if lq < pivot_level or path[pivot_level] != u:
             continue  # the edge leaves the pivot's subtree: not ours to count
         if lq < l:
             return LAYER_ABSORBING  # lands between the pivot and the layer
-        eta_w, w = path[l]
+        w = path[l]
         if w == v:
             continue  # stays inside desc(v)
+        eta_w = etas[w]
         cross_wu = rows[w][pivot_level - 1] if pivot_level else 0
         acc = landing_combine(acc, LayerCand(TAG_CANDIDATE, w, eta_w - cross_wu, eta_w, 1))
     return acc
 
 
 def compute_zeta(
-    engine: Engine,
-    info: BfsInfo,
-    state: EtaState,
-    annotated: tuple[dict[int, tuple[tuple[int, int], ...]], ...],
+    engine: Engine, info: BfsInfo, state: EtaState, etas: Sequence[Mapping[int, int]]
 ) -> tuple[dict[int, LayerCand], ...]:
     """Fold the landing algebra over each subtree, pivoted at the root.
 
-    ``annotated`` is what :func:`preprocess_zeta` heard.  Returns, per
+    The atoms read the neighbours' ids from ``state.paths`` and their
+    etas from ``etas``, :func:`preprocess_zeta`'s lookups.  Returns, per
     node a, a map v -> fold over desc(a) for every ancestor v of a
     (including a itself).  This is also layer 0 of the layered scan.
     """
     n = engine.g.n
     spec = landing_spec("zeta", 0)
-    states = [(info[a], annotated[a], None) for a in range(n)]
+    states = [(info[a], state.paths[a], etas[a], None) for a in range(n)]
     folds = trsf_compute(engine, info, spec, states)
     tables = tuple(
         {info[a].ancestors[l]: z for l, z in folds[a].items()}

@@ -19,6 +19,9 @@ node's chain across its non-tree edges on the cast's clock, minus the
 root-path prefix both ends share, and the receiver names each block
 from the sender's root path.  ``hcast`` swaps the crossing-count
 rows the layered scan reads, ``sketchcast`` the sketches case 6 reads.
+A node holds each fact about another node once, by owner id (etas,
+rows, sketch entries); ``EtaState.paths`` is its one per-edge record
+of a neighbour.
 Case 5 — a fork seen from a node that is an ancestor of neither prong —
 is the one shape no single node can observe locally; it is covered by
 the layered scan (sizes 1 and 2 re-run inside every pivoted subgraph).
@@ -296,59 +299,35 @@ def detect_case3(g: Graph, state: EtaState, sketches: SketchUpResult) -> list[Cu
     return out
 
 
-@dataclass(frozen=True)
-class SketchExchange:
-    """Who knows whose sketch after the sketch cast.
-
-    ``chain[x]`` maps every ancestor of x (x included) to that
-    ancestor's k=3 sketch entries as decoded from the wire; ``across[x]``
-    holds, per incident non-tree edge, the same chain as seen from the
-    other endpoint.  The ancestors both endpoints share are filled in
-    from x's own chain; only the others crossed the edge.
-    """
-
-    chain: tuple[dict[int, dict[int, SketchMeta]], ...]
-    across: tuple[dict[int, dict[int, dict[int, SketchMeta]]], ...]
-
-
 def sketch_exchange(
     engine: Engine,
     info: BfsInfo,
     sketches: SketchUpResult,
     paths: Sequence[Mapping[int, Sequence[int]]],
-) -> SketchExchange:
+) -> list[dict[int, dict[int, SketchMeta]]]:
     """Downcast every sketch to its subtree and swap ancestor chains
     across non-tree edges, in one phase.
 
     Every block frames itself as ``[count, entries...]``, so nothing is
     padded and no width is agreed first.  ``paths`` (``EtaState.paths``)
     holds each non-tree neighbour's root path: it names the blocks that
-    cross, and both endpoints work out the same shared prefix locally;
-    those blocks never cross (the root's, the largest, never does), and
-    the receiver takes them from its own chain.
+    cross, and both endpoints work out the same shared prefix locally, so
+    those blocks never cross (the root's, the largest, never does).
+    Returns, per node, the k=3 sketch entries it holds, decoded, by
+    owner: its own chain and its non-tree neighbours' chains.
     """
     n = engine.g.n
-    blocks = []
-    for v in range(n):
-        meta = sketches.sketches[v].meta
-        blocks.append((len(meta), *encode_entries(meta, n)))
+    blocks = [(len(s.meta), *encode_entries(s.meta, n)) for s in sketches.sketches]
     held = _relay_to_subtrees(engine, info, LABEL_SKETCH_CAST, blocks, 1,
                               lambda head: ENTRY_WORDS * head[0], paths=paths)
-
-    chain = []
-    across = []
-    for nb, got, per_edge in zip(info.nodes, held, paths):
-        decoded = {a: decode_entries(blk[1:], n) for a, blk in got.items()}
-        chain.append({a: decoded[a] for a in nb.ancestors})
-        across.append({eid: {a: decoded[a] for a in path} for eid, path in per_edge.items()})
-    return SketchExchange(chain=tuple(chain), across=tuple(across))
+    return [{a: decode_entries(blk[1:], n) for a, blk in got.items()} for got in held]
 
 
 def detect_case6(
     g: Graph,
     state: EtaState,
     sketches: SketchUpResult,
-    exchange: SketchExchange,
+    held: Sequence[Mapping[int, Mapping[int, SketchMeta]]],
 ) -> list[CutReport]:
     """Three pairwise-disjoint tree edges.
 
@@ -362,7 +341,9 @@ def detect_case6(
     all three numbers, but a non-tree edge between two of the subtrees
     sees the missing one: each endpoint combines an ancestor's sketch
     (for its two counts) with a sketch from the neighbour's chain (for
-    the third).
+    the third).  ``held`` is what :func:`sketch_exchange` left at each
+    node, by owner; whether ``x`` is on an edge's neighbour chain is read
+    from ``state.paths``.
     """
     info = state.info
     tree = info.tree()
@@ -390,29 +371,26 @@ def detect_case6(
                     if r:
                         out.append(r)
 
-    for w in range(g.n):
-        own = exchange.chain[w]
-        parents = {
-            a: {u: m.parent for u, m in sk.items()}
-            for chain in (own, *exchange.across[w].values()) for a, sk in chain.items()
+    for w, sk in enumerate(held):
+        if not state.paths[w]:
+            continue  # no neighbour's chain to combine with
+        parents = {a: {u: m.parent for u, m in s.items()} for a, s in sk.items()}
+        # An ancestor's candidates do not depend on the edge.
+        cands = {
+            v: [u for u in sorted(sk[v]) if u != v and _sketch_disjoint(parents[v], u, v)]
+            for v in info[w].ancestors[1:]
         }
-        for eid, theirs in sorted(exchange.across[w].items()):
-            for v in info[w].ancestors:
-                if v == info.root:
-                    continue
-                sv = own[v]
+        for _, path in sorted(state.paths[w].items()):
+            theirs = set(path)
+            for v, cv in cands.items():
+                sv = sk[v]
                 ev = state.anc_eta[w][v]
-                cands = [
-                    u
-                    for u in sorted(sv)
-                    if u != v and _sketch_disjoint(parents[v], u, v)
-                ]
-                for x in cands:
+                for x in cv:
                     if x not in theirs:
                         continue
-                    sx = theirs[x]
+                    sx = sk[x]
                     ex, gvx = sv[x].eta, sv[x].gamma
-                    for y in cands:
+                    for y in cv:
                         if y == x or not _sketch_disjoint(parents[v], x, y):
                             continue
                         if y not in sx or not _sketch_disjoint(parents[x], x, y):
@@ -475,7 +453,8 @@ def detect_case7(
 def layered_min_cut(
     engine: Engine,
     info: BfsInfo,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
+    state: EtaState,
+    etas: Sequence[Mapping[int, int]],
     hcast: Sequence[Mapping[int, tuple[int, ...]]],
     zeta: Sequence[Mapping[int, LayerCand]],
 ) -> tuple[dict[int, dict[int, LayerCand]], ...]:
@@ -486,9 +465,11 @@ def layered_min_cut(
     ancestor.  Layer 0 is the whole graph, whose fold the size-2 stage
     already ran: it is read off ``zeta`` (:func:`compute_zeta`'s
     tables), and only layers 1 to depth - 1 run a phase.  The atoms
-    read the crossing-count rows of the non-tree neighbours' chains out
-    of ``hcast`` (:func:`downcast_h` swapped them), so no phase of the
-    scan's own sends them.  Returns, per
+    read the non-tree neighbours' ids from ``state.paths``, their etas
+    from ``etas`` (:func:`preprocess_zeta`'s lookups) and the
+    crossing-count rows of their chains out of ``hcast``
+    (:func:`downcast_h` swapped them), all by owner id, so no phase of
+    the scan's own sends them.  Returns, per
     node a, ``two[a][i][l]``: the layer-i fold toward the level-l
     ancestor, candidate entries only.  The size-1 half needs no phase:
     see :func:`compute_cut_details`.
@@ -499,7 +480,7 @@ def layered_min_cut(
         cands = {l: zeta[a][v] for l, v in enumerate(nb.ancestors) if zeta[a][v].is_candidate()}
         if cands:
             two[a][0] = cands
-    states = [(info[a], annotated[a], hcast[a]) for a in range(g.n)]
+    states = [(info[a], state.paths[a], etas[a], hcast[a]) for a in range(g.n)]
     for i in range(1, info.depth):
         folds = trsf_compute(engine, info, landing_spec(f"layer{i}", i), states, min_level=i + 1)
         for a in range(g.n):
@@ -745,16 +726,16 @@ def run_battery(
     engine: Engine,
     info: BfsInfo,
     state: EtaState,
-    annotated: Sequence[Mapping[int, Sequence[tuple[int, int]]]],
+    etas: Sequence[Mapping[int, int]],
     zeta: Sequence[Mapping[int, LayerCand]],
 ) -> BatteryResult:
     """All seven detectors, every report validated, duplicates collapsed.
 
     Nothing here early-exits: a cut found by one detector does not
     excuse the others, since distinct cuts of the same size routinely
-    live in different shape classes.  ``annotated`` and ``zeta`` are
-    the size-2 stage's root-path exchange and fold; the latter is the
-    layered scan's layer 0.
+    live in different shape classes.  ``etas`` and ``zeta`` are the
+    size-2 stage's eta lookups (:func:`preprocess_zeta`) and fold; the
+    latter is the layered scan's layer 0.
     """
     g = engine.g
     reports: list[CutReport] = []
@@ -764,16 +745,16 @@ def run_battery(
     reports += detect_case2(g, state)
     reports += detect_case4(g, state, hcast)
 
-    sk3 = distributed_k_sketch(engine, info, state, 3, annotated)
+    sk3 = distributed_k_sketch(engine, info, state, 3, etas)
     reports += detect_case3(g, state, sk3)
     # The exchange is the battery's largest object; nothing after case 6
     # reads it, so it is not kept alive past that detector.
     reports += detect_case6(g, state, sk3, sketch_exchange(engine, info, sk3, state.paths))
 
-    red2 = distributed_reduced_sketch(engine, info, state, 2, annotated, up=sk3)
+    red2 = distributed_reduced_sketch(engine, info, state, 2, etas, up=sk3)
     reports += detect_case7(g, state, red2)
 
-    two = layered_min_cut(engine, info, annotated, hcast, zeta)
+    two = layered_min_cut(engine, info, state, etas, hcast, zeta)
     bridges, pairs = compute_cut_details(info, state, two)
     reports += detect_case5(g, state, convergecast_details(engine, info, bridges, pairs))
 
@@ -823,18 +804,18 @@ def run_full_pipeline(
 
     lam: int | str
     pairs: list[CutReport] = []
-    annotated = zeta = None
+    etas = zeta = None
     if max_size >= 2 and (not bridges or force_battery):
-        annotated = preprocess_zeta(engine, info, state)
-        zeta = compute_zeta(engine, info, state, annotated)
+        etas = preprocess_zeta(engine, info, state)
+        zeta = compute_zeta(engine, info, state, etas)
         pairs = detect_2cuts(g, state, zeta)
     small_rounds = engine.round
 
     battery = None
     battery_rounds = None
-    if max_size >= 3 and annotated is not None and (not (bridges or pairs) or force_battery):
+    if max_size >= 3 and etas is not None and (not (bridges or pairs) or force_battery):
         mark = engine.round
-        battery = run_battery(engine, info, state, annotated, zeta)
+        battery = run_battery(engine, info, state, etas, zeta)
         battery_rounds = engine.round - mark
 
     if bridges:

@@ -5,7 +5,7 @@ module builds that tree distributedly (``build_bfs``), provides the two
 pipelined dissemination patterns — every node's one-word message to its
 whole subtree (``broadcast_t1``) and every node's word *list* to its
 subtree, optionally swapped across non-tree edges too
-(``broadcast_t2``) — plus the swap of one word list across every
+(``broadcast_t2``) — plus the swap of a word list across each
 non-tree edge (``nontree_exchange``), and implements the generic
 bottom-up fold engine (``trsf_compute``) that evaluates, for every node
 ``v``, the semigroup fold of per-node atomic values over the subtree
@@ -30,8 +30,10 @@ Exchanges between neighbours cross non-tree edges only: after
 ``build_bfs`` a tree neighbour's root path is already known (a child's
 is one's own plus the child, the parent's one's own minus oneself), so
 whatever follows from it is worked out locally.  ``nontree_exchange``
-sends one word list over every non-tree edge and reads the replies
-word by word.
+sends each non-tree edge its own word list and reads the reply whole.
+Once both ends know each other's root path, the prefix they share
+(``shared_prefix``) is known on both sides, so nothing keyed by it
+crosses the edge.
 
 Every fold record goes up as soon as it is complete, and the per-edge
 queues pace the wire: a node's partial toward ancestor level ``l`` is
@@ -394,10 +396,8 @@ def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
     programs = []
     for v, h in enumerate(engine.handles):
         nb = info[v]
-        swap = {}
-        for eid, path in (paths[v] if paths else {}).items():
-            shared = sum(a == b for a, b in zip(nb.ancestors, path))
-            swap[eid] = (max(shared, lo), tuple(path))
+        swap = {eid: (max(shared_prefix(nb.ancestors, path), lo), path)
+                for eid, path in (paths[v] if paths else {}).items()}
         programs.append(
             _Downcast(h, nb.level, nb.parent_eid, nb.children, blocks[v], width, more, lo, swap)
         )
@@ -461,51 +461,50 @@ def broadcast_t2(
 # Exchanges between neighbours
 
 
-class ListExchange(WordProgram):
-    """Stream one word list over selected edges, read the replies word by word.
+def shared_prefix(path: Sequence[int], other: Sequence[int]) -> int:
+    """How many levels two root paths share; both ends of a non-tree edge
+    work it out alike, so nothing keyed by that prefix needs to cross."""
+    return sum(a == b for a, b in zip(path, other))
 
-    ``incoming`` maps edge ids to the number of words expected back;
-    ``words`` goes out over each of them.  ``received`` maps every such
-    edge to its words in arrival order.
+
+class ListExchange(WordProgram):
+    """Stream a word list over each selected edge, read the reply whole.
+
+    ``plan`` maps edge ids to the words that go out over the edge and the
+    number of words expected back.  ``received`` maps every such edge to
+    the words heard.
     """
 
-    def __init__(self, node: NodeHandle, words: tuple[int, ...], incoming: dict[int, int]):
+    def __init__(self, node: NodeHandle, plan: dict[int, tuple[Sequence[int], int]]):
         super().__init__(node)
-        self._words = words
-        self._incoming = incoming
-        self.received: dict[int, list[int]] = {}
+        self._plan = plan
+        self.received: dict[int, tuple[int, ...]] = {}
 
     def start(self) -> None:
-        for eid, count in self._incoming.items():
-            if self._words:
-                self.node.send(eid, *self._words)
-            words = self.received[eid] = []
-            for _ in range(count):
-                self.expect(eid, 1, lambda rec, out=words: out.append(rec[0]))
+        for eid, (words, count) in self._plan.items():
+            self.send(eid, *words)
+            self.expect(eid, count, partial(self.received.__setitem__, eid))
 
 
 def nontree_exchange(
     engine: Engine,
     info: BfsInfo,
     label: str,
-    words: Callable[[int], Sequence[int]],
-    incoming: Callable[[int], int],
-) -> list[dict[int, list[int]]]:
+    plan: Callable[[int, int], tuple[Sequence[int], int]],
+) -> list[dict[int, tuple[int, ...]]]:
     """Swap word lists across every non-tree edge, both ways at once.
 
-    Node ``v`` sends ``words(v)`` over each incident non-tree edge and
-    reads ``incoming(l)`` words back from a neighbour at level ``l``.
-    ``words`` is called only for nodes that have a non-tree edge.
-    Returns, per node, a map from non-tree edge id to the words heard.
+    ``plan(v, eid)`` gives the words node ``v`` sends over its non-tree
+    edge ``eid`` and how many words it reads back.  Returns, per node, a
+    map from non-tree edge id to the words heard.
     """
     programs = []
     for v, handle in enumerate(engine.handles):
         nb = info[v]
         tree_eids = {eid for _, eid in nb.children} | {nb.parent_eid}
-        nontree = [eid for _, eid in handle.ports if eid not in tree_eids]
-        mine = tuple(words(v)) if nontree else ()
-        expected = {eid: incoming(nb.neighbor_levels[eid]) for eid in nontree}
-        programs.append(ListExchange(handle, mine, expected))
+        programs.append(ListExchange(handle, {
+            eid: plan(v, eid) for _, eid in handle.ports if eid not in tree_eids
+        }))
     engine.run_phase(label, programs)
     return [p.received for p in programs]
 

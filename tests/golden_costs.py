@@ -16,8 +16,10 @@ why in CHANGES.md:
 To see what a change moves before regenerating, ``--diff`` prints, per
 instance and phase, the committed -> fresh rounds, messages, words and
 max bits ('-' where one side lacks the figure), and any change in lambda
-or the reports; it writes nothing.  It exits 1 when anything moved and 0
-when it prints "no change", so a script can gate on it:
+or the reports; its last line, ``rose: ...``, names every figure that
+went up (a phase only the fresh run has counts as risen), or says
+``rose: none``.  It writes nothing.  It exits 1 when anything moved and
+0 when it prints "no change", so a script can gate on it:
 
     PYTHONPATH=src python tests/golden_costs.py --diff
 """
@@ -108,10 +110,17 @@ TOTAL_FIELDS = ("small_rounds", "battery_rounds", "rounds_elapsed", "total_messa
                 "total_words")
 
 
+def _rose(old, new) -> bool:
+    """Did a figure go up?  One the committed side lacks counts as risen."""
+    return isinstance(new, int) and (not isinstance(old, int) or new > old)
+
+
 def diff(committed: dict, fresh: dict) -> list[str]:
     """One line per instance, phase or total whose numbers moved, and per
-    answer that changed; committed value first."""
+    answer that changed, committed value first; then, when anything
+    moved, a last line naming every figure that rose."""
     lines = []
+    rose = []
     for name in sorted(set(committed) | set(fresh)):
         old, new = committed.get(name), fresh.get(name)
         if old is None or new is None:
@@ -123,6 +132,8 @@ def diff(committed: dict, fresh: dict) -> list[str]:
         for key in TOTAL_FIELDS:
             if old.get(key) != new.get(key):
                 lines.append(f"{name}: {key} {old.get(key, '-')} -> {new.get(key, '-')}")
+                if _rose(old.get(key), new.get(key)):
+                    rose.append(f"{name} {key}")
         for label in sorted(set(old["phases"]) | set(new["phases"])):
             a, b = old["phases"].get(label, {}), new["phases"].get(label, {})
             if a == b:
@@ -131,6 +142,13 @@ def diff(committed: dict, fresh: dict) -> list[str]:
                 f"{title} {a.get(key, '-')} -> {b.get(key, '-')}" for key, title in PHASE_FIELDS
             ]
             lines.append(f"{name}: {label}: " + ", ".join(parts))
+            if label not in old["phases"]:
+                rose.append(f"{name} {label}")
+            else:
+                rose += [f"{name} {label} {title}" for key, title in PHASE_FIELDS
+                         if _rose(a.get(key), b.get(key))]
+    if lines:
+        lines.append("rose: " + (", ".join(rose) or "none"))
     return lines
 
 

@@ -24,3 +24,26 @@ def test_diff_exits_1_when_a_phase_moved(monkeypatch, capsys):
     monkeypatch.setattr(golden_costs, "collect", lambda: moved)
     assert golden_costs.main(["--diff"]) == 1
     assert f"{name}: {label}: rounds" in capsys.readouterr().out
+
+
+def test_diff_names_only_what_rose(monkeypatch, capsys):
+    moved = copy.deepcopy(COMMITTED)
+    name = sorted(moved)[0]
+    down, up = sorted(moved[name]["phases"])[:2]
+    moved[name]["phases"][down]["rounds"] -= 1
+    moved[name]["phases"][up]["messages"] += 1
+    monkeypatch.setattr(golden_costs, "collect", lambda: moved)
+    assert golden_costs.main(["--diff"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert f"{name}: {down}: rounds" in lines[0]
+    assert lines[-1] == f"rose: {name} {up} messages"
+
+
+def test_diff_counts_a_new_phase_as_risen(monkeypatch, capsys):
+    moved = copy.deepcopy(COMMITTED)
+    name = sorted(moved)[0]
+    moved[name]["phases"]["new:phase"] = {"rounds": 1, "messages": 1, "words": 1,
+                                          "max_bits_per_edge_per_round": 1}
+    monkeypatch.setattr(golden_costs, "collect", lambda: moved)
+    assert golden_costs.main(["--diff"]) == 1
+    assert capsys.readouterr().out.strip().splitlines()[-1] == f"rose: {name} new:phase"

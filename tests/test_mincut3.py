@@ -111,9 +111,9 @@ def battery_stage(g, root=0):
     engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
     info = build_bfs(engine, root)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    annotated = preprocess_zeta(engine, info, state)
-    zeta = compute_zeta(engine, info, state, annotated)
-    two = layered_min_cut(engine, info, annotated, downcast_h(engine, info, state), zeta)
+    etas = preprocess_zeta(engine, info, state)
+    zeta = compute_zeta(engine, info, state, etas)
+    two = layered_min_cut(engine, info, state, etas, downcast_h(engine, info, state), zeta)
     return info, state, compute_cut_details(info, state, two)
 
 
@@ -327,9 +327,8 @@ def test_sketch_swap_is_one_phase_without_shared_blocks():
     engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
     info = build_bfs(engine, 0)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    annotated = preprocess_zeta(engine, info, state)
-    up = distributed_k_sketch(engine, info, state, 3, annotated)
-    (eid,) = {e for per_edge in annotated for e in per_edge}  # the one non-tree edge
+    up = distributed_k_sketch(engine, info, state, 3, preprocess_zeta(engine, info, state))
+    (eid,) = {e for per_edge in state.paths for e in per_edge}  # the one non-tree edge
     words = {}
     send = engine._send
 
@@ -387,14 +386,15 @@ def test_hcast_swaps_rows_without_shared_or_empty_ones():
 def test_scan_takes_layer0_from_the_zeta_fold():
     # The pivot-0 subgraph is the whole graph, so the size-2 stage's zeta
     # fold is the scan's layer 0 and no trsf:layer0 phase runs; eta:pre
-    # already sent the root paths' ids, so zeta:pre sends etas only.
+    # already sent the root paths' ids, so zeta:pre sends only the etas
+    # of the chain below the prefix both ends share.
     res = pipeline(generate("cycle", 16), force_battery=True)
     per = res.engine.stats.per_phase
     assert "trsf:zeta" in per and "trsf:layer0" not in per
     assert "trsf:layer1" in per
     res = pipeline(generate("cycle", 12))
-    # 8 with (eta, id) pairs, 12 with a level word too
-    assert res.engine.stats.per_phase["zeta:pre"].rounds == 5
+    # 5 with the shared prefix's etas, 8 with (eta, id) pairs, 12 with a level word too
+    assert res.engine.stats.per_phase["zeta:pre"].rounds == 4
 
 
 def test_rounds_split_between_stages():
@@ -489,10 +489,10 @@ def test_convergecast_delivers_fork_prongs():
     engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
     info = build_bfs(engine, 0)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    annotated = preprocess_zeta(engine, info, state)
-    zeta = compute_zeta(engine, info, state, annotated)
+    etas = preprocess_zeta(engine, info, state)
+    zeta = compute_zeta(engine, info, state, etas)
     hcast = downcast_h(engine, info, state)
-    two = layered_min_cut(engine, info, annotated, hcast, zeta)
+    two = layered_min_cut(engine, info, state, etas, hcast, zeta)
     bridges, pairs = compute_cut_details(info, state, two)
     assert bridges[3] is not None and bridges[4] is not None
     received = convergecast_details(engine, info, bridges, pairs)

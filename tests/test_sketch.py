@@ -35,8 +35,8 @@ def sketch_stage(g, root=0):
     engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
     info = build_bfs(engine, root)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    annotated = preprocess_zeta(engine, info, state)
-    return engine, info, state, annotated
+    etas = preprocess_zeta(engine, info, state)
+    return engine, info, state, etas
 
 
 def corpus():
@@ -260,10 +260,10 @@ def assert_same_sketch(got, want, ctx):
 def test_distributed_matches_reference_everywhere():
     for name, g, roots in corpus():
         for root in roots:
-            engine, info, state, annotated = sketch_stage(g, root)
+            engine, info, state, etas = sketch_stage(g, root)
             tree = info.tree()
             for k in (2, 3):
-                up = distributed_k_sketch(engine, info, state, k, annotated)
+                up = distributed_k_sketch(engine, info, state, k, etas)
                 for v in range(g.n):
                     want = reference_k_sketch(tree, g, v, k)
                     assert_same_sketch(
@@ -277,9 +277,9 @@ def test_distributed_survives_a_branch_buried_past_the_budget():
     # path and only the advertised branch evidence tells the trunk nodes
     # that their canonical root is not a path endpoint.
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6), (4, 5), (5, 6), (4, 6)])
-    engine, info, state, annotated = sketch_stage(g, 0)
+    engine, info, state, etas = sketch_stage(g, 0)
     tree = info.tree()
-    up = distributed_k_sketch(engine, info, state, 2, annotated)
+    up = distributed_k_sketch(engine, info, state, 2, etas)
     for v in range(g.n):
         want = reference_k_sketch(tree, g, v, 2)
         assert_same_sketch(up.sketches[v], want, f"buried-branch v={v}")
@@ -290,9 +290,9 @@ def test_distributed_survives_a_branch_buried_past_the_budget():
 def test_reduced_matches_reference_for_every_pair():
     for name, g, roots in corpus():
         for root in roots[:2]:
-            engine, info, state, annotated = sketch_stage(g, root)
+            engine, info, state, etas = sketch_stage(g, root)
             tree = info.tree()
-            red = distributed_reduced_sketch(engine, info, state, 2, annotated)
+            red = distributed_reduced_sketch(engine, info, state, 2, etas)
             for x in range(g.n):
                 anc = info[x].ancestors
                 assert set(red.per_node[x]) == set(anc[1:-1])
@@ -304,9 +304,9 @@ def test_reduced_matches_reference_for_every_pair():
 
 
 def test_reduced_at_k3_matches_too():
-    engine, info, state, annotated = sketch_stage(GRID9, 0)
+    engine, info, state, etas = sketch_stage(GRID9, 0)
     tree = info.tree()
-    red = distributed_reduced_sketch(engine, info, state, 3, annotated)
+    red = distributed_reduced_sketch(engine, info, state, 3, etas)
     for x in range(GRID9.n):
         for v, got in red.per_node[x].items():
             want = reference_k_sketch(tree, GRID9, SketchSource(v, exclude=x), 3)
@@ -325,11 +325,11 @@ def reduced_reuse_corpus():
 def test_reduced_from_the_k3_wave_matches_reference():
     for name, g, roots in reduced_reuse_corpus():
         for root in roots:
-            engine, info, state, annotated = sketch_stage(g, root)
+            engine, info, state, etas = sketch_stage(g, root)
             tree = info.tree()
-            up = distributed_k_sketch(engine, info, state, 3, annotated)
+            up = distributed_k_sketch(engine, info, state, 3, etas)
             for k in (2, 3):
-                red = distributed_reduced_sketch(engine, info, state, k, annotated, up=up)
+                red = distributed_reduced_sketch(engine, info, state, k, etas, up=up)
                 for x in range(g.n):
                     assert set(red.per_node[x]) == set(info[x].ancestors[1:-1])
                     for v, got in red.per_node[x].items():
@@ -339,16 +339,16 @@ def test_reduced_from_the_k3_wave_matches_reference():
 
 
 def test_reduced_refuses_a_narrower_wave():
-    engine, info, state, annotated = sketch_stage(GRID9, 0)
-    up = distributed_k_sketch(engine, info, state, 2, annotated)
+    engine, info, state, etas = sketch_stage(GRID9, 0)
+    up = distributed_k_sketch(engine, info, state, 2, etas)
     with pytest.raises(ValueError, match="k=2"):
-        distributed_reduced_sketch(engine, info, state, 3, annotated, up=up)
+        distributed_reduced_sketch(engine, info, state, 3, etas, up=up)
 
 
 def test_reduced_on_a_star_has_nothing_to_say():
     g = generate("complete", n=5)
-    engine, info, state, annotated = sketch_stage(g, 0)
-    red = distributed_reduced_sketch(engine, info, state, 2, annotated)
+    engine, info, state, etas = sketch_stage(g, 0)
+    red = distributed_reduced_sketch(engine, info, state, 2, etas)
     assert all(not d for d in red.per_node)
 
 
@@ -356,9 +356,9 @@ def test_reduced_on_a_star_has_nothing_to_say():
 @given(seed=st.integers(0, 10_000), n=st.integers(4, 9), root=st.integers(0, 8))
 def test_distributed_matches_reference_on_random_graphs(seed, n, root):
     g = generate("random_connected", n=n, seed=seed)
-    engine, info, state, annotated = sketch_stage(g, root % n)
+    engine, info, state, etas = sketch_stage(g, root % n)
     tree = info.tree()
-    up = distributed_k_sketch(engine, info, state, 3, annotated)
+    up = distributed_k_sketch(engine, info, state, 3, etas)
     for v in range(n):
         want = reference_k_sketch(tree, g, v, 3)
         assert_same_sketch(up.sketches[v], want, f"seed={seed} root={root % n} v={v}")
@@ -367,9 +367,9 @@ def test_distributed_matches_reference_on_random_graphs(seed, n, root):
 def test_waves_are_deterministic():
     dumps = []
     for _ in range(2):
-        engine, info, state, annotated = sketch_stage(PRISM, 0)
-        up = distributed_k_sketch(engine, info, state, 3, annotated)
-        red = distributed_reduced_sketch(engine, info, state, 2, annotated)
+        engine, info, state, etas = sketch_stage(PRISM, 0)
+        up = distributed_k_sketch(engine, info, state, 3, etas)
+        red = distributed_reduced_sketch(engine, info, state, 2, etas)
         dumps.append(
             (
                 tuple(sk.dump() for sk in up.sketches),
@@ -398,9 +398,9 @@ def test_waves_are_deterministic():
 )
 def test_sketch_exchange_delivers_every_ancestor_chain(g, roots):
     for root in roots:
-        engine, info, state, annotated = sketch_stage(g, root)
-        up = distributed_k_sketch(engine, info, state, 3, annotated)
-        ex = sketch_exchange(engine, info, up, state.paths)
+        engine, info, state, etas = sketch_stage(g, root)
+        up = distributed_k_sketch(engine, info, state, 3, etas)
+        held = sketch_exchange(engine, info, up, state.paths)
 
         def chain_of(y):
             # The wire carries every entry but the branching number.
@@ -410,24 +410,24 @@ def test_sketch_exchange_delivers_every_ancestor_chain(g, roots):
             }
 
         for x in range(g.n):
-            assert ex.chain[x] == chain_of(x), f"root={root} x={x}"
             nb = info[x]
             tree_eids = {eid for _, eid in nb.children} | {nb.parent_eid}
             nontree = {eid for _, eid in g.inc[x] if eid not in tree_eids}
-            assert set(ex.across[x]) == nontree
-            for eid, got in ex.across[x].items():
-                y = engine.handles[x].neighbor(eid)
-                assert got == chain_of(y), f"root={root} x={x} edge={eid}"
+            want = chain_of(x)
+            for eid in nontree:
+                want.update(chain_of(engine.handles[x].neighbor(eid)))
+            # one entry per owner: its own chain and every non-tree neighbour's
+            assert held[x] == want, f"root={root} x={x}"
 
 
 # -- complexity ---------------------------------------------------------------
 
 def test_round_growth_stays_quadratic_in_depth():
     for g in (generate("cycle", n=16), generate("grid", n=16)):
-        engine, info, state, annotated = sketch_stage(g)
+        engine, info, state, etas = sketch_stage(g)
         depth = max(info.depth, 1)
-        distributed_k_sketch(engine, info, state, 3, annotated)
-        distributed_reduced_sketch(engine, info, state, 2, annotated)
+        distributed_k_sketch(engine, info, state, 3, etas)
+        distributed_reduced_sketch(engine, info, state, 2, etas)
         per = engine.stats.per_phase
         assert per["sketch3"].rounds <= 6 * depth * depth + 20
         assert per["sketch2"].rounds <= 6 * depth * depth + 20
@@ -435,8 +435,8 @@ def test_round_growth_stays_quadratic_in_depth():
 
 
 def test_strict_bandwidth_holds_throughout():
-    engine, info, state, annotated = sketch_stage(generate("cycle", n=12))
-    distributed_k_sketch(engine, info, state, 3, annotated)
-    distributed_reduced_sketch(engine, info, state, 2, annotated)
+    engine, info, state, etas = sketch_stage(generate("cycle", n=12))
+    distributed_k_sketch(engine, info, state, 3, etas)
+    distributed_reduced_sketch(engine, info, state, 2, etas)
     cap = engine.config.word_bits * engine.word_size
     assert engine.stats.max_bits_per_edge_per_round <= cap

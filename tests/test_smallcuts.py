@@ -34,7 +34,7 @@ from smallcut.small_cuts import (
     preprocess_eta,
     preprocess_zeta,
 )
-from smallcut.trees import build_bfs
+from smallcut.trees import build_bfs, shared_prefix
 
 THETA = Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
 
@@ -153,6 +153,25 @@ def test_eta_fold_sends_one_word_per_record():
         compute_eta(engine, info, preprocess_eta(engine, info))
         records = sum(info[v].level for v in range(g.n))
         assert engine.stats.per_phase["trsf:eta"].words == records
+
+
+def test_zeta_pre_sends_only_the_unshared_etas():
+    # Both ends of a non-tree edge hold the etas of the root-path prefix
+    # they share, so only the rest of each chain crosses; a node ends up
+    # with one eta per owner: its ancestors and its neighbours' chains.
+    for g, root in ((generate("grid", 16), 0), (generate("prism", 12), 0),
+                    (generate("random_connected", 14, seed=11, lam_min=3, lam_max=3), 2)):
+        engine, info = start(g, root)
+        state = compute_eta(engine, info, preprocess_eta(engine, info))
+        etas = preprocess_zeta(engine, info, state)
+        heard = 0
+        for a in range(g.n):
+            owners = set(info[a].ancestors)
+            for path in state.paths[a].values():
+                heard += len(path) - shared_prefix(info[a].ancestors, path)
+                owners.update(path)
+            assert etas[a] == {u: state.eta[u] for u in owners}
+        assert engine.stats.per_phase["zeta:pre"].words == heard
 
 
 @settings(deadline=None, max_examples=40)
