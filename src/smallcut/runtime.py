@@ -21,18 +21,27 @@ overrides ``on_chunk`` to forward each chunk as it arrives, and hands
 the chunk on to the base class to read its records; a program that
 only counts tokens overrides ``on_chunk`` alone.
 
-A phase ends when the wire is empty: no queue holds words and nothing
-is in flight.  A program that still waits on an ``expect`` at that
-point can never be served, so the engine raises ``ProtocolError``.
-Deliveries within a round are dispatched in ``(sender id, edge id)``
-order, which makes every run bit-for-bit reproducible.
+Each phase has its own queues, frames in flight and round count, and
+it ends when its own wire is empty: none of its queues holds words and
+none of its frames is in flight.  A program that still waits on an
+``expect`` at that point can never be served, so the engine raises
+``ProtocolError``; the round limit, too, applies to each phase alone.
+One round loop steps every live phase.  Besides the foreground phase,
+a *chain* (a sequence of phases, see ``Steps``) can be launched to run
+alongside it on the same clock: a phase that sends only toward the root
+can share its rounds with one that sends only away from it, since the
+budget holds per direction.  Two live phases that send on the same
+directed edge in the same round are a ``ProtocolError``; they never
+share a frame.  Deliveries within a phase's round are dispatched in
+``(sender id, edge id)`` order, which makes every run bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 from .graphs import Graph
 
@@ -100,7 +109,13 @@ class PhaseStats:
 class RoundStats:
     """Round, message, word and bandwidth accounting, total and per
     labeled phase.  A message is one edge's frame in one round; its
-    words are the frame's length."""
+    words are the frame's length.
+
+    A phase counts every round in which it is live.  Phases of two
+    chains can be live in the same rounds, so the per-phase rounds may
+    sum to more than ``rounds_elapsed``; messages, words and peaks add
+    up or max out as before.
+    """
 
     def __init__(self):
         self.rounds_elapsed = 0
@@ -110,6 +125,8 @@ class RoundStats:
         self.per_phase: dict[str, PhaseStats] = {}
 
     def record_round(self, label: str, messages: int, words: int, max_bits: int) -> None:
+        """One phase's share of the current round; the engine counts the
+        round itself in ``rounds_elapsed`` once."""
         phase = self.per_phase.setdefault(label, PhaseStats())
         phase.rounds += 1
         phase.messages += messages
@@ -117,7 +134,6 @@ class RoundStats:
         phase.max_bits_per_edge_per_round = max(
             phase.max_bits_per_edge_per_round, max_bits
         )
-        self.rounds_elapsed += 1
         self.total_messages += messages
         self.total_words += words
         self.max_bits_per_edge_per_round = max(
@@ -237,12 +253,50 @@ class WordProgram:
             handler(rec)
 
 
+#: A chain of phases: a generator that yields ``(label, programs)`` for
+#: each phase in turn and returns the chain's result.  Its code between
+#: two yields runs on the observer side and costs no rounds.  (The class
+#: is named by string: typing caches subscripted aliases, and a cached
+#: class would keep a re-imported module alive.)
+Steps = Generator[tuple[str, Sequence["WordProgram"]], None, Any]
+
+
+class Chain:
+    """A launched chain: ``result`` holds its return value once ``live``
+    is false."""
+
+    __slots__ = ("steps", "live", "result")
+
+    def __init__(self, steps: Steps):
+        self.steps = steps
+        self.live = True
+        self.result: Any = None
+
+
+class _Phase:
+    """One live phase: its programs, its own wire and its own count."""
+
+    __slots__ = ("label", "programs", "chain", "outbox", "pending", "rounds")
+
+    def __init__(self, label: str, programs: Sequence[WordProgram], chain: Chain):
+        self.label = label
+        self.programs = programs
+        self.chain = chain
+        self.outbox: dict[tuple[int, int], deque[int]] = {}
+        # drained frames awaiting delivery: (destination, edge id, words)
+        self.pending: list[tuple[int, int, tuple[int, ...]]] = []
+        self.rounds = 0
+
+
 class Engine:
     """Runs labeled protocol phases over one graph, one round at a time.
 
     The round counter keeps increasing across phases, so a multi-phase
     protocol is accounted exactly like one long execution; per-phase
-    numbers land in ``stats.per_phase``.
+    numbers land in ``stats.per_phase``.  One round loop steps every
+    live phase: the foreground one (``run_phase``) and the current phase
+    of every chain started with ``launch``, which runs alongside on the
+    same clock until ``join``.
     """
 
     def __init__(self, g: Graph, config: SimulatorConfig | None = None):
@@ -253,9 +307,9 @@ class Engine:
         self.round = 0
         self.stats = RoundStats()
         self.handles = tuple(NodeHandle(self, v) for v in range(g.n))
+        self._live: list[_Phase] = []
+        # the outbox of the phase whose programs are running
         self._outbox: dict[tuple[int, int], deque[int]] = {}
-        # drained frames awaiting delivery: (destination, edge id, words)
-        self._pending: list[tuple[int, int, tuple[int, ...]]] = []
 
     def _send(self, handle: NodeHandle, eid: int, words: tuple[int, ...]) -> None:
         if eid not in handle._by_edge:
@@ -275,43 +329,115 @@ class Engine:
             self._outbox.setdefault((handle.id, eid), deque()).extend(words)
 
     def run_phase(self, label: str, programs: Sequence[WordProgram]) -> None:
-        """Run programs (one per vertex) until the wire is empty."""
+        """Run programs (one per vertex) until this phase's wire is empty."""
+        self.join(self.launch(iter([(label, programs)])))
+
+    def run_chain(self, steps: Steps) -> Any:
+        """Run a chain's phases one after another, each by ``run_phase``,
+        and return the chain's result."""
+        while True:
+            try:
+                label, programs = next(steps)
+            except StopIteration as stop:
+                return stop.value
+            self.run_phase(label, programs)
+
+    def launch(self, steps: Steps) -> Chain:
+        """Start a chain's first phase; from the next round on, its phases
+        step in every round the engine runs, one after another."""
+        chain = Chain(steps)
+        self._advance(chain)
+        return chain
+
+    def _advance(self, chain: Chain) -> None:
+        """Open the chain's next phase and start its programs."""
+        try:
+            label, programs = next(chain.steps)
+        except StopIteration as stop:
+            chain.live = False
+            chain.result = stop.value
+            return
         if len(programs) != self.g.n:
             raise ValueError(f"need one program per vertex, got {len(programs)}")
-        budget = self.config.word_bits
+        phase = _Phase(label, programs, chain)
+        self._live.append(phase)
+        self._outbox = phase.outbox
         for p in programs:
             p.start()
-        phase_rounds = 0
-        while self._pending or self._outbox:
-            if phase_rounds >= self.config.round_limit:
-                raise RoundLimitError(label, self.config.round_limit)
-            phase_rounds += 1
+
+    def _retire(self) -> None:
+        """Close every phase whose own wire is empty and move its chain on;
+        the chain's next phase may itself be quiet from the start."""
+        live = self._live
+        i = 0
+        while i < len(live):
+            phase = live[i]
+            if phase.pending or phase.outbox:
+                i += 1
+                continue
+            del live[i]
+            for p in phase.programs:
+                if any(p._want.values()):
+                    raise ProtocolError(
+                        f"phase {phase.label!r} went quiet while node {p.node.id} "
+                        f"still expects words"
+                    )
+            self._advance(phase.chain)
+
+    def join(self, chain: Chain) -> Any:
+        """Run rounds until ``chain`` has finished; return its result."""
+        budget = self.config.word_bits
+        limit = self.config.round_limit
+        edges = self.g.edges
+        stats = self.stats
+        live = self._live
+        while True:
+            self._retire()
+            if not chain.live:
+                return chain.result
+            for phase in live:
+                if phase.rounds >= limit:
+                    raise RoundLimitError(phase.label, limit)
             self.round += 1
-            for dst, eid, payload in self._pending:
-                programs[dst].on_chunk(eid, payload)
-            self._pending = []
-            messages = 0
-            words = 0
-            max_bits = 0
-            for key in sorted(self._outbox):
-                src, eid = key
-                queue = self._outbox[key]
-                take = min(budget, len(queue))
-                payload = tuple(queue.popleft() for _ in range(take))
-                if not queue:
-                    del self._outbox[key]
-                u, v = self.g.edges[eid]
-                dst = v if src == u else u
-                self._pending.append((dst, eid, payload))
-                messages += 1
-                words += take
-                max_bits = max(max_bits, take * self.word_size)
-            self.stats.record_round(label, messages, words, max_bits)
-        for p in programs:
-            if any(p._want.values()):
-                raise ProtocolError(
-                    f"phase {label!r} went quiet while node {p.node.id} still expects words"
-                )
+            stats.rounds_elapsed += 1
+            for phase in live:
+                self._outbox = phase.outbox
+                programs = phase.programs
+                pending, phase.pending = phase.pending, []
+                for dst, eid, payload in pending:
+                    programs[dst].on_chunk(eid, payload)
+            # Two live phases never share a directed edge in one round.
+            busy: dict[tuple[int, int], str] | None = {} if len(live) > 1 else None
+            for phase in live:
+                phase.rounds += 1
+                outbox = phase.outbox
+                if busy is not None:
+                    clash = busy.keys() & outbox.keys()
+                    if clash:
+                        src, eid = min(clash)
+                        raise ProtocolError(
+                            f"phases {busy[src, eid]!r} and {phase.label!r} both send "
+                            f"from node {src} on edge {eid} in round {self.round}"
+                        )
+                    busy.update(dict.fromkeys(outbox, phase.label))
+                pending = phase.pending
+                messages = 0
+                words = 0
+                max_bits = 0
+                for key in sorted(outbox):
+                    src, eid = key
+                    queue = outbox[key]
+                    take = min(budget, len(queue))
+                    payload = tuple(queue.popleft() for _ in range(take))
+                    if not queue:
+                        del outbox[key]
+                    u, v = edges[eid]
+                    dst = v if src == u else u
+                    pending.append((dst, eid, payload))
+                    messages += 1
+                    words += take
+                    max_bits = max(max_bits, take * self.word_size)
+                stats.record_round(phase.label, messages, words, max_bits)
 
 
 def run_protocol(

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, RootedTree, boundary, edge_pairs
-from .runtime import Engine, SimulatorConfig, WordProgram
+from .runtime import Engine, SimulatorConfig, Steps, WordProgram
 from .small_cuts import (
     CutReport,
     EtaState,
@@ -73,12 +73,12 @@ from .sketches import (
 from .trees import (
     BfsInfo,
     _relay_to_subtrees,
-    # Unused here, but perfbench/tracing.py wraps this binding (tests/test_trace_sites.py).
-    broadcast_t1,
-    broadcast_t2,
     build_bfs,
-    trsf_compute,
+    trsf_steps,
 )
+# Unused here, but perfbench/tracing.py wraps these bindings (tests/test_trace_sites.py).
+from .trees import broadcast_t1, broadcast_t2, trsf_compute  # noqa: F401
+
 
 LABEL_HCAST = "hcast"
 LABEL_SKETCH_CAST = "sketchcast"
@@ -217,11 +217,16 @@ def downcast_h(
     non-tree neighbours' chains.  One pipelined pass, quadratic in
     depth.
     """
+    return engine.run_chain(_hcast_steps(engine, info, state))
+
+
+def _hcast_steps(engine: Engine, info: BfsInfo, state: EtaState) -> Steps:
+    """:func:`downcast_h` as a one-phase chain."""
     rows = [
         [state.subtree_cross[y][a] for a in info[y].ancestors[1:-1]] for y in range(engine.g.n)
     ]
-    return broadcast_t2(engine, info, rows, lambda level: level - 1, None, LABEL_HCAST,
-                        lo=2, paths=state.paths)
+    return _relay_to_subtrees(engine, info, LABEL_HCAST, rows, lambda level: level - 1, None,
+                              lo=2, paths=state.paths)
 
 
 def detect_case4(
@@ -314,13 +319,24 @@ def sketch_exchange(
     cross, and both endpoints work out the same shared prefix locally, so
     those blocks never cross (the root's, the largest, never does).
     Returns, per node, the k=3 sketch entries it holds, decoded, by
-    owner: its own chain and its non-tree neighbours' chains.
+    owner: its own chain and its non-tree neighbours' chains.  Holders
+    of the same block share one read-only decoding of it.
     """
     n = engine.g.n
     blocks = [(len(s.meta), *encode_entries(s.meta, n)) for s in sketches.sketches]
-    held = _relay_to_subtrees(engine, info, LABEL_SKETCH_CAST, blocks, 1,
-                              lambda head: ENTRY_WORDS * head[0], paths=paths)
-    return [{a: decode_entries(blk[1:], n) for a, blk in got.items()} for got in held]
+    held = engine.run_chain(_relay_to_subtrees(engine, info, LABEL_SKETCH_CAST, blocks, 1,
+                                               lambda head: ENTRY_WORDS * head[0], paths=paths))
+    # Holders of one block share its decoding; a block that differs in
+    # any word is decoded on its own.
+    decoded: dict[tuple[int, ...], dict[int, SketchMeta]] = {}
+
+    def decode(blk: tuple[int, ...]) -> dict[int, SketchMeta]:
+        meta = decoded.get(blk)
+        if meta is None:
+            meta = decoded[blk] = decode_entries(blk[1:], n)
+        return meta
+
+    return [{a: decode(blk) for a, blk in got.items()} for got in held]
 
 
 def detect_case6(
@@ -342,8 +358,9 @@ def detect_case6(
     sees the missing one: each endpoint combines an ancestor's sketch
     (for its two counts) with a sketch from the neighbour's chain (for
     the third).  ``held`` is what :func:`sketch_exchange` left at each
-    node, by owner; whether ``x`` is on an edge's neighbour chain is read
-    from ``state.paths``.
+    node, by owner; whether ``x`` is on some non-tree neighbour's chain
+    is read from ``state.paths``, and each ``(v, x, y)`` is tried once
+    per node ``w``, however many of its edges reach ``x``.
     """
     info = state.info
     tree = info.tree()
@@ -380,32 +397,32 @@ def detect_case6(
             v: [u for u in sorted(sk[v]) if u != v and _sketch_disjoint(parents[v], u, v)]
             for v in info[w].ancestors[1:]
         }
-        for _, path in sorted(state.paths[w].items()):
-            theirs = set(path)
-            for v, cv in cands.items():
-                sv = sk[v]
-                ev = state.anc_eta[w][v]
-                for x in cv:
-                    if x not in theirs:
+        # A tuple (v, x, y) does not depend on which edge's chain holds x.
+        theirs = {x for path in state.paths[w].values() for x in path}
+        for v, cv in cands.items():
+            sv = sk[v]
+            ev = state.anc_eta[w][v]
+            for x in cv:
+                if x not in theirs:
+                    continue
+                sx = sk[x]
+                ex, gvx = sv[x].eta, sv[x].gamma
+                for y in cv:
+                    if y == x or not _sketch_disjoint(parents[v], x, y):
                         continue
-                    sx = sk[x]
-                    ex, gvx = sv[x].eta, sv[x].gamma
-                    for y in cv:
-                        if y == x or not _sketch_disjoint(parents[v], x, y):
-                            continue
-                        if y not in sx or not _sketch_disjoint(parents[x], x, y):
-                            continue
-                        ey, gvy = sv[y].eta, sv[y].gamma
-                        gxy = sx[y].gamma
-                        if (
-                            gxy > 0
-                            and ev - 1 == gvx + gvy
-                            and ex - 1 == gvx + gxy
-                            and ey - 1 == gvy + gxy
-                        ):
-                            r = _witness_report(g, tree, (v, x, y), CASE6, w)
-                            if r:
-                                out.append(r)
+                    if y not in sx or not _sketch_disjoint(parents[x], x, y):
+                        continue
+                    ey, gvy = sv[y].eta, sv[y].gamma
+                    gxy = sx[y].gamma
+                    if (
+                        gxy > 0
+                        and ev - 1 == gvx + gvy
+                        and ex - 1 == gvx + gxy
+                        and ey - 1 == gvy + gxy
+                    ):
+                        r = _witness_report(g, tree, (v, x, y), CASE6, w)
+                        if r:
+                            out.append(r)
     return out
 
 
@@ -474,6 +491,18 @@ def layered_min_cut(
     ancestor, candidate entries only.  The size-1 half needs no phase:
     see :func:`compute_cut_details`.
     """
+    return engine.run_chain(_scan_steps(engine, info, state, etas, hcast, zeta))
+
+
+def _scan_steps(
+    engine: Engine,
+    info: BfsInfo,
+    state: EtaState,
+    etas: Sequence[Mapping[int, int]],
+    hcast: Sequence[Mapping[int, tuple[int, ...]]],
+    zeta: Sequence[Mapping[int, LayerCand]],
+) -> Steps:
+    """:func:`layered_min_cut` as a chain: one fold phase per layer."""
     g = engine.g
     two: list[dict[int, dict[int, LayerCand]]] = [dict() for _ in range(g.n)]
     for a, nb in enumerate(info.nodes):
@@ -482,7 +511,8 @@ def layered_min_cut(
             two[a][0] = cands
     states = [(info[a], state.paths[a], etas[a], hcast[a]) for a in range(g.n)]
     for i in range(1, info.depth):
-        folds = trsf_compute(engine, info, landing_spec(f"layer{i}", i), states, min_level=i + 1)
+        folds = yield from trsf_steps(engine, info, landing_spec(f"layer{i}", i), states,
+                                      min_level=i + 1)
         for a in range(g.n):
             cands = {l: z for l, z in folds[a].items() if z.is_candidate()}
             if cands:
@@ -736,16 +766,29 @@ def run_battery(
     live in different shape classes.  ``etas`` and ``zeta`` are the
     size-2 stage's eta lookups (:func:`preprocess_zeta`) and fold; the
     latter is the layered scan's layer 0.
+
+    The sketch phases run in the foreground, and beside them, on the
+    same clock, a chain that never sends on the same directed edge:
+    ``hcast`` (down the tree and across non-tree edges) beside
+    ``sketch3`` (up), then the layer folds (up) beside ``sketchcast``
+    (down and across) and ``rsketch2`` (down).  Each of these two stages
+    takes as many rounds as its longer side.  The detail waves (up) run
+    after both.  Hidden under the sketch phases too, they would leave
+    every battery the sum of its sketch phases alone, and those take
+    fewer rounds per D² on a cycle of 8 than on grids: the battery would
+    no longer stay within the smallest instance's rounds per D², the
+    quadratic bound the acceptance gate fits.
     """
     g = engine.g
-    reports: list[CutReport] = []
+    rows = engine.launch(_hcast_steps(engine, info, state))
+    sk3 = distributed_k_sketch(engine, info, state, 3, etas)
+    hcast = engine.join(rows)
 
-    hcast = downcast_h(engine, info, state)
+    scan = engine.launch(_scan_steps(engine, info, state, etas, hcast, zeta))
+    reports: list[CutReport] = []
     reports += detect_case1(g, state)
     reports += detect_case2(g, state)
     reports += detect_case4(g, state, hcast)
-
-    sk3 = distributed_k_sketch(engine, info, state, 3, etas)
     reports += detect_case3(g, state, sk3)
     # The exchange is the battery's largest object; nothing after case 6
     # reads it, so it is not kept alive past that detector.
@@ -754,8 +797,7 @@ def run_battery(
     red2 = distributed_reduced_sketch(engine, info, state, 2, etas, up=sk3)
     reports += detect_case7(g, state, red2)
 
-    two = layered_min_cut(engine, info, state, etas, hcast, zeta)
-    bridges, pairs = compute_cut_details(info, state, two)
+    bridges, pairs = compute_cut_details(info, state, engine.join(scan))
     reports += detect_case5(g, state, convergecast_details(engine, info, bridges, pairs))
 
     return BatteryResult(tuple(dedupe_reports(reports, _CASE_RANK)))

@@ -50,7 +50,7 @@ from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 from .graphs import RootedTree
-from .runtime import Engine, NodeHandle, ProtocolError, WordProgram
+from .runtime import Engine, NodeHandle, ProtocolError, Steps, WordProgram
 
 LABEL_BFS = "bfs"
 LABEL_BCAST1 = "broadcast1"
@@ -357,8 +357,8 @@ class _Downcast(WordProgram):
         super().on_chunk(eid, words)
 
 
-def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> None:
-    """Run one relay phase; every node must read exactly the blocks owed
+def _relay_phase(label: str, programs: Sequence[_Downcast]) -> Steps:
+    """One relay phase; every node must read exactly the blocks owed
     to it, its ancestors' and its non-tree neighbours'.
 
     A block that does not frame itself is refused before anything is
@@ -371,7 +371,7 @@ def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> Non
                 raise ProtocolError(
                     f"phase {label!r}: node {p.node.id} block {words} does not frame itself"
                 )
-    engine.run_phase(label, programs)
+    yield label, programs
     for p in programs:
         if p.stray:
             raise ProtocolError(
@@ -380,14 +380,20 @@ def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> Non
             )
 
 
+def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> None:
+    """Run one relay phase now (see :func:`_relay_phase`)."""
+    engine.run_chain(_relay_phase(label, programs))
+
+
 def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
                        blocks: Sequence[Sequence[int]], width: int | Callable[[int], int],
                        more: Callable[[tuple[int, ...]], int] | None = None, lo: int = 0,
                        paths: Sequence[Mapping[int, Sequence[int]]] | None = None,
-                       ) -> list[dict[int, tuple[int, ...]]]:
+                       ) -> Steps:
     """Relay every node's block to its subtree and, given ``paths`` (per
     node, each non-tree neighbour's root path), across its non-tree
-    edges; key what each node holds by owner.
+    edges; key what each node holds by owner.  A one-phase chain: run it
+    with ``engine.run_chain`` or alongside another with ``engine.launch``.
 
     Nodes nearer the root than level ``lo`` cast nothing.  The blocks of
     the root-path prefix both ends of a non-tree edge share are already
@@ -401,7 +407,7 @@ def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
         programs.append(
             _Downcast(h, nb.level, nb.parent_eid, nb.children, blocks[v], width, more, lo, swap)
         )
-    _run_relay(engine, label, programs)
+    yield from _relay_phase(label, programs)
     received = []
     for nb, p, own in zip(info.nodes, programs, blocks):
         got = dict(zip(reversed(nb.ancestors[lo:-1]), p.received))
@@ -424,7 +430,7 @@ def broadcast_t1(
     (including ``u`` itself) to that ancestor's word.  Pipelining keeps
     the cost linear in the tree depth.
     """
-    received = _relay_to_subtrees(engine, info, label, [(x,) for x in values], 1)
+    received = engine.run_chain(_relay_to_subtrees(engine, info, label, [(x,) for x in values], 1))
     return [{who: blk[0] for who, blk in got.items()} for got in received]
 
 
@@ -454,7 +460,7 @@ def broadcast_t2(
     itself, and its non-tree neighbours' chains) to that list, head
     words kept.
     """
-    return _relay_to_subtrees(engine, info, label, lists, width, more, lo, paths)
+    return engine.run_chain(_relay_to_subtrees(engine, info, label, lists, width, more, lo, paths))
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +631,25 @@ def trsf_compute(
     here.  Afterwards the combine operation is checked for
     commutativity and associativity on a sample of the folded elements.
     """
+    return engine.run_chain(trsf_steps(engine, info, spec, states, min_level))
+
+
+def trsf_steps(
+    engine: Engine,
+    info: BfsInfo,
+    spec: SemigroupSpec,
+    states: Sequence[object],
+    min_level: int = 0,
+) -> Steps:
+    """:func:`trsf_compute` as a one-phase chain, to run alongside
+    another with ``engine.launch``."""
     if not 0 <= min_level <= max(info.depth, 0):
         raise ValueError(f"min_level {min_level} outside tree depth {info.depth}")
     programs = [
         _TrsfProgram(h, info[v], spec, states[v], min_level)
         for v, h in enumerate(engine.handles)
     ]
-    engine.run_phase(f"trsf:{spec.name}", programs)
+    yield f"trsf:{spec.name}", programs
     # A record short leaves an expect unmet, which the engine reports.
     for p in programs:
         if p.stray:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smallcut import three_cuts
 from smallcut.graphs import Graph, boundary, generate, min_cut_oracle, edge_pairs
 from smallcut.runtime import Engine, SimulatorConfig
 from smallcut.sketches import distributed_k_sketch
@@ -40,6 +41,8 @@ from smallcut.three_cuts import (
     sketch_exchange,
 )
 from smallcut.trees import build_bfs
+
+from golden_costs import INSTANCES, build_graph
 
 # Each entry: vertex count, edge list, roots known to exhibit the label.
 # The graphs were screened against the subset-enumeration oracle; the
@@ -320,8 +323,9 @@ def test_sketch_swap_is_one_phase_without_shared_blocks():
     assert "sketchxch" not in per
     assert per["sketchcast"].rounds == 205  # 209 with an owner word, 205 + 242 as two phases
     # 956 as two phases, 718 with 8-word layer candidates, 711 with a layer-0 fold,
-    # 689 with owner, level and head words and a pivot:pre phase
-    assert res.battery_rounds == 669
+    # 689 with owner, level and head words and a pivot:pre phase, 669 with
+    # every phase in a row (hcast and the layer folds now share rounds)
+    assert res.battery_rounds == 627
 
     g = generate("cycle", 16)
     engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
@@ -344,6 +348,44 @@ def test_sketch_swap_is_one_phase_without_shared_blocks():
     unshared = info[x].ancestors[1:] + info[y].ancestors[1:]
     assert len(set(unshared)) == len(unshared)
     assert words[eid] == sum(1 + 4 * len(up.sketches[a].meta) for a in unshared)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, _, forced) in INSTANCES.items() if forced))
+def test_battery_rounds_overlap_opposite_directions(name):
+    # hcast (down) shares rounds with sketch3 (up), and the layer folds
+    # (up) with sketchcast and rsketch2 (down); the detail waves follow.
+    spec, root, _ = INSTANCES[name]
+    res = pipeline(build_graph(spec), root=root, force_battery=True)
+    per = res.engine.stats.per_phase
+    rounds = {label: p.rounds for label, p in per.items()}
+    layers = sum(r for label, r in rounds.items() if label.startswith("trsf:layer"))
+    assert layers > 0
+    assert res.battery_rounds == (
+        max(rounds["hcast"], rounds["sketch3"])
+        + max(layers, rounds["sketchcast"] + rounds["rsketch2"])
+        + rounds["details1"] + rounds["details2"]
+    )
+    assert res.engine.stats.rounds_elapsed == res.engine.round
+
+
+@pytest.mark.parametrize("seed,root", [(1, 8), (3, 0), (11, 2)])
+def test_case6_tries_each_triple_once_per_node(seed, root, monkeypatch):
+    # Sub-case B at node w tries (v, x, y) once, even when x lies on the
+    # chains of several non-tree neighbours (once per such edge, on these
+    # graphs some witnesses were checked 2 to 4 times).
+    tried = []
+    witness = three_cuts._witness_report
+
+    def counting(g, tree, parts, case, by):
+        if case == CASE6:
+            tried.append((tuple(parts), by))
+        return witness(g, tree, parts, case, by)
+
+    monkeypatch.setattr(three_cuts, "_witness_report", counting)
+    g = generate("random_connected", 10, seed=seed, lam_min=3, lam_max=3)
+    res = pipeline(g, root=root)
+    assert res.lambda_detected == 3
+    assert tried and len(tried) == len(set(tried))
 
 
 def test_hcast_swaps_rows_without_shared_or_empty_ones():

@@ -360,3 +360,83 @@ def test_wrong_program_count_rejected():
     engine = Engine(g)
     with pytest.raises(ValueError, match="one program per vertex"):
         engine.run_phase("short", [Echo(engine.handles[0])])
+
+
+class Flow(WordProgram):
+    """Every node streams ``k`` words to its neighbour ``step`` ids away
+    and reads as many from the neighbour on the other side."""
+
+    def __init__(self, node, step, k):
+        super().__init__(node)
+        self.step = step
+        self.k = k
+        self.got = None
+
+    def start(self):
+        for nbr, eid in self.node.ports:
+            if nbr == self.node.id + self.step:
+                self.send(eid, *range(self.k))
+            elif nbr == self.node.id - self.step:
+                self.expect(eid, self.k, self._take)
+
+    def _take(self, rec):
+        self.got = rec
+
+
+def flows(engine, *phases):
+    """A chain of ``(label, step, k)`` flow phases over every node."""
+    for label, step, k in phases:
+        yield label, [Flow(h, step, k) for h in engine.handles]
+
+
+def test_opposite_directions_share_rounds():
+    # On a path, +1 flows use the directed edges (v, v+1) and -1 flows
+    # the reverse ones, so the two phases can share every round.
+    g = generate("path", 5)
+    alone = Engine(g)
+    alone.run_phase("down", [Flow(h, 1, 6) for h in alone.handles])
+    alone.run_phase("up", [Flow(h, -1, 11) for h in alone.handles])
+    both = Engine(g)
+    up = both.launch(flows(both, ("up", -1, 11)))
+    down = [Flow(h, 1, 6) for h in both.handles]
+    both.run_phase("down", down)
+    assert both.round == 4  # 3 frames of 2 words, then the delivery round
+    both.join(up)
+    assert [p.got for p in down[1:]] == [tuple(range(6))] * 4
+    assert both.stats.as_dict()["per_phase"] == alone.stats.as_dict()["per_phase"]
+    assert alone.stats.rounds_elapsed == 4 + 7
+    assert both.stats.rounds_elapsed == both.round == 7
+    assert both.stats.total_messages == alone.stats.total_messages
+    assert both.stats.total_words == alone.stats.total_words
+
+
+def test_two_phases_on_one_directed_edge_raise():
+    engine = Engine(generate("path", 3))
+    engine.launch(flows(engine, ("first", 1, 4)))
+    with pytest.raises(ProtocolError, match="'first' and 'second' both send from node 0"):
+        engine.run_phase("second", [Flow(h, 1, 4) for h in engine.handles])
+
+
+def test_quiet_phase_raises_while_the_other_chain_goes_on():
+    g = Graph(2, [(0, 1)])
+    engine = Engine(g)
+    # Unanswered sends 0 -> 1 only; the long flow runs 1 -> 0.
+    engine.launch(iter([("quiet", [Unanswered(h) for h in engine.handles])]))
+    with pytest.raises(ProtocolError, match="'quiet'.*node 0") as err:
+        engine.run_phase("long", [Flow(h, -1, 40) for h in engine.handles])
+    assert not isinstance(err.value, RoundLimitError)
+    assert engine.round <= 2
+
+
+def test_round_limit_applies_per_phase():
+    engine = Engine(generate("path", 4), SimulatorConfig(round_limit=10))
+    # two 7-round phases in a row beside a third: 14 rounds, none over 10
+    chain = engine.launch(flows(engine, ("a", 1, 12), ("b", 1, 12)))
+    engine.run_phase("c", [Flow(h, -1, 12) for h in engine.handles])
+    engine.join(chain)
+    assert engine.round == 14
+    assert {label: p.rounds for label, p in engine.stats.per_phase.items()} == {
+        "a": 7, "b": 7, "c": 7,
+    }
+    with pytest.raises(RoundLimitError, match="'d'.*10 rounds"):
+        engine.run_phase("d", [Flow(h, -1, 22) for h in engine.handles])
