@@ -379,7 +379,6 @@ class WireView:
     the root of a bare path 2, but the untruncated tree's root deserved 1.
     """
 
-    owner: int
     self_witnessed: bool
     entries: dict[int, SketchMeta]
     branch_below_root: bool = False
@@ -404,13 +403,12 @@ def _view_body_words(head: Sequence[int]) -> int:
     return (ENTRY_WORDS + 1) * head[0]
 
 
-def _decode_view(owner: int, rec: Sequence[int], n: int) -> WireView:
+def _decode_view(rec: Sequence[int], n: int) -> WireView:
     count, self_bit, branch_bit = rec[:_VIEW_HEAD]
     body = rec[_VIEW_HEAD:]
     entries = decode_entries(body[: ENTRY_WORDS * count], n)
     flags = body[ENTRY_WORDS * count :]
     return WireView(
-        owner,
         bool(self_bit),
         entries,
         bool(branch_bit),
@@ -682,7 +680,7 @@ class _SketchUp(WordProgram):
             self._finish_up()
 
     def _got_view(self, cid: int, rec: tuple[int, ...]) -> None:
-        self.views[cid] = _decode_view(cid, rec, self.node.n)
+        self.views[cid] = _decode_view(rec, self.node.n)
         self._waiting -= 1
         if self._waiting == 0:
             self._finish_up()
@@ -790,10 +788,6 @@ def _strata_merge(
     v = rho_v[-1]
     sources = []
     for j, view in enumerate(strata, start=i):
-        if view.owner != me.alpha(j):
-            raise ProtocolError(
-                f"node {x}: stratum {j} came from {view.owner}, not from ancestor {me.alpha(j)}"
-            )
         sources.append(
             _Source(
                 view,
@@ -889,7 +883,7 @@ def distributed_reduced_sketch(
         me = info[x]
         lx = me.level
         # received strata sit nearest-first: owner levels lx-1 down to 1
-        views = [_decode_view(me.alpha(lx - 1 - j), rec, n) for j, rec in enumerate(prog.received)]
+        views = [_decode_view(rec, n) for rec in prog.received]
         for i in range(1, lx):
             strata = list(reversed(views[: lx - i]))
             out[me.alpha(i)] = _strata_merge(info, x, i, strata, k)

@@ -223,7 +223,7 @@ def compute_eta(engine: Engine, info: BfsInfo, pre: EtaPre) -> EtaState:
     n = engine.g.n
     m = engine.g.m
     spec = SemigroupSpec(
-        name="eta",
+        name="trsf:eta",
         combine=lambda x, y: x + y,
         atomic=lambda by_level, l: by_level[l],
         encode=lambda x: (x,),
@@ -329,7 +329,7 @@ def compute_zeta(
     (including a itself).  This is also layer 0 of the layered scan.
     """
     n = engine.g.n
-    spec = landing_spec("zeta", 0)
+    spec = landing_spec("trsf:zeta", 0)
     states = [(info[a], state.paths[a], etas[a], None) for a in range(n)]
     folds = trsf_compute(engine, info, spec, states)
     tables = tuple(

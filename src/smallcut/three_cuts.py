@@ -29,8 +29,8 @@ The scan folds the size-2 stage's landing candidate with the same atom;
 its layer 0 is the whole graph, so it reuses the zeta fold there.
 Each finding exists as one record holding only what case 5 reads: the
 scan folds it, the node keeps its best bridge and pair record, and the
-records are convergecast to the fork point with lowest-pivot-level
-contention.
+records are convergecast to the fork point on the fold engine, one slot
+per depth cohort, the lowest pivot level winning each slot.
 
 Detectors report *witnesses* — the subtree stack whose symmetric
 difference induces the cut — and the reported edge set is materialized
@@ -42,10 +42,11 @@ matter how the detecting predicate was reached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, RootedTree, boundary, edge_pairs
-from .runtime import Engine, SimulatorConfig, Steps, WordProgram
+from .runtime import Engine, SimulatorConfig, Steps
 from .small_cuts import (
     CutReport,
     EtaState,
@@ -72,6 +73,7 @@ from .sketches import (
 )
 from .trees import (
     BfsInfo,
+    SemigroupSpec,
     _relay_to_subtrees,
     build_bfs,
     trsf_steps,
@@ -511,8 +513,8 @@ def _scan_steps(
             two[a][0] = cands
     states = [(info[a], state.paths[a], etas[a], hcast[a]) for a in range(g.n)]
     for i in range(1, info.depth):
-        folds = yield from trsf_steps(engine, info, landing_spec(f"layer{i}", i), states,
-                                      min_level=i + 1)
+        folds = yield from trsf_steps(engine, info, landing_spec(f"trsf:layer{i}", i), states,
+                                      partial(range, i + 1))
         for a in range(g.n):
             cands = {l: z for l, z in folds[a].items() if z.is_candidate()}
             if cands:
@@ -591,86 +593,64 @@ def compute_cut_details(
 
 @dataclass(frozen=True)
 class ConvergecastResult:
-    """Every record each node saw go past, tagged with the child edge it
-    arrived on."""
+    """Every record each node's children sent it, tagged with the
+    sending child's id."""
 
     one: tuple[tuple[tuple[int, BridgeRecord], ...], ...]
     two: tuple[tuple[tuple[int, PairRecord], ...], ...]
 
 
-_ABSENT = (0,)  # a detail record's presence flag, unset
+def _best_detail(a, b):
+    """The better of two detail records: lowest pivot level, then lowest
+    node id; ``None``, no record, loses to any."""
+    if a is None or b is None:
+        return b if a is None else a
+    return min(a, b, key=lambda r: (r.pivot_level, r[0]))
 
 
-class _DetailWave(WordProgram):
-    """Forward one record per level cohort, keeping the best.
+def _detail_spec(label: str, cls: type) -> SemigroupSpec:
+    """The fold of the best ``cls`` record per depth cohort.
 
-    A node sends its own record first, then for each deeper cohort the
-    winner — lowest pivot level (word 2), then lowest node id (word 1)
-    — among what its children delivered for that cohort.  A record is
-    a presence flag followed, when the flag is set, by the record's
-    fields; an absent record is the flag alone.
+    A record travels as a presence flag, then, when the flag is set, its
+    fields; an absent record is the flag alone.  A node's state maps its
+    own level to its own record, so its atom is that record in its own
+    cohort and absent in every deeper one.
     """
-
-    def __init__(self, node, nb, depth: int, width: int, block: tuple[int, ...] | None):
-        super().__init__(node)
-        self.nb = nb
-        self.depth = depth
-        self.width = width
-        self.block = block
-        self.collected: list[tuple[int, tuple[int, ...]]] = []
-        self._pend: dict[int, int] = {}
-        self._best: dict[int, tuple[tuple[int, int], tuple[int, ...]] | None] = {}
-
-    def start(self):
-        lv = self.nb.level
-        up = self.nb.parent_eid
-        kids = len(self.nb.children)
-        for c in range(lv + 1, self.depth + 1):
-            self._pend[c] = kids
-            self._best[c] = None
-        if up is not None:
-            self.send(up, *(self.block or _ABSENT))
-            if kids == 0:
-                for _ in range(lv + 1, self.depth + 1):
-                    self.send(up, *_ABSENT)
-        for cid, eid in self.nb.children:
-            self._await(cid, eid, lv + 1)
-
-    def _await(self, cid: int, eid: int, cohort: int):
-        self.expect(eid, 1, lambda blk: self._block(cid, eid, cohort, blk), self._tail)
-
-    def _tail(self, head: tuple[int, ...]) -> int:
-        return self.width - 1 if head[0] else 0
-
-    def _block(self, cid: int, eid: int, cohort: int, blk: tuple[int, ...]):
-        if blk[0]:
-            self.collected.append((cid, blk))
-            key = (blk[2], blk[1])
-            cur = self._best[cohort]
-            if cur is None or key < cur[0]:
-                self._best[cohort] = (key, blk)
-        self._pend[cohort] -= 1
-        if self._pend[cohort] == 0 and self.nb.parent_eid is not None:
-            best = self._best[cohort]
-            self.send(self.nb.parent_eid, *(best[1] if best else _ABSENT))
-        if cohort < self.depth:
-            self._await(cid, eid, cohort + 1)
-
-
-def _run_wave(engine, info, records, cls, label):
-    """One wave of ``cls`` records, each sent as ``(1, *record)``."""
-    programs = [
-        _DetailWave(
-            engine.handles[v], info[v], info.depth, 1 + len(cls._fields),
-            None if r is None else (1, *r),
-        )
-        for v, r in enumerate(records)
-    ]
-    engine.run_phase(label, programs)
-    return tuple(
-        tuple((cid, cls(*blk[1:])) for cid, blk in sorted(p.collected))
-        for p in programs
+    fields = len(cls._fields)
+    return SemigroupSpec(
+        name=label,
+        combine=_best_detail,
+        atomic=dict.get,
+        encode=lambda r: (0,) if r is None else (1, *r),
+        decode=lambda words: cls(*words[1:]) if words[0] else None,
+        tail_words=lambda head: fields if head[0] else 0,
     )
+
+
+def _details_steps(
+    engine: Engine,
+    info: BfsInfo,
+    bridges: Sequence[BridgeRecord | None],
+    pairs: Sequence[PairRecord | None],
+) -> Steps:
+    """:func:`convergecast_details` as a chain of two folds."""
+
+    def cohorts(level: int) -> range:
+        return range(level, info.depth + 1)
+
+    waves = []
+    for label, cls, records in ((LABEL_DETAILS1, BridgeRecord, bridges),
+                                (LABEL_DETAILS2, PairRecord, pairs)):
+        states = [{info[v].level: r} for v, r in enumerate(records)]
+        folds = yield from trsf_steps(engine, info, _detail_spec(label, cls), states, cohorts)
+        waves.append(tuple(
+            tuple(sorted(
+                (cid, folds[cid][d]) for cid, _ in nb.children
+                for d in cohorts(nb.level + 1) if folds[cid][d] is not None
+            ))
+            for nb in info.nodes
+        ))
+    return ConvergecastResult(*waves)
 
 
 def convergecast_details(
@@ -681,14 +661,15 @@ def convergecast_details(
 ) -> ConvergecastResult:
     """Two pipelined waves, bridge records first, pair records second.
 
-    Each node ships the records :func:`compute_cut_details` made for it,
-    4 and 6 words behind a presence flag, and forwards the best of each
-    deeper level cohort.
+    Each wave is a fold over depth cohorts: every node sends up one
+    record per depth from its own level to the tree's, its own record
+    first and then, for each deeper depth, the best that its children
+    sent for that depth (lowest pivot level, then lowest node id).  A
+    record is 4 or 6 words behind a presence flag.  Returns, per node,
+    the present records its children sent, which is what the node
+    decoded.
     """
-    return ConvergecastResult(
-        one=_run_wave(engine, info, bridges, BridgeRecord, LABEL_DETAILS1),
-        two=_run_wave(engine, info, pairs, PairRecord, LABEL_DETAILS2),
-    )
+    return engine.run_chain(_details_steps(engine, info, bridges, pairs))
 
 
 def detect_case5(

@@ -9,8 +9,8 @@ subtree, optionally swapped across non-tree edges too
 non-tree edge (``nontree_exchange``), and implements the generic
 bottom-up fold engine (``trsf_compute``) that evaluates, for every node
 ``v``, the semigroup fold of per-node atomic values over the subtree
-below ``v``, while every node ``a`` also learns the partial folds of its
-own subtree toward each of its ancestors.
+below ``v``, one record per slot: toward each of its ancestors, or per
+depth cohort below it.
 
 Every block that moves down the tree rides one relay, ``_Downcast``: a
 node queues its own block, forwards each chunk from its parent unchanged
@@ -35,12 +35,12 @@ Once both ends know each other's root path, the prefix they share
 (``shared_prefix``) is known on both sides, so nothing keyed by it
 crosses the edge.
 
-Every fold record goes up as soon as it is complete, and the per-edge
-queues pace the wire: a node's partial toward ancestor level ``l`` is
-sent once all of its children have reported theirs.  A child's records
-arrive in ascending level order, so none carries its level.  When a
-record fits one round's budget, a fold restricted to levels
-``>= min_level`` takes ``depth - min_level + 1`` rounds.
+A fold's slots are ancestor levels or depth cohorts.  A node sends its
+record for a slot up once all of its children have reported theirs,
+and the per-edge queues pace the wire.  A child's records arrive in
+ascending slot order, so none carries its slot.  When a record fits one
+round's budget, an ancestor fold from level ``m`` takes ``depth - m + 1``
+rounds.
 """
 
 from __future__ import annotations
@@ -521,11 +521,13 @@ def nontree_exchange(
 
 @dataclass
 class SemigroupSpec:
-    """A fold instance: domain, operation, atoms, and wire encoding.
+    """A fold instance: phase label, domain, operation, atoms, and wire
+    encoding.
 
-    ``atomic(state, l)`` yields the node's atomic element toward its
-    ancestor at level ``l``; ``state`` is whatever per-node object the
-    caller passed to :func:`trsf_compute`.  ``encode``/``decode``
+    ``name`` labels the fold's phase.  ``atomic(state, s)`` yields the
+    node's atomic element for slot ``s`` (an ancestor level or a depth
+    cohort, see :func:`trsf_compute`); ``state`` is whatever per-node
+    object the caller passed to :func:`trsf_compute`.  ``encode``/``decode``
     translate elements to word tuples.  Fixed-size elements declare
     ``head_words`` alone; variable-size elements also supply
     ``tail_words``, which reads the head and answers how many words
@@ -544,43 +546,40 @@ class SemigroupSpec:
 
 
 class _TrsfProgram(WordProgram):
-    """One node's part of a fold: a record per level, sent up in
-    ascending level order, so no record carries its level."""
+    """One node's part of a fold: it folds its children's records for
+    ``slots(level + 1)`` into its own atoms and sends its records for
+    ``slots(level)`` up (a root sends none), in ascending slot order, so
+    no record carries its slot."""
 
     def __init__(self, node: NodeHandle, nb: NodeBfs, spec: SemigroupSpec,
-                 state: object, lo: int):
+                 state: object, slots: Callable[[int], Sequence[int]]):
         super().__init__(node)
         self.nb = nb
         self.spec = spec
-        self.state = state
-        self.lo = lo
-        self.acc: dict[int, object] = {}
-        self.pending: dict[int, int] = {}
-        self.next_l = lo
+        self.up = () if nb.is_root else slots(nb.level)
+        self.below = slots(nb.level + 1)
+        self.acc = {s: spec.atomic(state, s) for s in sorted({*slots(nb.level), *self.below})}
+        self.pending = dict.fromkeys(self.below, len(nb.children))
+        self.sent = 0
 
     def start(self):
-        lv = self.nb.level
-        if lv < self.lo:
-            return
-        for l in range(self.lo, lv + 1):
-            self.acc[l] = self.spec.atomic(self.state, l)
-            self.pending[l] = len(self.nb.children)
-        # A child's records for levels lo..lv arrive in that order.
+        # A child's records arrive in ascending slot order.
         for _, eid in self.nb.children:
-            for l in range(self.lo, lv + 1):
-                self.expect(eid, self.spec.head_words, partial(self._record, l),
+            for s in self.below:
+                self.expect(eid, self.spec.head_words, partial(self._record, s),
                             self.spec.tail_words)
         self._settle()
 
-    def _record(self, l: int, rec: tuple[int, ...]):
-        self.pending[l] -= 1
-        self.acc[l] = self.spec.combine(self.acc[l], self.spec.decode(rec))
+    def _record(self, s: int, rec: tuple[int, ...]):
+        self.pending[s] -= 1
+        self.acc[s] = self.spec.combine(self.acc[s], self.spec.decode(rec))
         self._settle()
 
     def _settle(self):
-        while self.next_l < self.nb.level and not self.pending[self.next_l]:
-            self.send(self.nb.parent_eid, *self.spec.encode(self.acc[self.next_l]))
-            self.next_l += 1
+        # A slot no child sends is owed nothing and goes at once.
+        while self.sent < len(self.up) and not self.pending.get(self.up[self.sent]):
+            self.send(self.nb.parent_eid, *self.spec.encode(self.acc[self.up[self.sent]]))
+            self.sent += 1
 
 
 def _check_algebra(spec: SemigroupSpec, seen: list[object]) -> None:
@@ -613,25 +612,31 @@ def trsf_compute(
     info: BfsInfo,
     spec: SemigroupSpec,
     states: Sequence[object],
-    min_level: int = 0,
+    slots: Callable[[int], Sequence[int]] = range,
 ) -> list[dict[int, object]]:
     """Fold atomic values over every subtree, one wave up the tree.
 
-    Every node ``a`` at level ``l_a >= min_level`` ends up with its
-    partial fold toward each ancestor level in ``[min_level, l_a]``
-    (the one at ``l_a`` being the node's own subtree value): the
-    result's ``[a][l]``.
-    ``min_level`` restricts the fold to the forest of subtrees rooted
-    at that level, which is how per-pivot instances reuse this engine.
-    A node sends each partial up as soon as all its children's records
-    for that level are in; the per-edge queues pace the wire, so a fold
-    whose records fit one round's budget takes ``depth - min_level + 1``
-    rounds.  Records go up in ascending level order and carry no level
-    word, so a record past the last level is left unread and refused
-    here.  Afterwards the combine operation is checked for
-    commutativity and associativity on a sample of the folded elements.
+    ``slots(l)`` names the records a level-``l`` node sends up, in
+    ascending order; its children send ``slots(l + 1)``.  The result's
+    ``[a][s]`` is node ``a``'s atom for slot ``s`` combined with every
+    record its children sent for ``s``.  The slots are either
+    *ancestor levels* (the default, ``range``: slot ``l`` is the partial
+    fold toward the level-``l`` ancestor, and ``[a][l_a]`` the node's
+    own subtree value; ``partial(range, m)`` restricts the fold to the
+    forest of subtrees rooted at level ``m``, which is how per-pivot
+    instances reuse this engine) or *depth cohorts*
+    (``lambda l: range(l, depth + 1)``: slot ``d`` folds the subtree's
+    depth-``d`` atoms).
+
+    A node sends each record up as soon as all its children's records
+    for that slot are in; the per-edge queues pace the wire, so an
+    ancestor fold from level ``m`` whose records fit one round's budget
+    takes ``depth - m + 1`` rounds.  Records carry no slot word, so a
+    record past the last slot is left unread and refused here.
+    Afterwards the combine operation is checked for commutativity and
+    associativity on a sample of the folded elements.
     """
-    return engine.run_chain(trsf_steps(engine, info, spec, states, min_level))
+    return engine.run_chain(trsf_steps(engine, info, spec, states, slots))
 
 
 def trsf_steps(
@@ -639,22 +644,21 @@ def trsf_steps(
     info: BfsInfo,
     spec: SemigroupSpec,
     states: Sequence[object],
-    min_level: int = 0,
+    slots: Callable[[int], Sequence[int]] = range,
 ) -> Steps:
-    """:func:`trsf_compute` as a one-phase chain, to run alongside
-    another with ``engine.launch``."""
-    if not 0 <= min_level <= max(info.depth, 0):
-        raise ValueError(f"min_level {min_level} outside tree depth {info.depth}")
+    """:func:`trsf_compute` as a one-phase chain, labelled ``spec.name``,
+    to run alongside another with ``engine.launch``."""
     programs = [
-        _TrsfProgram(h, info[v], spec, states[v], min_level)
+        _TrsfProgram(h, info[v], spec, states[v], slots)
         for v, h in enumerate(engine.handles)
     ]
-    yield f"trsf:{spec.name}", programs
+    yield spec.name, programs
     # A record short leaves an expect unmet, which the engine reports.
     for p in programs:
         if p.stray:
             raise ProtocolError(
-                f"{spec.name}: node {p.node.id} heard {p.stray} words that no record claimed"
+                f"phase {spec.name!r}: node {p.node.id} heard {p.stray} words "
+                f"that no record claimed"
             )
     _check_algebra(spec, [x for p in programs for x in p.acc.values()])
     return [p.acc for p in programs]

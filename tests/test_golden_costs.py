@@ -51,3 +51,20 @@ def test_src_has_no_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+def test_protocols_define_no_word_program():
+    # Every phase small_cuts and three_cuts run is a trees fold, relay or
+    # exchange; a program of their own would be a second pipeline beside
+    # those, with its own framing and checks.
+    from smallcut import small_cuts, three_cuts
+    from smallcut.runtime import WordProgram
+
+    found = [
+        f"{mod.__name__}.{name}"
+        for mod in (small_cuts, three_cuts)
+        for name, obj in vars(mod).items()
+        if isinstance(obj, type) and issubclass(obj, WordProgram)
+        and obj.__module__ == mod.__name__
+    ]
+    assert not found

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ def strict_engine(g, **kw):
     return Engine(g, SimulatorConfig(strict_bandwidth=True, **kw))
 
 
-def counting_spec(name="size"):
+def counting_spec(name="trsf:size"):
     return SemigroupSpec(
         name=name,
         combine=lambda a, b: a + b,
@@ -193,7 +195,7 @@ def test_fold_partials_and_round_count(seed):
     # Atom toward the level-l ancestor is l+1, so each partial is
     # (subtree size) * (l+1) -- l-dependence included on purpose.
     spec = SemigroupSpec(
-        name="weighted",
+        name="trsf:weighted",
         combine=lambda a, b: a + b,
         atomic=lambda state, l: l + 1,
         encode=lambda x: (x,),
@@ -213,7 +215,8 @@ def test_fold_with_min_level_restricts_to_deep_forest():
     g = generate("path", 6)
     engine = strict_engine(g)
     info = build_bfs(engine, 0)
-    folds = trsf_compute(engine, info, counting_spec("deep"), [None] * 6, min_level=2)
+    folds = trsf_compute(engine, info, counting_spec("trsf:deep"), [None] * 6,
+                          partial(range, 2))
     ref = info.tree()
     for v in range(6):
         if info[v].level < 2:
@@ -222,6 +225,63 @@ def test_fold_with_min_level_restricts_to_deep_forest():
             assert folds[v][info[v].level] == len(ref.desc(v))
             assert sorted(folds[v]) == list(range(2, info[v].level + 1))
     assert engine.stats.per_phase["trsf:deep"].rounds == info.depth - 2 + 1
+
+
+COHORT_GRAPHS = {
+    "path": generate("path", 7),
+    "star": Graph(6, [(0, i) for i in range(1, 6)]),
+    "grid16": generate("grid", 16),
+    "random14_l3": generate("random_connected", 14, seed=11, lam_min=3, lam_max=3),
+}
+
+
+def best_spec(pad=None):
+    """The lowest ``(key, node)`` record per depth cohort; no record is
+    the identity.  A record travels as a presence flag, then its two
+    fields; the record ``pad`` travels with one word too many."""
+    return SemigroupSpec(
+        name="cohort",
+        combine=lambda a, b: b if a is None else a if b is None else min(a, b),
+        atomic=dict.get,
+        encode=lambda r: (0,) if r is None else (1, *r, *((0,) if r == pad else ())),
+        decode=lambda w: tuple(w[1:]) if w[0] else None,
+        tail_words=lambda head: 2 if head[0] else 0,
+    )
+
+
+def cohort_fold(g, records, spec):
+    engine = strict_engine(g)
+    info = build_bfs(engine, 0)
+
+    def cohorts(level):
+        return range(level, info.depth + 1)
+
+    states = [{info[v].level: records.get(v)} for v in range(g.n)]
+    return info, cohorts, trsf_compute(engine, info, spec, states, cohorts)
+
+
+@pytest.mark.parametrize("name", sorted(COHORT_GRAPHS))
+def test_cohort_fold_sends_the_best_record_per_depth(name):
+    g = COHORT_GRAPHS[name]
+    # Records at two nodes in three, keyed out of id order.
+    records = {v: ((7 * v) % 5, v) for v in range(1, g.n) if v % 3}
+    info, cohorts, folds = cohort_fold(g, records, best_spec())
+    tree = info.tree()
+    for v in range(g.n):
+        for cid, _ in info[v].children:
+            sent = [folds[cid][d] for d in cohorts(info[v].level + 1)]
+            want = [
+                min((records[u] for u in tree.desc(cid) if u in records and info[u].level == d),
+                    default=None)
+                for d in cohorts(info[v].level + 1)
+            ]
+            assert sent == want, (v, cid)
+
+
+def test_cohort_fold_refuses_a_record_one_word_too_long():
+    g = generate("path", 5)
+    with pytest.raises(ProtocolError, match=r"phase 'cohort': node \d+ heard 1 words"):
+        cohort_fold(g, {4: (0, 4)}, best_spec(pad=(0, 4)))
 
 
 def test_variable_length_fold_collects_subtree_ids():
