@@ -16,10 +16,12 @@ mode adds value validation: a word must stay below ``max(4, n^2)``, so
 a protocol cannot smuggle unbounded payloads through single words.
 
 Programs read records with ``expect``: a fixed number of words, or a
-head whose words say how long the rest is (``more``).  A relay also
-overrides ``on_chunk`` to forward each chunk as it arrives, and hands
-the chunk on to the base class to read its records; a program that
-only counts tokens overrides ``on_chunk`` alone.
+head whose words say how long the rest is (``more``).  A relay declares
+what it forwards in ``relays``, and the engine queues each chunk heard
+on such an in-edge on its out-edges in the round it arrives
+(cut-through), before the program reads it.  Those words were checked
+when their origin sent them, so forwarding checks nothing again.  Only
+a program that counts tokens overrides ``on_chunk``.
 
 Each phase has its own queues, frames in flight and round count, and
 it ends when its own wire is empty: none of its queues holds words and
@@ -197,9 +199,12 @@ class WordProgram:
     register reception handlers with ``expect``; the base class
     reassembles records from the per-edge word streams and fires each
     handler exactly once, with the whole record, when it is complete.
-    A relay overrides ``on_chunk`` to forward chunks and calls the base
-    ``on_chunk`` to read them; a token counter overrides it alone.
+    ``relays`` maps an in-edge to the edges on which the engine forwards
+    every chunk heard on it, unchanged and in the same round; a token
+    counter overrides ``on_chunk``.
     """
+
+    relays: dict[int, tuple[int, ...]] = {}
 
     def __init__(self, node: NodeHandle):
         self.node = node
@@ -230,8 +235,12 @@ class WordProgram:
         self._drain_buffer(eid)
 
     def on_chunk(self, eid: int, words: tuple[int, ...]) -> None:
-        self._buf.setdefault(eid, []).extend(words)
-        self._drain_buffer(eid)
+        buf = self._buf.setdefault(eid, [])
+        buf.extend(words)
+        # A chunk that completes no head or record costs the append alone.
+        want = self._want.get(eid)
+        if want and len(buf) >= want[0][0]:
+            self._drain_buffer(eid)
 
     @property
     def stray(self) -> int:
@@ -282,7 +291,7 @@ class _Phase:
         self.label = label
         self.programs = programs
         self.chain = chain
-        self.outbox: dict[tuple[int, int], deque[int]] = {}
+        self.outbox: dict[tuple[int, int], list[int]] = {}
         # drained frames awaiting delivery: (destination, edge id, words)
         self.pending: list[tuple[int, int, tuple[int, ...]]] = []
         self.rounds = 0
@@ -309,7 +318,7 @@ class Engine:
         self.handles = tuple(NodeHandle(self, v) for v in range(g.n))
         self._live: list[_Phase] = []
         # the outbox of the phase whose programs are running
-        self._outbox: dict[tuple[int, int], deque[int]] = {}
+        self._outbox: dict[tuple[int, int], list[int]] = {}
 
     def _send(self, handle: NodeHandle, eid: int, words: tuple[int, ...]) -> None:
         if eid not in handle._by_edge:
@@ -326,7 +335,7 @@ class Engine:
                     f"range [0, {self.value_cap})",
                 )
         if words:
-            self._outbox.setdefault((handle.id, eid), deque()).extend(words)
+            self._outbox.setdefault((handle.id, eid), []).extend(words)
 
     def run_phase(self, label: str, programs: Sequence[WordProgram]) -> None:
         """Run programs (one per vertex) until this phase's wire is empty."""
@@ -359,6 +368,10 @@ class Engine:
             return
         if len(programs) != self.g.n:
             raise ValueError(f"need one program per vertex, got {len(programs)}")
+        for p in programs:
+            for into, outs in p.relays.items():
+                for eid in (into, *outs):
+                    p.node.neighbor(eid)  # raises unless incident
         phase = _Phase(label, programs, chain)
         self._live.append(phase)
         self._outbox = phase.outbox
@@ -401,11 +414,14 @@ class Engine:
             self.round += 1
             stats.rounds_elapsed += 1
             for phase in live:
-                self._outbox = phase.outbox
+                outbox = self._outbox = phase.outbox
                 programs = phase.programs
                 pending, phase.pending = phase.pending, []
                 for dst, eid, payload in pending:
-                    programs[dst].on_chunk(eid, payload)
+                    program = programs[dst]
+                    for out in program.relays.get(eid, ()):
+                        outbox.setdefault((dst, out), []).extend(payload)
+                    program.on_chunk(eid, payload)
             # Two live phases never share a directed edge in one round.
             busy: dict[tuple[int, int], str] | None = {} if len(live) > 1 else None
             for phase in live:
@@ -421,23 +437,24 @@ class Engine:
                         )
                     busy.update(dict.fromkeys(outbox, phase.label))
                 pending = phase.pending
-                messages = 0
+                messages = len(outbox)
                 words = 0
-                max_bits = 0
+                widest = 0
                 for key in sorted(outbox):
                     src, eid = key
                     queue = outbox[key]
-                    take = min(budget, len(queue))
-                    payload = tuple(queue.popleft() for _ in range(take))
-                    if not queue:
+                    payload = tuple(queue[:budget])
+                    take = len(payload)
+                    if take == len(queue):
                         del outbox[key]
+                    else:
+                        del queue[:take]
                     u, v = edges[eid]
-                    dst = v if src == u else u
-                    pending.append((dst, eid, payload))
-                    messages += 1
+                    pending.append((v if src == u else u, eid, payload))
                     words += take
-                    max_bits = max(max_bits, take * self.word_size)
-                stats.record_round(phase.label, messages, words, max_bits)
+                    if take > widest:
+                        widest = take
+                stats.record_round(phase.label, messages, words, widest * self.word_size)
 
 
 def run_protocol(

@@ -13,7 +13,8 @@ below ``v``, one record per slot: toward each of its ancestors, or per
 depth cohort below it.
 
 Every block that moves down the tree rides one relay, ``_Downcast``: a
-node queues its own block, forwards each chunk from its parent unchanged
+node queues its own block, declares its parent edge a relay onto its
+child edges, so the engine forwards each chunk from the parent unchanged
 in the round it arrives (cut-through, never store-and-forward), and reads
 the parent's stream as records through ``expect``.  A record is a
 block whose width every node knows, possibly from its owner's level, or
@@ -276,9 +277,10 @@ class _Downcast(WordProgram):
     A node at ``level >= lo`` queues its own block on its child edges
     (nodes nearer the root cast nothing): ``block`` is one word list for
     all children, or a map from child edge id to that child's block (the
-    reduced-sketch strata).  It then forwards every chunk from its
-    parent unchanged, in the round the chunk arrives, and reads the
-    parent's stream as records through ``expect``: ``width`` words each
+    reduced-sketch strata).  Its ``relays`` send every chunk from its
+    parent on to its children unchanged, in the round the chunk arrives
+    (the engine forwards them), and it reads the parent's stream as
+    records through ``expect``: ``width`` words each
     (``width(l)`` for the block of a level-``l`` owner, when a block's
     length follows from its owner's level), or ``width`` head words plus
     ``more(head)`` when blocks frame themselves.  No width is agreed
@@ -310,6 +312,8 @@ class _Downcast(WordProgram):
         self.parent_eid = parent_eid
         self.children = children
         self.swap = swap or {}
+        if parent_eid is not None:
+            self.relays = {parent_eid: tuple(eid for _, eid in children)}
         if level < lo:
             self.blocks = {}
         elif isinstance(block, Mapping):
@@ -349,12 +353,6 @@ class _Downcast(WordProgram):
         for eid, (first, _) in self.swap.items():
             if level >= first:
                 self.send(eid, *rec)
-
-    def on_chunk(self, eid, words):
-        if eid == self.parent_eid:
-            for _, ceid in self.children:
-                self.send(ceid, *words)
-        super().on_chunk(eid, words)
 
 
 def _relay_phase(label: str, programs: Sequence[_Downcast]) -> Steps:

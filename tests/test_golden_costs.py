@@ -68,3 +68,25 @@ def test_protocols_define_no_word_program():
         and obj.__module__ == mod.__name__
     ]
     assert not found
+
+
+def test_only_the_token_counter_overrides_on_chunk():
+    # A relay declares what it forwards in ``relays`` and the engine
+    # forwards it; an ``on_chunk`` override that sends would bring
+    # per-chunk forwarding back into Python programs.
+    import importlib
+    import pkgutil
+
+    import smallcut
+    from smallcut.runtime import WordProgram
+
+    found = sorted(
+        f"{mod.__name__}.{name}"
+        for info in pkgutil.iter_modules(smallcut.__path__)
+        for mod in [importlib.import_module(f"smallcut.{info.name}")]
+        for name, obj in vars(mod).items()
+        if isinstance(obj, type) and issubclass(obj, WordProgram)
+        and obj is not WordProgram and obj.__module__ == mod.__name__
+        and "on_chunk" in vars(obj)
+    )
+    assert found == ["smallcut.trees._JoinProgram"]

@@ -440,3 +440,102 @@ def test_round_limit_applies_per_phase():
     }
     with pytest.raises(RoundLimitError, match="'d'.*10 rounds"):
         engine.run_phase("d", [Flow(h, -1, 22) for h in engine.handles])
+
+
+class PathStream(WordProgram):
+    """Node 0 streams ``words`` up a path; every inner node passes on what
+    it hears from its lower neighbour, and the far end reads the block
+    whole.  ``declared`` passes it on by a declared relay, else by a
+    ``send`` in ``on_chunk``."""
+
+    def __init__(self, node, words, declared=True):
+        super().__init__(node)
+        ports = {nbr: eid for nbr, eid in node.ports}
+        self.into = ports.get(node.id - 1)
+        self.out = ports.get(node.id + 1)
+        self.words = words
+        self.declared = declared
+        self.got = None
+        if declared and None not in (self.into, self.out):
+            self.relays = {self.into: (self.out,)}
+
+    def start(self):
+        if self.into is None:
+            self.send(self.out, *self.words)
+        elif self.out is None:
+            self.expect(self.into, len(self.words), self._take)
+
+    def _take(self, rec):
+        self.got = (rec, self.node.round)
+
+    def on_chunk(self, eid, words):
+        if not self.declared and eid == self.into and self.out is not None:
+            self.send(self.out, *words)
+        super().on_chunk(eid, words)
+
+
+def test_declared_relay_matches_forwarding_in_on_chunk():
+    g = generate("path", 5)
+    runs = []
+    for declared in (True, False):
+        engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
+        programs = [PathStream(h, tuple(range(7)), declared) for h in engine.handles]
+        engine.run_phase("path", programs)
+        runs.append((programs[-1].got, engine.stats.as_dict()))
+    assert runs[0] == runs[1]
+    # Four frames leave node 0 in rounds 1..4 and each takes four hops,
+    # forwarded in the round it arrives: the last lands in round 8.
+    assert runs[0][0] == (tuple(range(7)), 8)
+    assert runs[0][1]["per_phase"]["path"]["messages"] == 4 * 4
+
+
+class ForeignRelay(WordProgram):
+    """Node 0 declares a relay that names edge 2, which joins nodes 2 and 3."""
+
+    def __init__(self, node, into):
+        super().__init__(node)
+        if node.id == 0:
+            own = node.ports[0][1]
+            self.relays = {2: (own,)} if into else {own: (2,)}
+
+
+@pytest.mark.parametrize("into", [True, False])
+def test_relay_on_a_foreign_edge_raises_before_round_one(into):
+    engine = Engine(generate("path", 4))
+    with pytest.raises(ProtocolError, match="edge 2 is not incident to node 0"):
+        engine.run_phase("foreign", [ForeignRelay(h, into) for h in engine.handles])
+    assert engine.round == 0
+
+
+def test_oversized_word_raises_at_its_origin_before_relays():
+    g = generate("path", 5)
+    engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
+    with pytest.raises(BandwidthError) as err:
+        engine.run_phase("over", [PathStream(h, (1, g.n * g.n)) for h in engine.handles])
+    assert (err.value.edge, err.value.round) == (0, 0)
+
+
+class Hop(WordProgram):
+    """Node ``src`` streams ``k`` words to node ``src + 1``, which reads them."""
+
+    def __init__(self, node, src, k):
+        super().__init__(node)
+        self.src = src
+        self.k = k
+
+    def start(self):
+        ports = {nbr: eid for nbr, eid in self.node.ports}
+        if self.node.id == self.src:
+            self.send(ports[self.src + 1], *range(self.k))
+        elif self.node.id == self.src + 1:
+            self.expect(ports[self.src], self.k, lambda rec: None)
+
+
+def test_forwarded_chunk_meeting_another_phase_raises():
+    # Node 2 sends nothing of its own in 'relay'; its first forwarded
+    # frame goes out on edge 2 in round 3, while 'hop' still sends there.
+    engine = Engine(generate("path", 5))
+    engine.launch(iter([("relay", [PathStream(h, tuple(range(7))) for h in engine.handles])]))
+    with pytest.raises(ProtocolError, match="'relay' and 'hop' both send from node 2 on edge 2"):
+        engine.run_phase("hop", [Hop(h, 2, 40) for h in engine.handles])
+    assert engine.round == 3
