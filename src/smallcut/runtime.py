@@ -20,8 +20,8 @@ head whose words say how long the rest is (``more``).  A relay declares
 what it forwards in ``relays``, and the engine queues each chunk heard
 on such an in-edge on its out-edges in the round it arrives
 (cut-through), before the program reads it.  Those words were checked
-when their origin sent them, so forwarding checks nothing again.  Only
-a program that counts tokens overrides ``on_chunk``.
+when their origin sent them, so forwarding checks nothing again.  No
+program in the package overrides ``on_chunk``.
 
 Each phase has its own queues, frames in flight and round count, and
 it ends when its own wire is empty: none of its queues holds words and
@@ -200,8 +200,7 @@ class WordProgram:
     reassembles records from the per-edge word streams and fires each
     handler exactly once, with the whole record, when it is complete.
     ``relays`` maps an in-edge to the edges on which the engine forwards
-    every chunk heard on it, unchanged and in the same round; a token
-    counter overrides ``on_chunk``.
+    every chunk heard on it, unchanged and in the same round.
     """
 
     relays: dict[int, tuple[int, ...]] = {}

@@ -780,9 +780,11 @@ class ReducedSketchResult:
 
 
 def _strata_merge(
-    info: BfsInfo, x: int, i: int, strata: Sequence[WireView], k: int
+    info: BfsInfo, x: int, i: int, strata: Sequence[WireView], k: int,
+    eta_of: Mapping[int, int],
 ) -> SketchTree:
-    """Union strata ``S_k(w_j \\ w_(j+1))``, ``j >= i``, into ``S_k(v \\ x)``."""
+    """Union strata ``S_k(w_j \\ w_(j+1))``, ``j >= i``, into ``S_k(v \\ x)``;
+    ``eta_of`` is node ``x``'s eta lookup, which holds every ancestor's."""
     me = info[x]
     rho_v = list(me.ancestors[: i + 1])
     v = rho_v[-1]
@@ -795,21 +797,12 @@ def _strata_merge(
                 certify_on_self=frozenset(me.ancestors[i : j + 1]),
             )
         )
-    spine_eta: dict[int, int] = {}
-    for src in sources:
-        for u in rho_v:
-            e = src.view.entries.get(u)
-            if e is not None:
-                spine_eta.setdefault(u, e.eta)
-    missing = [u for u in rho_v if u not in spine_eta]
-    if missing:
-        raise ProtocolError(f"node {x}: strata lost spine etas for {missing}")
     sketch = _merge_sources(
         root=info.root,
         v=v,
         k=k,
         spine=rho_v,
-        eta_of=spine_eta,
+        eta_of=eta_of,
         sources=sources,
         exclude=x,
         depth_hint=info.depth,
@@ -886,6 +879,6 @@ def distributed_reduced_sketch(
         views = [_decode_view(rec, n) for rec in prog.received]
         for i in range(1, lx):
             strata = list(reversed(views[: lx - i]))
-            out[me.alpha(i)] = _strata_merge(info, x, i, strata, k)
+            out[me.alpha(i)] = _strata_merge(info, x, i, strata, k, etas[x])
         per_node.append(out)
     return ReducedSketchResult(k=k, per_node=tuple(per_node))

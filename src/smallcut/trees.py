@@ -1,7 +1,9 @@
 """Tree construction and the aggregation primitives built on top of it.
 
 Everything downstream runs over one rooted BFS spanning tree.  This
-module builds that tree distributedly (``build_bfs``), provides the two
+module builds that tree distributedly (``build_bfs``: one flood of
+levels with an echo of the deepest level back, then the ancestor cast,
+whose root block is the depth), provides the two
 pipelined dissemination patterns — every node's one-word message to its
 whole subtree (``broadcast_t1``) and every node's word *list* to its
 subtree, optionally swapped across non-tree edges too
@@ -110,109 +112,76 @@ class BfsInfo:
         return self._tree
 
 
-class _LevelProgram(WordProgram):
-    """Flood levels outward; adopt the first proposer heard as parent.
+class _FloodEcho(WordProgram):
+    """Flood levels out and echo the deepest level back: every node
+    learns its level, parent, children and neighbours' levels, and the
+    root the tree depth.
 
-    Flooding delivers all proposals of the winning level in one round, in
-    sender-id order, so the first one heard is the smallest proposer's.
+    A node adopts the first proposer it hears as its parent: flooding
+    delivers all proposals of the winning level in one round, in
+    sender-id order, so that is the smallest proposer at that level.  It
+    then sends its level on every other port and, on its parent's, the
+    join token ``n`` (no level reaches it).  Each port thus carries one
+    record: a level, or a join token followed by that child's echo, the
+    deepest level in its subtree, which a node sends once every port has
+    spoken.  The root's echo is the tree depth.
     """
 
     def __init__(self, node: NodeHandle, root: int):
         super().__init__(node)
-        self.is_root = node.id == root
-        self.level: int | None = 0 if self.is_root else None
+        self.level: int | None = 0 if node.id == root else None
         self.parent: int | None = None
         self.parent_eid: int | None = None
+        self.children: list[tuple[int, int]] = []
         self.neighbor_levels: dict[int, int] = {}
+        self.deepest = self.level
+        self._silent = len(node.ports)
 
     def start(self):
         for nbr, eid in self.node.ports:
-            self.expect(eid, 1, lambda rec, b=nbr, e=eid: self._announced(b, e, rec[0]))
-        if self.is_root:
+            self.expect(eid, 1, partial(self._heard, nbr, eid), self._echo_words)
+        if self.level == 0:
             self._announce()
+
+    def _echo_words(self, head: tuple[int, ...]) -> int:
+        return int(head[0] == self.node.n)
 
     def _announce(self):
         for _, eid in self.node.ports:
-            self.send(eid, self.level)
+            self.send(eid, self.node.n if eid == self.parent_eid else self.level)
 
-    def _announced(self, nbr: int, eid: int, lvl: int):
-        self.neighbor_levels[eid] = lvl
-        if self.level is None:
-            self.level = lvl + 1
-            self.parent = nbr
-            self.parent_eid = eid
-            self._announce()
-        elif lvl < self.level - 1:
-            raise ProtocolError(
-                f"node {self.node.id} at level {self.level} heard level {lvl} from {nbr}"
-            )
-
-
-class _JoinProgram(WordProgram):
-    """Tell the chosen parent about the adoption; collect own children."""
-
-    def __init__(self, node: NodeHandle, parent_eid: int | None):
-        super().__init__(node)
-        self.parent_eid = parent_eid
-        self.children: list[tuple[int, int]] = []
-
-    def start(self):
-        if self.parent_eid is not None:
-            self.send(self.parent_eid, 1)
-
-    def on_chunk(self, eid, words):
-        # The only traffic in this phase is one join token per new child.
-        self.children.append((self.node.neighbor(eid), eid))
-
-
-class _DepthProgram(WordProgram):
-    """Convergecast the maximum level, then broadcast it back down."""
-
-    def __init__(self, node: NodeHandle, level: int, parent_eid: int | None,
-                 children: tuple[tuple[int, int], ...]):
-        super().__init__(node)
-        self.level = level
-        self.parent_eid = parent_eid
-        self.children = children
-        self.depth: int | None = None
-        self._highest = level
-        self._waiting = len(children)
-
-    def start(self):
-        for _, eid in self.children:
-            self.expect(eid, 1, self._from_child)
-        if self._waiting == 0:
-            self._up()
-
-    def _from_child(self, rec):
-        self._highest = max(self._highest, rec[0])
-        self._waiting -= 1
-        if self._waiting == 0:
-            self._up()
-
-    def _up(self):
-        if self.parent_eid is None:
-            self._announce(self._highest)
+    def _heard(self, nbr: int, eid: int, rec: tuple[int, ...]):
+        if rec[0] == self.node.n:  # a child's join token and echo
+            self.children.append((nbr, eid))
+            self.neighbor_levels[eid] = self.level + 1
+            self.deepest = max(self.deepest, rec[1])
         else:
-            self.send(self.parent_eid, self._highest)
-            self.expect(self.parent_eid, 1, lambda rec: self._announce(rec[0]))
-
-    def _announce(self, depth: int):
-        self.depth = depth
-        for _, eid in self.children:
-            self.send(eid, depth)
+            self.neighbor_levels[eid] = lvl = rec[0]
+            if self.level is None:
+                self.level = self.deepest = lvl + 1
+                self.parent = nbr
+                self.parent_eid = eid
+                self._announce()
+            elif lvl < self.level - 1:
+                raise ProtocolError(
+                    f"node {self.node.id} at level {self.level} heard level {lvl} from {nbr}"
+                )
+        self._silent -= 1
+        if self._silent == 0 and self.parent_eid is not None:
+            self.send(self.parent_eid, self.deepest)
 
 
 def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
     """Grow a rooted BFS tree and give every node its place in it.
 
     ``root=None`` means the lowest-id policy, which with contiguous ids
-    is always vertex 0.  Four sub-phases run under the ``bfs`` label:
-    level flooding with lowest-proposer parent adoption, child
-    registration, depth agreement, and ancestor-list dissemination (the
-    broadcast relay, with each node's own id as its block).  Afterwards
-    every node knows its level, parent, children, full ancestor list,
-    the tree depth, and the level of each neighbor.
+    is always vertex 0.  Two sub-phases run under the ``bfs`` label:
+    the flood-and-echo (levels out with lowest-proposer parent adoption,
+    join tokens and the deepest level back), then the ancestor cast (the
+    broadcast relay, with each node's own id as its block and the
+    root's block the depth).  Afterwards every node knows its level,
+    parent, children, full ancestor list, the tree depth, and the level
+    of each neighbor.
     """
     g = engine.g
     if root is None:
@@ -220,35 +189,30 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
 
-    levels = [_LevelProgram(h, root) for h in engine.handles]
-    engine.run_phase(LABEL_BFS, levels)
-    joins = [_JoinProgram(h, levels[v].parent_eid) for v, h in enumerate(engine.handles)]
-    engine.run_phase(LABEL_BFS, joins)
-    kids = [tuple(sorted(j.children)) for j in joins]
-    depths = [
-        _DepthProgram(h, levels[v].level, levels[v].parent_eid, kids[v])
-        for v, h in enumerate(engine.handles)
-    ]
-    engine.run_phase(LABEL_BFS, depths)
+    flood = [_FloodEcho(h, root) for h in engine.handles]
+    engine.run_phase(LABEL_BFS, flood)
+    kids = [tuple(sorted(p.children)) for p in flood]
     ancs = [
-        _Downcast(h, levels[v].level, levels[v].parent_eid, kids[v], (v,), 1)
-        for v, h in enumerate(engine.handles)
+        _Downcast(h, p.level, p.parent_eid, kids[v], (p.deepest if v == root else v,), 1)
+        for v, (h, p) in enumerate(zip(engine.handles, flood))
     ]
     _run_relay(engine, LABEL_BFS, ancs)
 
     nodes = []
-    for v in range(g.n):
+    for v, p in enumerate(flood):
+        # the root's block, the depth, is the last one heard
+        depth, *above = [rec[0] for rec in reversed(ancs[v].received)] or [p.deepest]
         nb = NodeBfs(
             id=v,
             root=root,
             n=g.n,
-            level=levels[v].level,
-            parent=levels[v].parent,
-            parent_eid=levels[v].parent_eid,
+            level=p.level,
+            parent=p.parent,
+            parent_eid=p.parent_eid,
             children=kids[v],
-            ancestors=tuple(rec[0] for rec in reversed(ancs[v].received)) + (v,),
-            depth=depths[v].depth,
-            neighbor_levels=levels[v].neighbor_levels,
+            ancestors=(root, *above, v) if v != root else (v,),
+            depth=depth,
+            neighbor_levels=p.neighbor_levels,
         )
         if (len(nb.ancestors) != nb.level + 1 or nb.ancestors[-1] != v
                 or nb.ancestors[0] != root

@@ -70,7 +70,7 @@ def test_protocols_define_no_word_program():
     assert not found
 
 
-def test_only_the_token_counter_overrides_on_chunk():
+def test_no_program_overrides_on_chunk():
     # A relay declares what it forwards in ``relays`` and the engine
     # forwards it; an ``on_chunk`` override that sends would bring
     # per-chunk forwarding back into Python programs.
@@ -89,4 +89,4 @@ def test_only_the_token_counter_overrides_on_chunk():
         and obj is not WordProgram and obj.__module__ == mod.__name__
         and "on_chunk" in vars(obj)
     )
-    assert found == ["smallcut.trees._JoinProgram"]
+    assert found == []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from smallcut.graphs import Graph, RootedTree, generate
 from smallcut import trees
-from smallcut.runtime import Engine, ProtocolError, SimulatorConfig, measure_diameter
+from smallcut.runtime import Engine, ProtocolError, SimulatorConfig
 from smallcut.trees import (
     SemigroupError,
     SemigroupSpec,
@@ -46,6 +46,8 @@ def test_bfs_square_levels_and_tie_break():
     assert info.depth == 2
     assert info[2].ancestors == (0, 1, 2)
     assert info[0].children == ((1, 0), (3, 3))
+    # node 2 announces level 2 to node 3 too, but joins node 1
+    assert info[3].children == ()
     assert info[3].neighbor_levels == {3: 0, 2: 2}
 
 
@@ -63,13 +65,24 @@ def test_bfs_single_vertex():
     assert info[0].children == ()
 
 
+@pytest.mark.parametrize("root", [0, 1])
+def test_bfs_two_vertex_path(root):
+    info = build_bfs(strict_engine(generate("path", 2)), root)
+    leaf = 1 - root
+    assert info.depth == 1
+    assert info[leaf].parent == root and info[leaf].ancestors == (root, leaf)
+    assert info[root].children == ((leaf, 0),) and info[leaf].children == ()
+    assert info[root].neighbor_levels == {0: 1} and info[leaf].neighbor_levels == {0: 0}
+
+
 def test_bfs_rounds_linear_in_diameter():
-    for side in (4, 6, 8):
-        g = generate("grid", side * side)
+    # Flood and echo take about 2 * depth rounds, the ancestor cast depth.
+    for family, n in [("grid", 16), ("grid", 36), ("grid", 64), ("cycle", 8), ("cycle", 9),
+                      ("cycle", 64), ("random_connected", 80)]:
+        g = generate(family, n)
         engine = strict_engine(g)
-        build_bfs(engine, 0)
-        d = measure_diameter(g)
-        assert engine.stats.per_phase["bfs"].rounds <= 5 * d + 10
+        info = build_bfs(engine, 0)
+        assert engine.stats.per_phase["bfs"].rounds <= 3 * info.depth + 3, (family, n)
 
 
 @settings(deadline=None, max_examples=50)
