@@ -17,8 +17,9 @@ Three layers live here:
   and sketches straight from the graph — the oracle the tests trust;
 * a distributed bottom-up wave (:func:`distributed_k_sketch`): each node
   merges its children's sketches with its non-tree neighbours' root
-  paths (ids from ``EtaState.paths``, etas from the lookup
-  ``preprocess_zeta`` returns), truncates, and forwards the result;
+  paths (ids from the BFS tree's ancestor cast, ``EtaState.paths``;
+  etas from the eta cast, the lookup ``preprocess_zeta`` returns),
+  truncates, and forwards the result;
 * the reduced variant (:func:`distributed_reduced_sketch`): every internal
   node re-merges its children's contributions leaving one child out, casts
   the per-child results down that child's subtree, and each descendant

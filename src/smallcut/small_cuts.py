@@ -1,9 +1,10 @@
 """Finding every cut of size one and two.
 
-The whole stage runs on top of one BFS tree.  Each node first learns, for
-every ancestor ``v``, how many of its own edges leave ``desc(v)``, from
-the root paths its non-tree neighbours send once as ids and every later
-stage reuses; folding those per-node counts up the tree gives
+The whole stage runs on top of one BFS tree.  Each node first works out,
+for every ancestor ``v``, how many of its own edges leave ``desc(v)``,
+from the root paths of its non-tree neighbours that the tree's ancestor
+cast delivered (``NodeBfs.paths``, which every later stage reuses);
+folding those per-node counts up the tree gives
 ``eta(v) = |boundary(desc(v))|`` for every vertex at once.  A bridge is a
 tree edge with ``eta(v) = 1``.
 
@@ -15,8 +16,9 @@ Size-2 cuts split into three shapes, each decided by a local test:
 * two disjoint tree edges -- found by folding the landing algebra
   (:func:`landing_combine` over :class:`LayerCand`) that tracks where a
   subtree's outgoing edges land; its input is each neighbour's root
-  path, whose ids are already known and of whose etas only those off
-  the prefix both ends share cross the edge.  The same fold, restricted to edges
+  path with its etas.  The ids are already known, and one cast sends
+  every eta down its subtree and across non-tree edges, minus those of
+  the prefix both ends share.  The same fold, restricted to edges
   under a deeper pivot, is the size-3 battery's layered scan; this one
   is its layer 0.
 
@@ -36,13 +38,9 @@ from .trees import (
     BfsInfo,
     SemigroupSpec,
     broadcast_t1,
-    nontree_exchange,
     shared_prefix,
     trsf_compute,
 )
-
-LABEL_ETA_PRE = "eta:pre"
-LABEL_ZETA_PRE = "zeta:pre"
 
 CASE_ONE_RESPECT = "1-respect"
 CASE_NESTED = "2-nested"
@@ -161,65 +159,47 @@ def dedupe_reports(reports: list[CutReport], case_rank: dict[str, int]) -> list[
 
 
 @dataclass(frozen=True)
-class EtaPre:
-    """What ``eta:pre`` leaves at every node.
-
-    ``cross[a][v]`` counts edges at ``a`` leaving ``desc(v)``;
-    ``paths[a]`` maps each non-tree edge at ``a`` to the neighbour's
-    root path, as the ids it sent.
-    """
-
-    cross: tuple[dict[int, int], ...]
-    paths: tuple[dict[int, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
 class EtaState:
     """Everything the size-1/2 tests need, as each node ends up knowing it.
 
     ``own_cross[a][v]`` counts edges at ``a`` leaving ``desc(v)``;
-    ``subtree_cross[a][v]`` sums that over ``desc(a)``; ``anc_eta[a]``
-    maps every ancestor ``v`` of ``a`` to ``eta(v)``; ``paths[a]`` maps
-    each non-tree edge at ``a`` to the neighbour's root path (ids).
+    ``subtree_cross[a][v]`` sums that over ``desc(a)``; ``paths[a]`` is
+    ``NodeBfs.paths``, each non-tree edge at ``a`` mapped to the
+    neighbour's root path (ids).
     """
 
     info: BfsInfo
     eta: tuple[int, ...]
     own_cross: tuple[dict[int, int], ...]
     subtree_cross: tuple[dict[int, int], ...]
-    anc_eta: tuple[dict[int, int], ...]
     paths: tuple[dict[int, tuple[int, ...]], ...]
 
 
-def preprocess_eta(engine: Engine, info: BfsInfo) -> EtaPre:
-    """Swap ancestor lists over non-tree edges; count escaping edges.
+def preprocess_eta(engine: Engine, info: BfsInfo) -> tuple[dict[int, int], ...]:
+    """Count escaping edges: per node ``a``, a map from each ancestor
+    ``v`` to the edges at ``a`` leaving ``desc(v)``.
 
     An edge (a, b) leaves ``desc(v)`` exactly when v is not an ancestor
-    of b, so after one pipelined exchange every node can fill in its own
-    crossing table locally (``EtaState.own_cross``).  Tree edges need no
-    words: a child's root path contains all of a's, and the parent's
+    of b, and the BFS tree's ancestor cast already gave every node each
+    non-tree neighbour's root path, so no phase runs.  Tree edges need
+    no words: a child's root path contains all of a's, and the parent's
     lacks only a, so the parent edge leaves ``desc(a)`` and no larger
-    subtree.  The root paths heard are kept for the later stages.  Runs
-    in O(depth) rounds.
+    subtree.
     """
-    heard = nontree_exchange(
-        engine, info, LABEL_ETA_PRE,
-        lambda a, eid: (info[a].ancestors, info[a].neighbor_levels[eid] + 1),
-    )
     own_cross = []
-    for a, paths in enumerate(heard):
-        shared = [shared_prefix(info[a].ancestors, path) for path in paths.values()]
+    for nb in info.nodes:
+        shared = [shared_prefix(nb.ancestors, path) for path in nb.paths.values()]
         # the edge leaves desc(v) exactly when v is off the shared prefix
-        cross = {v: sum(1 for s in shared if s <= l) for l, v in enumerate(info[a].ancestors)}
-        if a != info.root:
-            cross[a] += 1  # the parent edge
+        cross = {v: sum(1 for s in shared if s <= l) for l, v in enumerate(nb.ancestors)}
+        if not nb.is_root:
+            cross[nb.id] += 1  # the parent edge
         own_cross.append(cross)
-    return EtaPre(tuple(own_cross), tuple(heard))
+    return tuple(own_cross)
 
 
-def compute_eta(engine: Engine, info: BfsInfo, pre: EtaPre) -> EtaState:
-    """Fold the crossing counts into eta(v) for every v, then push each
-    eta(v) back down to desc(v)."""
+def compute_eta(engine: Engine, info: BfsInfo, pre: Sequence[Mapping[int, int]]) -> EtaState:
+    """Fold the crossing counts ``pre`` (:func:`preprocess_eta`) into
+    eta(v) for every v, in one wave up the tree."""
     n = engine.g.n
     m = engine.g.m
     spec = SemigroupSpec(
@@ -230,14 +210,13 @@ def compute_eta(engine: Engine, info: BfsInfo, pre: EtaPre) -> EtaState:
         decode=lambda words: words[0],
         identity=0,
     )
-    own_cross = pre.cross
+    own_cross = tuple(pre)
     states = [
         [own_cross[a][v] for v in info[a].ancestors] for a in range(n)
     ]
     folds = trsf_compute(engine, info, spec, states)
 
     eta = tuple(folds[a][info[a].level] for a in range(n))
-    anc_eta = tuple(broadcast_t1(engine, info, list(eta)))
     subtree_cross = tuple(
         {info[a].ancestors[l]: val for l, val in folds[a].items()}
         for a in range(n)
@@ -249,9 +228,9 @@ def compute_eta(engine: Engine, info: BfsInfo, pre: EtaPre) -> EtaState:
         if a != info.root and eta[a] < 1:
             raise ProtocolError(f"eta: node {a}'s subtree boundary is empty in a connected graph")
         for v in info[a].ancestors:
-            if not 0 <= own_cross[a][v] <= subtree_cross[a][v] <= anc_eta[a][v] <= m:
+            if not 0 <= own_cross[a][v] <= subtree_cross[a][v] <= eta[v] <= m:
                 raise ProtocolError(f"eta: node {a}'s crossing counts toward {v} are out of order")
-    return EtaState(info, eta, own_cross, subtree_cross, anc_eta, pre.paths)
+    return EtaState(info, eta, own_cross, subtree_cross, tuple(nb.paths for nb in info.nodes))
 
 
 def detect_1cuts(state: EtaState) -> list[CutReport]:
@@ -267,27 +246,16 @@ def detect_1cuts(state: EtaState) -> list[CutReport]:
 
 
 def preprocess_zeta(engine: Engine, info: BfsInfo, state: EtaState) -> tuple[dict[int, int], ...]:
-    """Learn the etas of each non-tree neighbour's root path.
+    """Cast every eta down its subtree and across non-tree edges, in one
+    ``broadcast1`` phase.
 
-    ``eta:pre`` already delivered the ids (``state.paths``), and the etas
-    of the root-path prefix both ends share are in both ``anc_eta``
-    tables, so only the etas of the sender's chain below that prefix
-    cross, one word per ancestor in root-to-node order.  Returns, per
+    The ids are already known (``state.paths``), and both ends of a
+    non-tree edge hold the etas of the root-path prefix they share, so
+    only the etas of each chain below that prefix cross.  Returns, per
     node, one eta lookup by owner id: its own ancestors and the unshared
     part of each non-tree neighbour's chain.
     """
-    def plan(a: int, eid: int) -> tuple[list[int], int]:
-        path = state.paths[a][eid]
-        shared = shared_prefix(info[a].ancestors, path)
-        return [state.anc_eta[a][u] for u in info[a].ancestors[shared:]], len(path) - shared
-
-    heard = nontree_exchange(engine, info, LABEL_ZETA_PRE, plan)
-    etas = [dict(anc_eta) for anc_eta in state.anc_eta]
-    for a, per_edge in enumerate(heard):
-        for eid, words in per_edge.items():
-            path = state.paths[a][eid]
-            etas[a].update(zip(path[shared_prefix(info[a].ancestors, path):], words))
-    return tuple(etas)
+    return tuple(broadcast_t1(engine, info, state.eta, paths=state.paths))
 
 
 def _layer_atom(pivot_level: int, node_state, l: int) -> LayerCand:
@@ -347,13 +315,17 @@ def compute_zeta(
 
 
 def detect_2cuts(
-    g: Graph, state: EtaState, zeta: tuple[dict[int, LayerCand], ...]
+    g: Graph,
+    state: EtaState,
+    etas: Sequence[Mapping[int, int]],
+    zeta: tuple[dict[int, LayerCand], ...],
 ) -> list[CutReport]:
     """All induced two-edge cuts, each reported once.
 
-    The raw output is every induced cut of size two; whether those are
-    minimum cuts depends on the graph (the caller gates on the size-1
-    stage coming up empty).
+    A node reads its ancestors' etas from ``etas``, the lookups
+    :func:`preprocess_zeta` returns.  The raw output is every induced
+    cut of size two; whether those are minimum cuts depends on the graph
+    (the caller gates on the size-1 stage coming up empty).
     """
     info = state.info
     tree = info.tree()
@@ -371,7 +343,7 @@ def detect_2cuts(
         own_edge = (min(pa, a), max(pa, a))
         for v in info[a].ancestors[:-1]:
             cross = state.subtree_cross[a][v]
-            if state.anc_eta[a][v] - cross == 1 and state.eta[a] - cross == 1:
+            if etas[a][v] - cross == 1 and state.eta[a] - cross == 1:
                 pv = info[v].parent
                 pair = tuple(sorted({(min(pv, v), max(pv, v)), own_edge}))
                 found.append(CutReport(pair, CASE_NESTED, a))

@@ -13,15 +13,16 @@ Cases 1, 2 and 4 need nothing beyond the eta tables (case 4 after one
 quadratic downcast of crossing-count rows, ``hcast``).  Cases 3 and 6
 read partner candidates out of the k=3 sketches, case 7 out of the
 reduced k=2 sketches, which are re-merged from the same k=3 up-wave.
-Two phases send ancestor-indexed blocks across non-tree edges, and
-both ride the tree relay's cast (``trees._Downcast``): it sends each
-node's chain across its non-tree edges on the cast's clock, minus the
-root-path prefix both ends share, and the receiver names each block
-from the sender's root path.  ``hcast`` swaps the crossing-count
-rows the layered scan reads, ``sketchcast`` the sketches case 6 reads.
-A node holds each fact about another node once, by owner id (etas,
-rows, sketch entries); ``EtaState.paths`` is its one per-edge record
-of a neighbour.
+Every ancestor-indexed block that crosses a non-tree edge rides the tree
+relay's cast (``trees._Downcast``): it sends each node's chain across
+its non-tree edges on the cast's clock, minus the root-path prefix both
+ends share, and the receiver names each block from the sender's root
+path.  The BFS tree's ancestor cast swaps the root paths themselves and
+the size-2 stage's eta cast the etas; here ``hcast`` swaps the
+crossing-count rows the layered scan reads, ``sketchcast`` the
+sketches case 6 reads.  A node holds each fact about another node
+once, by owner id (etas, rows, sketch entries); ``EtaState.paths`` is
+its one per-edge record of a neighbour.
 Case 5 — a fork seen from a node that is an ancestor of neither prong —
 is the one shape no single node can observe locally; it is covered by
 the layered scan (sizes 1 and 2 re-run inside every pivoted subgraph).
@@ -171,7 +172,7 @@ def detect_case1(g: Graph, state: EtaState) -> list[CutReport]:
     return out
 
 
-def detect_case2(g: Graph, state: EtaState) -> list[CutReport]:
+def detect_case2(g: Graph, state: EtaState, etas: Sequence[Mapping[int, int]]) -> list[CutReport]:
     """Two nested tree edges plus one non-tree edge.
 
     The deeper node x tests each proper ancestor v: the shared boundary
@@ -188,7 +189,7 @@ def detect_case2(g: Graph, state: EtaState) -> list[CutReport]:
         ex = state.eta[x]
         for v in info[x].ancestors[1:-1]:
             h = state.subtree_cross[x][v]
-            ev = state.anc_eta[x][v]
+            ev = etas[x][v]
             if (ev - 1 == h == ex - 2) or (ev - 2 == h == ex - 1):
                 r = _witness_report(g, tree, (v, x), CASE2, x)
                 if r:
@@ -232,7 +233,10 @@ def _hcast_steps(engine: Engine, info: BfsInfo, state: EtaState) -> Steps:
 
 
 def detect_case4(
-    g: Graph, state: EtaState, hcast: Sequence[Mapping[int, tuple[int, ...]]]
+    g: Graph,
+    state: EtaState,
+    etas: Sequence[Mapping[int, int]],
+    hcast: Sequence[Mapping[int, tuple[int, ...]]],
 ) -> list[CutReport]:
     """Chain of three: desc(x) inside desc(y) inside desc(z).
 
@@ -252,7 +256,7 @@ def detect_case4(
         for ly in range(2, nb.level):
             y = nb.ancestors[ly]
             h_xy = state.subtree_cross[x][y]
-            ey = state.anc_eta[x][y]
+            ey = etas[x][y]
             for lz in range(1, ly):
                 z = nb.ancestors[lz]
                 h_xz = state.subtree_cross[x][z]
@@ -260,7 +264,7 @@ def detect_case4(
                 if (
                     ex - 1 == h_xy + h_xz
                     and ey - 1 == h_yz + h_xy
-                    and state.anc_eta[x][z] - 1 == h_xz + h_yz
+                    and etas[x][z] - 1 == h_xz + h_yz
                 ):
                     r = _witness_report(g, tree, (z, y, x), CASE4, x)
                     if r:
@@ -344,6 +348,7 @@ def sketch_exchange(
 def detect_case6(
     g: Graph,
     state: EtaState,
+    etas: Sequence[Mapping[int, int]],
     sketches: SketchUpResult,
     held: Sequence[Mapping[int, Mapping[int, SketchMeta]]],
 ) -> list[CutReport]:
@@ -403,7 +408,7 @@ def detect_case6(
         theirs = {x for path in state.paths[w].values() for x in path}
         for v, cv in cands.items():
             sv = sk[v]
-            ev = state.anc_eta[w][v]
+            ev = etas[w][v]
             for x in cv:
                 if x not in theirs:
                     continue
@@ -433,7 +438,7 @@ def detect_case6(
 
 
 def detect_case7(
-    g: Graph, state: EtaState, reduced: ReducedSketchResult
+    g: Graph, state: EtaState, etas: Sequence[Mapping[int, int]], reduced: ReducedSketchResult
 ) -> list[CutReport]:
     """desc(x) inside desc(v), with a disjoint desc(u) tied to the ring
     between them.
@@ -454,7 +459,7 @@ def detect_case7(
             h = state.subtree_cross[x][v]
             if ex - 1 != h:
                 continue
-            ev = state.anc_eta[x][v]
+            ev = etas[x][v]
             for u, m in sorted(sk.meta.items()):
                 if u in anc:
                     continue
@@ -673,7 +678,7 @@ def convergecast_details(
 
 
 def detect_case5(
-    g: Graph, state: EtaState, received: ConvergecastResult
+    g: Graph, state: EtaState, etas: Sequence[Mapping[int, int]], received: ConvergecastResult
 ) -> list[CutReport]:
     """A fork: two disjoint subtrees under a third, seen from no single
     chain.
@@ -694,7 +699,7 @@ def detect_case5(
     for x in range(g.n):
         nb = info[x]
         forks = [
-            (state.anc_eta[x][z], z) for z in nb.ancestors[1 : nb.level + 1]
+            (etas[x][z], z) for z in nb.ancestors[1 : nb.level + 1]
         ]
         got = received.one[x]
         for i, (c1, d1) in enumerate(got):
@@ -745,8 +750,9 @@ def run_battery(
     Nothing here early-exits: a cut found by one detector does not
     excuse the others, since distinct cuts of the same size routinely
     live in different shape classes.  ``etas`` and ``zeta`` are the
-    size-2 stage's eta lookups (:func:`preprocess_zeta`) and fold; the
-    latter is the layered scan's layer 0.
+    size-2 stage's eta lookups (:func:`preprocess_zeta`) and fold; every
+    detector that reads an ancestor's eta reads it from the former, and
+    the latter is the layered scan's layer 0.
 
     The sketch phases run in the foreground, and beside them, on the
     same clock, a chain that never sends on the same directed edge:
@@ -768,18 +774,18 @@ def run_battery(
     scan = engine.launch(_scan_steps(engine, info, state, etas, hcast, zeta))
     reports: list[CutReport] = []
     reports += detect_case1(g, state)
-    reports += detect_case2(g, state)
-    reports += detect_case4(g, state, hcast)
+    reports += detect_case2(g, state, etas)
+    reports += detect_case4(g, state, etas, hcast)
     reports += detect_case3(g, state, sk3)
     # The exchange is the battery's largest object; nothing after case 6
     # reads it, so it is not kept alive past that detector.
-    reports += detect_case6(g, state, sk3, sketch_exchange(engine, info, sk3, state.paths))
+    reports += detect_case6(g, state, etas, sk3, sketch_exchange(engine, info, sk3, state.paths))
 
     red2 = distributed_reduced_sketch(engine, info, state, 2, etas, up=sk3)
-    reports += detect_case7(g, state, red2)
+    reports += detect_case7(g, state, etas, red2)
 
     bridges, pairs = compute_cut_details(info, state, engine.join(scan))
-    reports += detect_case5(g, state, convergecast_details(engine, info, bridges, pairs))
+    reports += detect_case5(g, state, etas, convergecast_details(engine, info, bridges, pairs))
 
     return BatteryResult(tuple(dedupe_reports(reports, _CASE_RANK)))
 
@@ -831,7 +837,7 @@ def run_full_pipeline(
     if max_size >= 2 and (not bridges or force_battery):
         etas = preprocess_zeta(engine, info, state)
         zeta = compute_zeta(engine, info, state, etas)
-        pairs = detect_2cuts(g, state, zeta)
+        pairs = detect_2cuts(g, state, etas, zeta)
     small_rounds = engine.round
 
     battery = None

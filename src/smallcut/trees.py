@@ -3,16 +3,15 @@
 Everything downstream runs over one rooted BFS spanning tree.  This
 module builds that tree distributedly (``build_bfs``: one flood of
 levels with an echo of the deepest level back, then the ancestor cast,
-whose root block is the depth), provides the two
-pipelined dissemination patterns — every node's one-word message to its
-whole subtree (``broadcast_t1``) and every node's word *list* to its
-subtree, optionally swapped across non-tree edges too
-(``broadcast_t2``) — plus the swap of a word list across each
-non-tree edge (``nontree_exchange``), and implements the generic
-bottom-up fold engine (``trsf_compute``) that evaluates, for every node
-``v``, the semigroup fold of per-node atomic values over the subtree
-below ``v``, one record per slot: toward each of its ancestors, or per
-depth cohort below it.
+whose root block is the depth and which also swaps every node's root
+path across its non-tree edges), provides the two pipelined
+dissemination patterns — every node's one-word message
+(``broadcast_t1``) or word *list* (``broadcast_t2``) to its whole
+subtree, either optionally swapped across non-tree edges too — and
+implements the generic bottom-up fold engine (``trsf_compute``) that
+evaluates, for every node ``v``, the semigroup fold of per-node atomic
+values over the subtree below ``v``, one record per slot: toward each of
+its ancestors, or per depth cohort below it.
 
 Every block that moves down the tree rides one relay, ``_Downcast``: a
 node queues its own block, declares its parent edge a relay onto its
@@ -22,21 +21,19 @@ the parent's stream as records through ``expect``.  A record is a
 block whose width every node knows, possibly from its owner's level, or
 a self-framed block whose head says how long it is, so no phase is
 spent agreeing on a width and nothing is padded to one.  Given each
-non-tree neighbour's root
-path, the same relay swaps the blocks across non-tree edges in the same
-phase: a node sends its own block and then each ancestor's as it
-completes, minus the root-path prefix both ends share, and the receiver
-names each block by its place in the sender's root path.  A lowest
-casting level lets the nodes whose blocks nobody reads cast nothing.
+non-tree neighbour's level, the same relay swaps the blocks across
+non-tree edges in the same phase: a node sends its own block and then
+each ancestor's as it completes, down to a first level, and keeps what
+it hears on each edge nearest first; the receiver names each block by
+its place in the sender's root path.  A lowest casting level lets the
+nodes whose blocks nobody reads cast nothing.
 
-Exchanges between neighbours cross non-tree edges only: after
-``build_bfs`` a tree neighbour's root path is already known (a child's
-is one's own plus the child, the parent's one's own minus oneself), so
-whatever follows from it is worked out locally.  ``nontree_exchange``
-sends each non-tree edge its own word list and reads the reply whole.
-Once both ends know each other's root path, the prefix they share
-(``shared_prefix``) is known on both sides, so nothing keyed by it
-crosses the edge.
+Chains cross non-tree edges only: a tree neighbour's root path is known
+from one's own (a child's is one's own plus the child, the parent's
+one's own minus oneself).  The ancestor cast swaps every id but the
+root's, which all nodes know; after it both ends of a non-tree edge know
+the prefix of root paths they share (``shared_prefix``), so no later
+cast sends a block of that prefix across the edge.
 
 A fold's slots are ancestor levels or depth cohorts.  A node sends its
 record for a slot up once all of its children have reported theirs,
@@ -82,6 +79,7 @@ class NodeBfs:
     ancestors: tuple[int, ...]  # root .. self, inclusive
     depth: int
     neighbor_levels: dict[int, int]  # edge id -> neighbor's level
+    paths: dict[int, tuple[int, ...]]  # non-tree edge id -> neighbor's root path
 
     @property
     def is_root(self) -> bool:
@@ -179,9 +177,12 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
     the flood-and-echo (levels out with lowest-proposer parent adoption,
     join tokens and the deepest level back), then the ancestor cast (the
     broadcast relay, with each node's own id as its block and the
-    root's block the depth).  Afterwards every node knows its level,
-    parent, children, full ancestor list, the tree depth, and the level
-    of each neighbor.
+    root's block the depth).  The cast swaps the ids across every
+    non-tree edge from level 1 down, so the depth never crosses; the
+    flood told each end the other's level, which is how many ids it
+    reads.  Afterwards every node knows its level, parent, children,
+    full ancestor list, the tree depth, the level of each neighbor and
+    the root path of each non-tree neighbor.
     """
     g = engine.g
     if root is None:
@@ -192,16 +193,24 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
     flood = [_FloodEcho(h, root) for h in engine.handles]
     engine.run_phase(LABEL_BFS, flood)
     kids = [tuple(sorted(p.children)) for p in flood]
-    ancs = [
-        _Downcast(h, p.level, p.parent_eid, kids[v], (p.deepest if v == root else v,), 1)
-        for v, (h, p) in enumerate(zip(engine.handles, flood))
-    ]
+    ancs = []
+    for v, (h, p) in enumerate(zip(engine.handles, flood)):
+        tree_eids = {p.parent_eid, *(eid for _, eid in kids[v])}
+        swap = {eid: (1, lvl) for eid, lvl in p.neighbor_levels.items() if eid not in tree_eids}
+        ancs.append(_Downcast(h, p.level, p.parent_eid, kids[v],
+                              (p.deepest if v == root else v,), 1, swap=swap))
     _run_relay(engine, LABEL_BFS, ancs)
 
     nodes = []
     for v, p in enumerate(flood):
         # the root's block, the depth, is the last one heard
         depth, *above = [rec[0] for rec in reversed(ancs[v].received)] or [p.deepest]
+        paths = {eid: (root, *(rec[0] for rec in reversed(recs)))
+                 for eid, recs in ancs[v].across.items()}
+        for eid, path in paths.items():
+            if (path[-1] != engine.handles[v].neighbor(eid)
+                    or len(path) != p.neighbor_levels[eid] + 1):
+                raise ProtocolError(f"bfs: node {v} heard root path {path} on edge {eid}")
         nb = NodeBfs(
             id=v,
             root=root,
@@ -213,9 +222,9 @@ def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
             ancestors=(root, *above, v) if v != root else (v,),
             depth=depth,
             neighbor_levels=p.neighbor_levels,
+            paths=paths,
         )
         if (len(nb.ancestors) != nb.level + 1 or nb.ancestors[-1] != v
-                or nb.ancestors[0] != root
                 or len(nb.neighbor_levels) != len(engine.handles[v].ports)):
             raise ProtocolError(f"bfs: node {v} has an inconsistent view of the tree")
         nodes.append(nb)
@@ -252,16 +261,16 @@ class _Downcast(WordProgram):
     ``received`` holds the ``level - lo`` records, nearest ancestor
     first.
 
-    ``swap`` maps each non-tree edge to ``(first, path)``: the lowest
-    level whose block crosses the edge, and the neighbour's root path.
+    ``swap`` maps each non-tree edge to ``(first, level)``: the lowest
+    level whose block crosses the edge, and the neighbour's level.
     Across it the node sends its own (single) block at start and each
     ancestor's as soon as it completes in the parent stream, down to
     level ``first``.  The neighbour does the same, so its blocks arrive
     in a fixed order, its own first and then its ancestors nearest
-    first, and are named from ``path`` into ``across``: no owner word
-    crosses.  Each edge has its own budget per direction, so the swap
-    rides the cast's rounds.  :func:`_run_relay` checks that nothing
-    trails the records.
+    first; ``across`` keeps them per edge in that order, and no owner
+    word crosses.  Each edge has its own budget per direction, so the
+    swap rides the cast's rounds.  :func:`_run_relay` checks that
+    nothing trails the records.
     """
 
     def __init__(self, node: NodeHandle, level: int, parent_eid: int | None,
@@ -269,7 +278,7 @@ class _Downcast(WordProgram):
                  block: Sequence[int] | Mapping[int, Sequence[int]],
                  width: int | Callable[[int], int],
                  more: Callable[[tuple[int, ...]], int] | None = None, lo: int = 0,
-                 swap: Mapping[int, tuple[int, Sequence[int]]] | None = None):
+                 swap: Mapping[int, tuple[int, int]] | None = None):
         super().__init__(node)
         self.level = level
         self.lo = lo
@@ -291,7 +300,7 @@ class _Downcast(WordProgram):
         self.width = width if callable(width) else lambda level: width
         self.more = more
         self.received: list[tuple[int, ...]] = []
-        self.across: dict[int, tuple[int, ...]] = {}
+        self.across: dict[int, list[tuple[int, ...]]] = {eid: [] for eid in self.swap}
 
     def frames(self, words: tuple[int, ...]) -> bool:
         """Is ``words`` exactly one record of this node's level as the
@@ -306,10 +315,9 @@ class _Downcast(WordProgram):
             self.send(eid, *words)
         for level in range(self.level - 1, self.lo - 1, -1):
             self.expect(self.parent_eid, self.width(level), self._read, self.more)
-        for eid, (first, path) in self.swap.items():
-            for level in range(len(path) - 1, first - 1, -1):
-                self.expect(eid, self.width(level), partial(self.across.__setitem__, path[level]),
-                            self.more)
+        for eid, (first, top) in self.swap.items():
+            for level in range(top, first - 1, -1):
+                self.expect(eid, self.width(level), self.across[eid].append, self.more)
 
     def _read(self, rec: tuple[int, ...]) -> None:
         self.received.append(rec)
@@ -364,7 +372,7 @@ def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
     programs = []
     for v, h in enumerate(engine.handles):
         nb = info[v]
-        swap = {eid: (max(shared_prefix(nb.ancestors, path), lo), path)
+        swap = {eid: (max(shared_prefix(nb.ancestors, path), lo), len(path) - 1)
                 for eid, path in (paths[v] if paths else {}).items()}
         programs.append(
             _Downcast(h, nb.level, nb.parent_eid, nb.children, blocks[v], width, more, lo, swap)
@@ -375,7 +383,8 @@ def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
         got = dict(zip(reversed(nb.ancestors[lo:-1]), p.received))
         if nb.level >= lo:
             got[nb.id] = tuple(own)
-        got.update(p.across)
+        for eid, (first, _) in p.swap.items():
+            got.update(zip(reversed(paths[nb.id][eid][first:]), p.across[eid]))
         received.append(got)
     return received
 
@@ -385,14 +394,20 @@ def broadcast_t1(
     info: BfsInfo,
     values: Sequence[int],
     label: str = LABEL_BCAST1,
+    paths: Sequence[Mapping[int, Sequence[int]]] | None = None,
 ) -> list[dict[int, int]]:
     """Deliver each node's single word to its entire subtree.
 
     Returns, per node ``u``, a map from every ancestor of ``u``
-    (including ``u`` itself) to that ancestor's word.  Pipelining keeps
-    the cost linear in the tree depth.
+    (including ``u`` itself) to that ancestor's word.  With ``paths``
+    (per node, each non-tree neighbour's root path) the words are also
+    swapped across non-tree edges in the same phase, minus those of the
+    root-path prefix both ends share, and the map holds the rest of each
+    neighbour's chain too.  Pipelining keeps the cost linear in the tree
+    depth.
     """
-    received = engine.run_chain(_relay_to_subtrees(engine, info, label, [(x,) for x in values], 1))
+    received = engine.run_chain(
+        _relay_to_subtrees(engine, info, label, [(x,) for x in values], 1, paths=paths))
     return [{who: blk[0] for who, blk in got.items()} for got in received]
 
 
@@ -425,56 +440,10 @@ def broadcast_t2(
     return engine.run_chain(_relay_to_subtrees(engine, info, label, lists, width, more, lo, paths))
 
 
-# ---------------------------------------------------------------------------
-# Exchanges between neighbours
-
-
 def shared_prefix(path: Sequence[int], other: Sequence[int]) -> int:
     """How many levels two root paths share; both ends of a non-tree edge
     work it out alike, so nothing keyed by that prefix needs to cross."""
     return sum(a == b for a, b in zip(path, other))
-
-
-class ListExchange(WordProgram):
-    """Stream a word list over each selected edge, read the reply whole.
-
-    ``plan`` maps edge ids to the words that go out over the edge and the
-    number of words expected back.  ``received`` maps every such edge to
-    the words heard.
-    """
-
-    def __init__(self, node: NodeHandle, plan: dict[int, tuple[Sequence[int], int]]):
-        super().__init__(node)
-        self._plan = plan
-        self.received: dict[int, tuple[int, ...]] = {}
-
-    def start(self) -> None:
-        for eid, (words, count) in self._plan.items():
-            self.send(eid, *words)
-            self.expect(eid, count, partial(self.received.__setitem__, eid))
-
-
-def nontree_exchange(
-    engine: Engine,
-    info: BfsInfo,
-    label: str,
-    plan: Callable[[int, int], tuple[Sequence[int], int]],
-) -> list[dict[int, tuple[int, ...]]]:
-    """Swap word lists across every non-tree edge, both ways at once.
-
-    ``plan(v, eid)`` gives the words node ``v`` sends over its non-tree
-    edge ``eid`` and how many words it reads back.  Returns, per node, a
-    map from non-tree edge id to the words heard.
-    """
-    programs = []
-    for v, handle in enumerate(engine.handles):
-        nb = info[v]
-        tree_eids = {eid for _, eid in nb.children} | {nb.parent_eid}
-        programs.append(ListExchange(handle, {
-            eid: plan(v, eid) for _, eid in handle.ports if eid not in tree_eids
-        }))
-    engine.run_phase(label, programs)
-    return [p.received for p in programs]
 
 
 # ---------------------------------------------------------------------------

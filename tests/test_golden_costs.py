@@ -54,9 +54,9 @@ def test_src_has_no_asserts():
 
 
 def test_protocols_define_no_word_program():
-    # Every phase small_cuts and three_cuts run is a trees fold, relay or
-    # exchange; a program of their own would be a second pipeline beside
-    # those, with its own framing and checks.
+    # Every phase small_cuts and three_cuts run is a trees fold or relay;
+    # a program of their own would be a second pipeline beside those,
+    # with its own framing and checks.
     from smallcut import small_cuts, three_cuts
     from smallcut.runtime import WordProgram
 
@@ -70,23 +70,34 @@ def test_protocols_define_no_word_program():
     assert not found
 
 
-def test_no_program_overrides_on_chunk():
-    # A relay declares what it forwards in ``relays`` and the engine
-    # forwards it; an ``on_chunk`` override that sends would bring
-    # per-chunk forwarding back into Python programs.
+def _package_programs():
+    """Every ``WordProgram`` subclass the package defines, by name."""
     import importlib
     import pkgutil
 
     import smallcut
     from smallcut.runtime import WordProgram
 
-    found = sorted(
-        f"{mod.__name__}.{name}"
+    return {
+        name: obj
         for info in pkgutil.iter_modules(smallcut.__path__)
         for mod in [importlib.import_module(f"smallcut.{info.name}")]
         for name, obj in vars(mod).items()
         if isinstance(obj, type) and issubclass(obj, WordProgram)
         and obj is not WordProgram and obj.__module__ == mod.__name__
-        and "on_chunk" in vars(obj)
-    )
+    }
+
+
+def test_package_programs_are_the_flood_relay_fold_and_sketch_wave():
+    # Four programs carry every phase: the BFS flood, the one relay (casts
+    # and their swaps across non-tree edges), the fold, and the sketch
+    # up-wave.  Another would be a second way to move the same words.
+    assert sorted(_package_programs()) == ["_Downcast", "_FloodEcho", "_SketchUp", "_TrsfProgram"]
+
+
+def test_no_program_overrides_on_chunk():
+    # A relay declares what it forwards in ``relays`` and the engine
+    # forwards it; an ``on_chunk`` override that sends would bring
+    # per-chunk forwarding back into Python programs.
+    found = sorted(name for name, obj in _package_programs().items() if "on_chunk" in vars(obj))
     assert found == []

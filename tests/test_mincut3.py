@@ -427,16 +427,20 @@ def test_hcast_swaps_rows_without_shared_or_empty_ones():
 
 def test_scan_takes_layer0_from_the_zeta_fold():
     # The pivot-0 subgraph is the whole graph, so the size-2 stage's zeta
-    # fold is the scan's layer 0 and no trsf:layer0 phase runs; eta:pre
-    # already sent the root paths' ids, so zeta:pre sends only the etas
-    # of the chain below the prefix both ends share.
+    # fold is the scan's layer 0 and no trsf:layer0 phase runs.  The BFS
+    # cast already swapped the root paths' ids, and the eta cast swaps
+    # the etas below the prefix both ends share on its own clock, so no
+    # phase of its own sends either.
     res = pipeline(generate("cycle", 16), force_battery=True)
     per = res.engine.stats.per_phase
     assert "trsf:zeta" in per and "trsf:layer0" not in per
     assert "trsf:layer1" in per
     res = pipeline(generate("cycle", 12))
-    # 5 with the shared prefix's etas, 8 with (eta, id) pairs, 12 with a level word too
-    assert res.engine.stats.per_phase["zeta:pre"].rounds == 4
+    per = res.engine.stats.per_phase
+    assert list(per) == ["bfs", "trsf:eta", "broadcast1", "trsf:zeta"]
+    assert per["broadcast1"].rounds == res.depth + 1
+    # 55 with the ids and the etas each swapped in a phase of their own
+    assert res.small_rounds == 46
 
 
 def test_rounds_split_between_stages():
@@ -540,7 +544,7 @@ def test_convergecast_delivers_fork_prongs():
     received = convergecast_details(engine, info, bridges, pairs)
     got = {d.node for _, d in received.one[1]}
     assert {3, 4} <= got
-    reports = detect_case5(g, state, received)
+    reports = detect_case5(g, state, etas, received)
     assert ((0, 1), (1, 3), (1, 4)) in {r.edges for r in reports}
 
 

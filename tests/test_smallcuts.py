@@ -20,7 +20,6 @@ from smallcut.small_cuts import (
     CASE_DISJOINT,
     CASE_NESTED,
     CASE_ONE_RESPECT,
-    LABEL_ETA_PRE,
     LAYER_ABSORBING,
     LAYER_IDENTITY,
     TAG_ABSORBING,
@@ -34,6 +33,7 @@ from smallcut.small_cuts import (
     preprocess_eta,
     preprocess_zeta,
 )
+from smallcut.three_cuts import run_full_pipeline
 from smallcut.trees import build_bfs, shared_prefix
 
 THETA = Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
@@ -51,8 +51,9 @@ def stage(g, root=0):
     zeta, reports = None, detect_1cuts(state)
     lam = 1 if reports else None
     if not reports:
-        zeta = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
-        reports = detect_2cuts(g, state, zeta)
+        etas = preprocess_zeta(engine, info, state)
+        zeta = compute_zeta(engine, info, state, etas)
+        reports = detect_2cuts(g, state, etas, zeta)
         lam = 2 if reports else None
     return engine, SimpleNamespace(lambda_detected=lam, reports=tuple(reports), zeta=zeta)
 
@@ -111,27 +112,29 @@ def test_crossing_table_examples():
     g = generate("cycle", 4)
     engine, info = start(g)
     pre = preprocess_eta(engine, info)
-    assert pre.cross[2][1] == 1  # only neighbour 3 lies outside desc(1)
-    assert pre.cross[2][2] == 2
-    assert pre.paths[2] == {g.eid(2, 3): (0, 3)}  # kept for zeta:pre and hcast
+    assert pre[2][1] == 1  # only neighbour 3 lies outside desc(1)
+    assert pre[2][2] == 2
+    # the BFS cast delivered the one non-tree neighbour's root path, so
+    # counting runs no phase
+    assert info[2].paths == {g.eid(2, 3): (0, 3)}
+    assert set(engine.stats.per_phase) == {"bfs"}
 
     star = Graph(6, [(0, i) for i in range(1, 6)])
     engine, info = start(star)
     pre = preprocess_eta(engine, info)
     for leaf in range(1, 6):
-        assert pre.cross[leaf][0] == 0
-        assert pre.cross[leaf][leaf] == 1
-    # a tree neighbour's root path is known without asking for it
-    assert LABEL_ETA_PRE not in engine.stats.per_phase
+        assert pre[leaf][0] == 0
+        assert pre[leaf][leaf] == 1
+    assert set(engine.stats.per_phase) == {"bfs"}
 
     p4 = generate("path", 4)
     engine, info = start(p4)
     pre = preprocess_eta(engine, info)
     for a in range(1, 4):
-        assert pre.cross[a][a] >= 1
+        assert pre[a][a] >= 1
         for v in info[a].ancestors[:-1]:
-            assert pre.cross[a][v] == 0
-    assert LABEL_ETA_PRE not in engine.stats.per_phase
+            assert pre[a][v] == 0
+    assert set(engine.stats.per_phase) == {"bfs"}
 
 
 def test_eta_values_on_fixed_graphs():
@@ -155,15 +158,18 @@ def test_eta_fold_sends_one_word_per_record():
         assert engine.stats.per_phase["trsf:eta"].words == records
 
 
-def test_zeta_pre_sends_only_the_unshared_etas():
-    # Both ends of a non-tree edge hold the etas of the root-path prefix
-    # they share, so only the rest of each chain crosses; a node ends up
-    # with one eta per owner: its ancestors and its neighbours' chains.
+def test_eta_cast_sends_the_cast_plus_each_unshared_chain():
+    # One broadcast1 phase casts every eta down its subtree (a node hears
+    # one word per proper ancestor) and across each non-tree edge; both
+    # ends hold the etas of the root-path prefix they share, so only the
+    # rest of each chain crosses.  A node ends up with one eta per owner:
+    # its ancestors and its neighbours' chains.
     for g, root in ((generate("grid", 16), 0), (generate("prism", 12), 0),
                     (generate("random_connected", 14, seed=11, lam_min=3, lam_max=3), 2)):
         engine, info = start(g, root)
         state = compute_eta(engine, info, preprocess_eta(engine, info))
         etas = preprocess_zeta(engine, info, state)
+        cast = sum(nb.level for nb in info.nodes)
         heard = 0
         for a in range(g.n):
             owners = set(info[a].ancestors)
@@ -171,7 +177,16 @@ def test_zeta_pre_sends_only_the_unshared_etas():
                 heard += len(path) - shared_prefix(info[a].ancestors, path)
                 owners.update(path)
             assert etas[a] == {u: state.eta[u] for u in owners}
-        assert engine.stats.per_phase["zeta:pre"].words == heard
+        assert heard > 0
+        assert engine.stats.per_phase["broadcast1"].words == cast + heard
+
+
+def test_bridge_run_casts_no_etas():
+    # A run that stops at a bridge needs no eta beyond the observer's.
+    for g in (generate("path", 5), generate("barbell", 10)):
+        res = run_full_pipeline(g, root=0, config=SimulatorConfig(strict_bandwidth=True))
+        assert res.lambda_detected == 1
+        assert set(res.engine.stats.per_phase) == {"bfs", "trsf:eta"}
 
 
 @settings(deadline=None, max_examples=40)
@@ -181,13 +196,15 @@ def test_eta_tables_match_centralized(seed, root_pick):
     root = root_pick % g.n
     engine, info = start(g, root)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
+    etas = preprocess_zeta(engine, info, state)
     ref = RootedTree.bfs(g, root)
     for a in range(g.n):
+        assert state.paths[a] is info[a].paths
         assert state.eta[a] == len(boundary(g, ref.desc(a)))
         for v in ref.ancestors(a):
             assert state.own_cross[a][v] == crossing_ref(g, ref, a, v)
             assert state.subtree_cross[a][v] == subtree_crossing_ref(g, ref, a, v)
-            assert state.anc_eta[a][v] == state.eta[v]
+            assert etas[a][v] == state.eta[v]
 
 
 def test_bridge_reports():
@@ -278,8 +295,9 @@ def test_square_reports_all_six_pairs():
     g = generate("cycle", 4)
     engine, info = start(g)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    zeta = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
-    reports = detect_2cuts(g, state, zeta)
+    etas = preprocess_zeta(engine, info, state)
+    zeta = compute_zeta(engine, info, state, etas)
+    reports = detect_2cuts(g, state, etas, zeta)
     assert len(reports) == 6
     cases = sorted(r.case for r in reports)
     assert cases.count(CASE_ONE_RESPECT) == 3
@@ -308,8 +326,9 @@ def test_bridge_gates_pair_reports():
     # The pair detector itself still sees every induced two-edge cut.
     engine, info = start(p4)
     state = compute_eta(engine, info, preprocess_eta(engine, info))
-    zeta = compute_zeta(engine, info, state, preprocess_zeta(engine, info, state))
-    induced_pairs = detect_2cuts(p4, state, zeta)
+    etas = preprocess_zeta(engine, info, state)
+    zeta = compute_zeta(engine, info, state, etas)
+    induced_pairs = detect_2cuts(p4, state, etas, zeta)
     assert {r.edges for r in induced_pairs} == {
         ((0, 1), (1, 2)),
         ((1, 2), (2, 3)),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallcut.graphs import Graph, RootedTree, generate
+from smallcut.graphs import Graph, RootedTree, generate, non_tree_eids
 from smallcut import trees
 from smallcut.runtime import Engine, ProtocolError, SimulatorConfig
 from smallcut.trees import (
@@ -49,6 +49,9 @@ def test_bfs_square_levels_and_tie_break():
     # node 2 announces level 2 to node 3 too, but joins node 1
     assert info[3].children == ()
     assert info[3].neighbor_levels == {3: 0, 2: 2}
+    # the one non-tree edge, (2, 3), carries each end's root path
+    assert info[2].paths == {2: (0, 3)} and info[3].paths == {2: (0, 1, 2)}
+    assert info[0].paths == info[1].paths == {}
 
 
 def test_bfs_star_depth_one():
@@ -100,6 +103,34 @@ def test_bfs_matches_centralized_reference(seed, root_pick):
         assert info[v].children == tuple((c, g.eid(v, c)) for c in ref.children[v])
         assert info[v].neighbor_levels == {e: ref.level[w] for w, e in g.inc[v]}
     assert info.tree().parent == ref.parent
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 10_000), st.integers(0, 12))
+def test_bfs_paths_match_centralized_root_paths(seed, root_pick):
+    # The ancestor cast swaps ids across every non-tree edge, and only there.
+    g = generate("random_connected", 13, seed=seed, p=0.3)
+    root = root_pick % g.n
+    info = build_bfs(strict_engine(g), root)
+    ref = RootedTree.bfs(g, root)
+    nontree = non_tree_eids(g, ref)
+    for v in range(g.n):
+        assert info[v].paths == {e: ref.ancestors(w) for w, e in g.inc[v] if e in nontree}
+
+
+def test_bfs_cast_swaps_every_id_but_the_root():
+    # The flood sends one word per port and each echo one more; the cast
+    # one id per ancestor; and a level-l node l ids across each non-tree
+    # edge, every id of its root path but the root's.
+    for family, n in [("cycle", 12), ("grid", 16), ("prism", 12)]:
+        g = generate(family, n)
+        engine = strict_engine(g)
+        info = build_bfs(engine, 0)
+        flood = 2 * g.m + g.n - 1
+        cast = sum(nb.level for nb in info.nodes)
+        swapped = sum(len(path) - 1 for nb in info.nodes for path in nb.paths.values())
+        assert swapped > 0
+        assert engine.stats.per_phase["bfs"].words == flood + cast + swapped
 
 
 def test_broadcast1_path_delivers_all_ancestor_ids():
