@@ -23,12 +23,14 @@ Three layers live here:
 * the reduced variant (:func:`distributed_reduced_sketch`): every internal
   node re-merges its children's contributions leaving one child out, casts
   the per-child results down that child's subtree, and each descendant
-  stitches the received strata back together into ``S_k(v \\ x)`` for every
-  proper ancestor ``v``.  The children's contributions are the wire views
-  of an up-wave already run at ``k`` or wider (the battery reuses its k=3
-  wave for k=2), so no second wave is needed.  The cast runs on the tree
-  relay (``trees._Downcast``): each stratum is a view record that frames
-  itself with its entry count, and relays forward it cut-through.
+  unions the received strata in one pass, deepest stratum first: one pool
+  gains a stratum per ancestor level and is settled there into
+  ``S_k(v \\ x)``, for every proper ancestor ``v``.  The children's
+  contributions are the wire views of an up-wave already run at ``k`` or
+  wider (the battery reuses its k=3 wave for k=2), so no second wave is
+  needed.  The cast runs on the tree relay (``trees._Downcast``): each
+  stratum is a view record that frames itself with its entry count, and
+  relays forward it cut-through.
 
 Sketch metas record, per surviving node ``u``: the host-tree parent, the
 subtree boundary size ``eta(u)``, and a crossing count ``gamma`` between
@@ -421,19 +423,71 @@ def _decode_view(rec: Sequence[int], n: int) -> WireView:
 # distributed layer: the merge core
 
 
-class _Source(NamedTuple):
-    """One ingredient of a merge plus the trust metadata attached to it.
+class _Pool:
+    """Step (1) of a merge: the untruncated union of its ingredients.
 
-    ``riders`` are ids that may sit in the view's entries merely because
-    they lie on the ingredient's own spine — their presence alone does not
-    prove membership in the canonical tree being assembled here.  The
-    sender's ``self_witnessed`` bit vouches for the ids in
-    ``certify_on_self``.
+    Holds each pooled id's parent and eta (an id pooled twice must agree),
+    the ids a truncation flag marks, gamma sums per id, the branch
+    evidence, and the root chains of certified ids: the witness-backed
+    part of the canonical tree.  Ingredients only ever add to a pool, so
+    it may grow between settles; levels, fixed by the parents, are kept.
     """
 
-    view: WireView
-    riders: frozenset[int]
-    certify_on_self: frozenset[int]
+    def __init__(self, root: int) -> None:
+        self.root = root
+        self.parent: dict[int, int | None] = {}
+        self.eta: dict[int, int] = {}
+        self.flag_in: set[int] = set()
+        self.gamma: Counter[int] = Counter()
+        self.evidence = False
+        self.level: dict[int, int] = {root: 0}
+        self._backed: set[int] = set()
+        self._certified: list[int] = []
+
+    def _add(self, u: int, p: int | None, e: int) -> None:
+        if u in self.parent:
+            if self.parent[u] != p or self.eta[u] != e:
+                raise ProtocolError(
+                    f"inconsistent sketch entries for node {u}: "
+                    f"({self.parent[u]}, {self.eta[u]}) vs ({p}, {e})"
+                )
+        else:
+            self.parent[u] = p
+            self.eta[u] = e
+
+    def add_path(self, path: Sequence[int], eta_of: Mapping[int, int], certify: bool = False) -> None:
+        """A root path; ``certify`` when a witness backs it."""
+        prev: int | None = None
+        for u in path:
+            self._add(u, prev, eta_of[u])
+            prev = u
+        if certify:
+            self._certified.extend(path)
+
+    def add_view(self, view: WireView, riders: frozenset[int], on_self: Sequence[int] = ()) -> None:
+        """One ingredient sketch.  ``riders`` are ids that may sit in its
+        entries merely because they lie on the ingredient's own spine, so
+        their presence alone does not certify them; the sender's
+        ``self_witnessed`` bit vouches for the ids in ``on_self``."""
+        for u in sorted(view.entries):
+            e = view.entries[u]
+            self._add(u, e.parent, e.eta)
+            self.gamma[u] += e.gamma
+        self.flag_in |= view.flagged
+        self.evidence = self.evidence or view.branch_below_root
+        self._certified.extend(u for u in view.entries if u not in riders)
+        if view.self_witnessed:
+            self._certified.extend(on_self)
+
+    def witness_backed(self) -> set[int]:
+        """Root chains of everything certified so far."""
+        for u in self._certified:
+            w: int | None = u
+            while w is not None and w not in self._backed:
+                self._backed.add(w)
+                w = self.parent[w]
+        self._certified.clear()
+        return self._backed
 
 
 class _MergeResult(NamedTuple):
@@ -443,110 +497,57 @@ class _MergeResult(NamedTuple):
 
 
 def _merge_sources(
+    pool: _Pool,
     *,
-    root: int,
     v: int,
     k: int,
     spine: Sequence[int],
-    eta_of: Mapping[int, int],
-    sources: Sequence[_Source],
-    own_paths: Sequence[Sequence[int]] = (),
-    own_gamma: Mapping[int, int] | None = None,
-    own_spine_gamma: Mapping[int, int] | None = None,
     exclude: int | None = None,
     spine_gamma_table: Mapping[int, int] | None = None,
     depth_hint: int = 1,
 ) -> _MergeResult:
-    """Union ingredient sketches into the truncated sketch owned by ``v``.
+    """Settle a pool into the truncated sketch owned by ``v``.
 
-    ``own_paths`` are the root paths (ids) of the owner's non-tree
-    neighbours; ``eta_of`` looks up the eta of every node on the spine
-    and on those paths; ``own_gamma`` / ``own_spine_gamma`` carry
-    the owner's incident-edge crossing contributions for non-spine and
-    spine nodes; ``spine_gamma_table`` — available when the source region
-    is exactly ``desc(v)`` — provides authoritative spine values the
-    summed ones are checked against.
+    A merge (1) pools its ingredients, checking their consistency
+    (:class:`_Pool`); then, here, it (2) discards ids nobody certifies
+    (spine tips of ingredient sketches that are not genuinely part of
+    this canonical tree), (3) recomputes levels, the first branch node and
+    branching numbers on the assembled structure, (4) removes over-budget
+    nodes strictly inside ``desc(v)`` together with everything a
+    truncation flag marks, and (5) fills metas by category.  Settling
+    adds nothing to the pool, so a pool that grows by one ingredient at
+    a time is settled after each (the strata pass).
 
-    The merge (1) pools all entries, checking cross-source consistency,
-    (2) discards ids nobody certifies (spine tips of ingredient sketches
-    that are not genuinely part of this canonical tree), (3) recomputes
-    levels, the first branch node and branching numbers on the assembled
-    structure, (4) removes over-budget nodes strictly inside ``desc(v)``
-    together with everything a truncation flag marks, and (5) fills metas
-    by category.
+    ``spine`` is the owner's root path, in the pool whether or not a
+    witness backs it.  The pool's gamma sums hold the owner's own
+    incident-edge crossings too; ``spine_gamma_table`` — available when
+    the source region is exactly ``desc(v)`` — provides authoritative
+    spine values the summed ones are checked against.
     """
-    own_gamma = own_gamma or {}
-    own_spine_gamma = own_spine_gamma or {}
     spine_set = set(spine)
-
-    parent: dict[int, int | None] = {}
-    eta: dict[int, int] = {}
-    flag_in: set[int] = set()
-    certified: set[int] = set()
-
-    def _add(u: int, p: int | None, e: int) -> None:
-        if u in parent:
-            if parent[u] != p or eta[u] != e:
-                raise ProtocolError(
-                    f"inconsistent sketch entries for node {u}: "
-                    f"({parent[u]}, {eta[u]}) vs ({p}, {e})"
-                )
-        else:
-            parent[u] = p
-            eta[u] = e
-
-    prev: int | None = None
-    for u in spine:
-        _add(u, prev, eta_of[u])
-        prev = u
-    for src in sources:
-        entries = src.view.entries
-        for u in sorted(entries):
-            e = entries[u]
-            _add(u, e.parent, e.eta)
-        flag_in |= src.view.flagged
-        certified.update(set(entries) - src.riders)
-        if src.view.self_witnessed:
-            certified.update(src.certify_on_self)
-    for path in own_paths:
-        prev = None
-        for u in path:
-            _add(u, prev, eta_of[u])
-            certified.add(u)
-            prev = u
-
-    # Root chains of everything certified: the witness-backed part of the
-    # canonical tree.  The owner's spine is present regardless of backing.
-    witness_backed: set[int] = set()
-    for u in certified:
-        w: int | None = u
-        while w is not None and w not in witness_backed:
-            witness_backed.add(w)
-            w = parent[w]
-    keep: set[int] = set(spine_set) | witness_backed
-    structure: dict[int, int | None] = {u: parent[u] for u in keep}
+    root = pool.root
+    parent = pool.parent
+    witness_backed = pool.witness_backed()
+    keep = spine_set | witness_backed
     self_witnessed = v in witness_backed
 
-    level: dict[int, int] = {root: 0}
-
-    def _fill_level(u: int) -> None:
-        trail = []
-        while u not in level:
-            trail.append(u)
-            p = structure[u]
-            if p is None:
-                raise ProtocolError(f"sketch at {v}: node {u} detached from the root")
-            u = p
-        base = level[u]
-        for w in reversed(trail):
-            base += 1
-            level[w] = base
-
+    level = pool.level
     for u in keep:
-        _fill_level(u)
-    children: dict[int, list[int]] = {u: [] for u in keep}
-    for u in sorted(keep):
-        p = structure[u]
+        trail = []
+        w: int | None = u
+        while w not in level:
+            trail.append(w)
+            w = parent[w]
+            if w is None:
+                raise ProtocolError(f"sketch at {v}: node {trail[-1]} detached from the root")
+        base = level[w]
+        for t in reversed(trail):
+            base += 1
+            level[t] = base
+    order = sorted(keep, key=lambda w: (level[w], w))
+    children: dict[int, list[int]] = {u: [] for u in order}
+    for u in order:
+        p = parent[u]
         if p is not None:
             children[p].append(u)
     fbn, xi = _branching(root, children, level)
@@ -557,8 +558,7 @@ def _merge_sources(
     # canonical tree labelled the root 1.  Non-root path nodes compute 1
     # under either reading, so only the root needs the override.
     has_branch = any(len(ch) >= 2 for ch in children.values())
-    evidence = any(src.view.branch_below_root for src in sources)
-    if not has_branch and evidence and len(children[root]) == 1:
+    if not has_branch and pool.evidence and len(children[root]) == 1:
         xi[root] = 1
     # Only witness-backed branches may be advertised upward.  A branch here
     # is genuine for *this* canonical tree even when one arm is bare spine
@@ -570,28 +570,32 @@ def _merge_sources(
         b != root and sum(1 for c in ch if c in witness_backed) >= 2
         for b, ch in children.items()
     )
-    branch_out = robust_branch or evidence
+    branch_out = robust_branch or pool.evidence
 
-    def _eligible(u: int) -> bool:
-        # Only nodes strictly inside the owner's subtree may be removed.
-        return u not in spine_set and _chain_has(structure, u, v)
-
+    # Parents come first in (level, id) order, so one pass marks what lies
+    # in desc(v) and desc(exclude) and decides removals.  Only nodes
+    # strictly inside the owner's subtree may be removed.
+    in_v: set[int] = set()
+    in_excl: set[int] = set()
     dropped: set[int] = set()
-    for u in sorted(keep, key=lambda w: (level[w], w)):
-        p = structure[u]
+    for u in order:
+        p = parent[u]
+        if u == v or p in in_v:
+            in_v.add(u)
+        if u == exclude or p in in_excl:
+            in_excl.add(u)
         if p is None:
             continue
+        eligible = u in in_v and u not in spine_set
         if p in dropped:
-            if not _eligible(u):
+            if not eligible:
                 raise ProtocolError(f"sketch at {v}: removal closure escaped the owner's subtree")
             dropped.add(u)
-        elif p in flag_in and _eligible(u):
-            dropped.add(u)
-        elif xi[u] > k and _eligible(u):
+        elif eligible and (p in pool.flag_in or xi[u] > k):
             dropped.add(u)
     kept = keep - dropped
-    fired = {structure[w] for w in dropped}
-    flagged = frozenset(u for u in kept if u in flag_in or u in fired)
+    fired = {parent[w] for w in dropped}
+    flagged = frozenset(u for u in kept if u in pool.flag_in or u in fired)
 
     if len(kept) > SIZE_BOUND_FACTOR * (1 << k) * max(depth_hint, 1):
         raise ProtocolError(
@@ -601,44 +605,19 @@ def _merge_sources(
 
     meta: dict[int, SketchMeta] = {}
     for u in sorted(kept):
+        gamma_u = pool.gamma[u]
         if u in spine_set:
-            total = own_spine_gamma.get(u, 0)
-            for src in sources:
-                e = src.view.entries.get(u)
-                if e is not None:
-                    total += e.gamma
-            if spine_gamma_table is not None and total != spine_gamma_table[u]:
+            if spine_gamma_table is not None and gamma_u != spine_gamma_table[u]:
                 raise ProtocolError(
                     f"spine crossing count mismatch at {v} for ancestor {u}: "
-                    f"summed {total}, subtree table says {spine_gamma_table[u]}"
+                    f"summed {gamma_u}, subtree table says {spine_gamma_table[u]}"
                 )
-            gamma_u = total
-        else:
-            inside_v = _chain_has(structure, u, v)
-            inside_excl = exclude is not None and _chain_has(structure, u, exclude)
-            if inside_v and not inside_excl:
-                gamma_u = 0  # strictly interior: not meaningful, see module doc
-            else:
-                gamma_u = own_gamma.get(u, 0)
-                for src in sources:
-                    e = src.view.entries.get(u)
-                    if e is not None:
-                        gamma_u += e.gamma
-        meta[u] = SketchMeta(structure[u], eta[u], gamma_u, xi[u])
+        elif u in in_v and u not in in_excl:
+            gamma_u = 0  # strictly interior: not meaningful, see module doc
+        meta[u] = SketchMeta(parent[u], pool.eta[u], gamma_u, xi[u])
 
     sketch = SketchTree(owner=v, k=k, meta=meta, self_witnessed=self_witnessed)
     return _MergeResult(sketch, flagged, branch_out)
-
-
-def _chain_has(parent: Mapping[int, int | None], u: int, target: int) -> bool:
-    """True when ``target`` is ``u`` itself or an ancestor of ``u`` under
-    the parent pointers ``parent`` (a merge's structure or a sketch's)."""
-    w: int | None = u
-    while w is not None:
-        if w == target:
-            return True
-        w = parent[w]
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -708,34 +687,30 @@ def _merge_node_sketch(
     """Owner-side merge shared by the plain wave and the reduced re-merge;
     the neighbours' ids come from ``state.paths``, their etas from ``etas``."""
     me = info[v]
-    rho_v = list(me.ancestors)
+    rho_v = me.ancestors
     spine = frozenset(rho_v)
-    paths = state.paths[v]
-    own_paths = [paths[eid] for eid in sorted(paths)]
-    # each edge crosses into desc(u) for every u off the shared prefix
-    own_gamma = Counter(u for path in own_paths for u in path if u not in spine)
-    for cid, _eid in me.children:
-        own_gamma[cid] += 1  # the tree edge (v, child) crosses into desc(child)
-
-    sources = []
+    eta_of = etas[v]
+    pool = _Pool(info.root)
+    pool.add_path(rho_v, eta_of)
     for cid in sorted(views):
-        if cid == exclude:
-            continue
-        rho_child = spine | {cid}
-        sources.append(_Source(views[cid], rho_child, frozenset((cid,))))
+        if cid != exclude:
+            pool.add_view(views[cid], spine | {cid}, (cid,))
+    paths = state.paths[v]
+    for eid in sorted(paths):
+        pool.add_path(paths[eid], eta_of, certify=True)
+        # the edge crosses into desc(u) for every u off the shared prefix
+        pool.gamma.update(u for u in paths[eid] if u not in spine)
+    for cid, _eid in me.children:
+        pool.gamma[cid] += 1  # the tree edge (v, child) crosses into desc(child)
+    pool.gamma.update(state.own_cross[v])  # the spine's, by ancestor
 
     return _merge_sources(
-        root=info.root,
+        pool,
         v=v,
         k=k,
         spine=rho_v,
-        eta_of=etas[v],
-        sources=sources,
-        own_paths=own_paths,
-        own_gamma=own_gamma,
-        own_spine_gamma=dict(state.own_cross[v]),
         exclude=exclude,
-        spine_gamma_table=(dict(state.subtree_cross[v]) if exclude is None else None),
+        spine_gamma_table=(state.subtree_cross[v] if exclude is None else None),
         depth_hint=info.depth,
     )
 
@@ -780,45 +755,42 @@ class ReducedSketchResult:
     per_node: tuple[dict[int, SketchTree], ...]
 
 
-def _strata_merge(
-    info: BfsInfo, x: int, i: int, strata: Sequence[WireView], k: int,
-    eta_of: Mapping[int, int],
-) -> SketchTree:
-    """Union strata ``S_k(w_j \\ w_(j+1))``, ``j >= i``, into ``S_k(v \\ x)``;
-    ``eta_of`` is node ``x``'s eta lookup, which holds every ancestor's."""
-    me = info[x]
-    rho_v = list(me.ancestors[: i + 1])
-    v = rho_v[-1]
-    sources = []
-    for j, view in enumerate(strata, start=i):
-        sources.append(
-            _Source(
-                view,
-                riders=frozenset(me.ancestors[: j + 1]),
-                certify_on_self=frozenset(me.ancestors[i : j + 1]),
-            )
-        )
-    sketch = _merge_sources(
-        root=info.root,
-        v=v,
-        k=k,
-        spine=rho_v,
-        eta_of=eta_of,
-        sources=sources,
-        exclude=x,
-        depth_hint=info.depth,
-    ).sketch
-    # The tree edge (parent(x), x) crosses from the source region into
-    # desc(x).  The parent's stratum accounts for it only when x sits in
-    # that stratum's node set; if x entered the union through some other
-    # stratum's witness instead, restore the lost unit here.  No other
-    # crossing can go missing: non-tree contributions always travel with
-    # their witness path (or the whole region dies under a truncation
-    # flag), and no further tree edge leaves the source region downward.
-    if x in sketch.meta and x not in sources[-1].view.entries:
-        m = sketch.meta[x]
-        sketch.meta[x] = m._replace(gamma=m.gamma + 1)
-    return sketch
+def _strata_pass(
+    info: BfsInfo, x: int, views: Sequence[WireView], k: int, eta_of: Mapping[int, int]
+) -> dict[int, SketchTree]:
+    """``S_k(v \\ x)`` for every proper non-root ancestor ``v`` of ``x``.
+
+    ``views`` are the strata ``S_k(w_j \\ w_(j+1))`` node ``x`` received,
+    nearest owner first; ``eta_of`` is its eta lookup, which holds every
+    ancestor's.  ``S_k(w_i \\ x)`` unions the strata ``j >= i``, so one pool
+    takes them deepest first and is settled once per level ``i``.
+    """
+    anc = info[x].ancestors
+    lx = len(anc) - 1
+    pool = _Pool(info.root)
+    pool.add_path(anc[:lx], eta_of)  # every spine below is a prefix of this one
+    out: dict[int, SketchTree] = {}
+    for i in range(lx - 1, 0, -1):
+        view = views[lx - 1 - i]  # owned by w_i = anc[i]
+        spine = anc[: i + 1]
+        # Its self-witness bit vouches for w_i, whose root chain backs every
+        # shallower owner too: in S_k(w_h \ x), h <= i, it certifies w_h..w_i.
+        pool.add_view(view, frozenset(spine), (anc[i],))
+        sketch = _merge_sources(
+            pool, v=anc[i], k=k, spine=spine, exclude=x, depth_hint=info.depth
+        ).sketch
+        # The tree edge (parent(x), x) crosses from the source region into
+        # desc(x).  The parent's stratum accounts for it only when x sits in
+        # that stratum's node set; if x entered the union through some other
+        # stratum's witness instead, restore the lost unit here.  No other
+        # crossing can go missing: non-tree contributions always travel with
+        # their witness path (or the whole region dies under a truncation
+        # flag), and no further tree edge leaves the source region downward.
+        if x in sketch.meta and x not in views[0].entries:
+            m = sketch.meta[x]
+            sketch.meta[x] = m._replace(gamma=m.gamma + 1)
+        out[anc[i]] = sketch
+    return dict(reversed(out.items()))
 
 
 def distributed_reduced_sketch(
@@ -871,15 +843,8 @@ def distributed_reduced_sketch(
     ]
     _run_relay(engine, f"{LABEL_REDUCED}{k}", programs)
 
-    per_node: list[dict[int, SketchTree]] = []
-    for x, prog in enumerate(programs):
-        out: dict[int, SketchTree] = {}
-        me = info[x]
-        lx = me.level
-        # received strata sit nearest-first: owner levels lx-1 down to 1
-        views = [_decode_view(rec, n) for rec in prog.received]
-        for i in range(1, lx):
-            strata = list(reversed(views[: lx - i]))
-            out[me.alpha(i)] = _strata_merge(info, x, i, strata, k, etas[x])
-        per_node.append(out)
-    return ReducedSketchResult(k=k, per_node=tuple(per_node))
+    # received strata sit nearest-first: owner levels lx-1 down to 1
+    return ReducedSketchResult(k=k, per_node=tuple(
+        _strata_pass(info, x, [_decode_view(rec, n) for rec in prog.received], k, etas[x])
+        for x, prog in enumerate(programs)
+    ))

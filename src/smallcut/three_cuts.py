@@ -66,7 +66,6 @@ from .sketches import (
     ReducedSketchResult,
     SketchMeta,
     SketchUpResult,
-    _chain_has,
     decode_entries,
     distributed_k_sketch,
     distributed_reduced_sketch,
@@ -276,10 +275,47 @@ def detect_case4(
 # cases 3 and 6: partner candidates live in the k=3 sketches
 
 
-def _sketch_disjoint(parent: Mapping[int, int | None], x: int, y: int) -> bool:
+def _preorder_spans(meta: Mapping[int, SketchMeta]) -> dict[int, tuple[int, int]]:
+    """Per sketch node: its preorder number and the last one in its sketch
+    subtree, so one is on the other's root chain exactly when the spans
+    nest, and neither is when they do not meet."""
+    kids: dict[int, list[int]] = {u: [] for u in meta}
+    stack = []
+    for u, m in meta.items():
+        (stack if m.parent is None else kids[m.parent]).append(u)
+    order = []
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(kids[u])
+    size = dict.fromkeys(order, 1)
+    for u in reversed(order):
+        p = meta[u].parent
+        if p is not None:
+            size[p] += size[u]
+    return {u: (i, i + size[u] - 1) for i, u in enumerate(order)}
+
+
+def _sketch_disjoint(span: Mapping[int, tuple[int, int]], x: int, y: int) -> bool:
     """Is neither of ``x`` and ``y`` on the other's root chain, per a
-    sketch's parent pointers?"""
-    return not _chain_has(parent, x, y) and not _chain_has(parent, y, x)
+    sketch's :func:`_preorder_spans`?"""
+    (x0, x1), (y0, y1) = span[x], span[y]
+    return x1 < y0 or y1 < x0
+
+
+def _partners(span: Mapping[int, tuple[int, int]], meta: Mapping[int, SketchMeta],
+              v: int) -> list[int]:
+    """The ids of ``v``'s sketch ``meta`` (spans ``span``) off ``v``'s root
+    chain and out of ``desc(v)``, ascending."""
+    return [u for u in sorted(meta) if u != v and _sketch_disjoint(span, u, v)]
+
+
+def _by_gamma(meta: Mapping[int, SketchMeta], ids: Sequence[int]) -> dict[int, list[int]]:
+    """``ids`` grouped by their gamma in ``meta``, each group in the order given."""
+    out: dict[int, list[int]] = {}
+    for u in ids:
+        out.setdefault(meta[u].gamma, []).append(u)
+    return out
 
 
 def detect_case3(g: Graph, state: EtaState, sketches: SketchUpResult) -> list[CutReport]:
@@ -297,12 +333,9 @@ def detect_case3(g: Graph, state: EtaState, sketches: SketchUpResult) -> list[Cu
         if v == info.root:
             continue
         meta = sketches.sketches[v].meta
-        parent = {u: m.parent for u, m in meta.items()}
         ev = state.eta[v]
-        for u, m in sorted(meta.items()):
-            if u == v or not _sketch_disjoint(parent, u, v):
-                continue
-            eu, guv = m.eta, m.gamma
+        for u in _partners(_preorder_spans(meta), meta, v):
+            eu, guv = meta[u].eta, meta[u].gamma
             if (ev - 2 == guv == eu - 1) or (ev - 1 == guv == eu - 2):
                 r = _witness_report(g, tree, (v, u), CASE3, v)
                 if r:
@@ -368,6 +401,14 @@ def detect_case6(
     node, by owner; whether ``x`` is on some non-tree neighbour's chain
     is read from ``state.paths``, and each ``(v, x, y)`` is tried once
     per node ``w``, however many of its edges reach ``x``.
+
+    Neither sub-case tries every pair.  In both, ``ev - 1 = gvx + gvy``
+    fixes ``gvy`` once ``x`` is chosen (sub-case A also needs
+    ``ex - 1 = gvx``, and the same of ``y``), so each candidate list is
+    indexed by gamma and only the ``y`` with that gamma are visited, in
+    ascending order.  Whether two nodes are disjoint is read off preorder
+    spans, worked out once per sketch (once per shared decoding for
+    ``held``).
     """
     info = state.info
     tree = info.tree()
@@ -377,56 +418,55 @@ def detect_case6(
         if v == info.root:
             continue
         meta = sketches.sketches[v].meta
-        parent = {u: m.parent for u, m in meta.items()}
         ev = state.eta[v]
-        partners = [
-            u
-            for u in sorted(meta)
-            if u != v and _sketch_disjoint(parent, u, v)
-        ]
-        for i, x in enumerate(partners):
-            ex, gvx = meta[x].eta, meta[x].gamma
-            for y in partners[i + 1 :]:
-                if not _sketch_disjoint(parent, x, y):
-                    continue
-                ey, gvy = meta[y].eta, meta[y].gamma
-                if ev - 1 == gvx + gvy and ex - 1 == gvx and ey - 1 == gvy:
+        span = _preorder_spans(meta)
+        partners = _partners(span, meta, v)
+        # x and y each need eta - 1 == gamma, and gamma(y) == ev - 1 - gamma(x)
+        tight = [u for u in partners if meta[u].eta - 1 == meta[u].gamma]
+        by_gamma = _by_gamma(meta, tight)
+        for x in tight:
+            for y in by_gamma.get(ev - 1 - meta[x].gamma, ()):
+                if y > x and _sketch_disjoint(span, x, y):
                     r = _witness_report(g, tree, (v, x, y), CASE6, v)
                     if r:
                         out.append(r)
 
+    # Holders of one block share its decoding (sketch_exchange), so what a
+    # block yields is worked out once per decoding, not once per holder.
+    Block = tuple[dict[int, tuple[int, int]], list[int], dict[int, list[int]]]
+    blocks: dict[tuple[int, int], Block] = {}
+
+    def block(a: int, s: Mapping[int, SketchMeta]) -> Block:
+        """Spans of owner ``a``'s block ``s``, its candidates, and those by gamma."""
+        if (a, id(s)) not in blocks:
+            span = _preorder_spans(s)
+            cands = _partners(span, s, a)
+            blocks[a, id(s)] = span, cands, _by_gamma(s, cands)
+        return blocks[a, id(s)]
+
     for w, sk in enumerate(held):
         if not state.paths[w]:
             continue  # no neighbour's chain to combine with
-        parents = {a: {u: m.parent for u, m in s.items()} for a, s in sk.items()}
-        # An ancestor's candidates do not depend on the edge.
-        cands = {
-            v: [u for u in sorted(sk[v]) if u != v and _sketch_disjoint(parents[v], u, v)]
-            for v in info[w].ancestors[1:]
-        }
         # A tuple (v, x, y) does not depend on which edge's chain holds x.
         theirs = {x for path in state.paths[w].values() for x in path}
-        for v, cv in cands.items():
+        for v in info[w].ancestors[1:]:
             sv = sk[v]
+            span_v, cv, by_gamma = block(v, sv)
             ev = etas[w][v]
             for x in cv:
                 if x not in theirs:
                     continue
                 sx = sk[x]
+                span_x = block(x, sx)[0]
                 ex, gvx = sv[x].eta, sv[x].gamma
-                for y in cv:
-                    if y == x or not _sketch_disjoint(parents[v], x, y):
+                for y in by_gamma.get(ev - 1 - gvx, ()):
+                    if y == x or not _sketch_disjoint(span_v, x, y):
                         continue
-                    if y not in sx or not _sketch_disjoint(parents[x], x, y):
+                    if y not in sx or not _sketch_disjoint(span_x, x, y):
                         continue
                     ey, gvy = sv[y].eta, sv[y].gamma
                     gxy = sx[y].gamma
-                    if (
-                        gxy > 0
-                        and ev - 1 == gvx + gvy
-                        and ex - 1 == gvx + gxy
-                        and ey - 1 == gvy + gxy
-                    ):
+                    if gxy > 0 and ex - 1 == gvx + gxy and ey - 1 == gvy + gxy:
                         r = _witness_report(g, tree, (v, x, y), CASE6, w)
                         if r:
                             out.append(r)

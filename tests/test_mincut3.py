@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from smallcut import three_cuts
 from smallcut.graphs import Graph, boundary, generate, min_cut_oracle, edge_pairs
 from smallcut.runtime import Engine, SimulatorConfig
-from smallcut.sketches import distributed_k_sketch
+from smallcut.sketches import SketchMeta, distributed_k_sketch
 from smallcut.small_cuts import (
     LAYER_ABSORBING,
     LAYER_IDENTITY,
@@ -386,6 +386,140 @@ def test_case6_tries_each_triple_once_per_node(seed, root, monkeypatch):
     res = pipeline(g, root=root)
     assert res.lambda_detected == 3
     assert tried and len(tried) == len(set(tried))
+
+
+def on_chain(parent, u, target):
+    """Is ``target`` ``u`` or an ancestor of ``u``, walking ``parent``?"""
+    while u is not None:
+        if u == target:
+            return True
+        u = parent[u]
+    return False
+
+
+def apart(parent, x, y):
+    return not on_chain(parent, x, y) and not on_chain(parent, y, x)
+
+
+def case6_all_pairs(g, state, etas, sketches, held):
+    """Case 6 as it searched before the gamma index: every candidate pair,
+    and disjointness by walking parent chains."""
+    info = state.info
+    tree = info.tree()
+    out = []
+    for v in range(g.n):
+        if v == info.root:
+            continue
+        meta = sketches.sketches[v].meta
+        parent = {u: m.parent for u, m in meta.items()}
+        ev = state.eta[v]
+        partners = [u for u in sorted(meta) if u != v and apart(parent, u, v)]
+        for i, x in enumerate(partners):
+            ex, gvx = meta[x].eta, meta[x].gamma
+            for y in partners[i + 1:]:
+                if not apart(parent, x, y):
+                    continue
+                ey, gvy = meta[y].eta, meta[y].gamma
+                if ev - 1 == gvx + gvy and ex - 1 == gvx and ey - 1 == gvy:
+                    r = three_cuts._witness_report(g, tree, (v, x, y), CASE6, v)
+                    if r:
+                        out.append(r)
+    for w, sk in enumerate(held):
+        if not state.paths[w]:
+            continue
+        parents = {a: {u: m.parent for u, m in s.items()} for a, s in sk.items()}
+        cands = {
+            v: [u for u in sorted(sk[v]) if u != v and apart(parents[v], u, v)]
+            for v in info[w].ancestors[1:]
+        }
+        theirs = {x for path in state.paths[w].values() for x in path}
+        for v, cv in cands.items():
+            sv = sk[v]
+            ev = etas[w][v]
+            for x in cv:
+                if x not in theirs:
+                    continue
+                sx = sk[x]
+                ex, gvx = sv[x].eta, sv[x].gamma
+                for y in cv:
+                    if y == x or not apart(parents[v], x, y):
+                        continue
+                    if y not in sx or not apart(parents[x], x, y):
+                        continue
+                    ey, gvy = sv[y].eta, sv[y].gamma
+                    gxy = sx[y].gamma
+                    if (gxy > 0 and ev - 1 == gvx + gvy and ex - 1 == gvx + gxy
+                            and ey - 1 == gvy + gxy):
+                        r = three_cuts._witness_report(g, tree, (v, x, y), CASE6, w)
+                        if r:
+                            out.append(r)
+    return out
+
+
+def case6_corpus():
+    for n in range(10, 41, 6):
+        yield f"random{n}_l3", generate("random_connected", n, seed=n, lam_min=3, lam_max=3), (
+            0, n // 2, n - 1)
+    # Here two y with one gamma both pass the checks for some (w, v, x),
+    # so visiting a gamma group out of ascending order changes the reports.
+    for seed in (0, 36):
+        yield f"random8_s{seed}", generate("random_connected", 8, seed=seed), (0, 4, 7)
+    for name, (spec, root, _) in sorted(INSTANCES.items()):
+        yield name, build_graph(spec), (root,)
+    for i, (n, edges, root) in enumerate(FIXTURES[CASE6]):
+        yield f"case6_fixture{i}", Graph(n, edges), (root,)
+
+
+def test_case6_search_by_gamma_matches_all_pairs(monkeypatch):
+    # The gamma index visits only the y a chosen x can pair with; the
+    # witnesses it tries, the reports, and the order of both are those of
+    # the full search.
+    tried = []
+    witness = three_cuts._witness_report
+
+    def recording(g, tree, parts, case, by):
+        tried.append((tuple(parts), by))
+        return witness(g, tree, parts, case, by)
+
+    monkeypatch.setattr(three_cuts, "_witness_report", recording)
+    found = 0
+    for name, g, roots in case6_corpus():
+        for root in roots:
+            engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
+            info = build_bfs(engine, root)
+            state = compute_eta(engine, info, preprocess_eta(engine, info))
+            etas = preprocess_zeta(engine, info, state)
+            up = distributed_k_sketch(engine, info, state, 3, etas)
+            held = sketch_exchange(engine, info, up, state.paths)
+            want = case6_all_pairs(g, state, etas, up, held)
+            want_tried = tried[:]
+            tried.clear()
+            assert three_cuts.detect_case6(g, state, etas, up, held) == want, (name, root)
+            assert tried == want_tried, (name, root)
+            tried.clear()
+            found += len(want)
+    assert found >= 20
+
+
+@st.composite
+def sketch_metas(draw):
+    """A random rooted tree as sketch entries, under scrambled ids."""
+    size = draw(st.integers(1, 24))
+    ids = draw(st.permutations(range(40)))[:size]
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, size)]
+    order = draw(st.permutations(range(size)))
+    return {ids[i]: SketchMeta(None if parent[i] is None else ids[parent[i]], 0, 0)
+            for i in order}
+
+
+@settings(deadline=None, max_examples=200)
+@given(sketch_metas())
+def test_preorder_spans_agree_with_parent_walks(meta):
+    span = three_cuts._preorder_spans(meta)
+    parent = {u: m.parent for u, m in meta.items()}
+    for x in meta:
+        for y in meta:
+            assert three_cuts._sketch_disjoint(span, x, y) == apart(parent, x, y)
 
 
 def test_hcast_swaps_rows_without_shared_or_empty_ones():

@@ -321,6 +321,10 @@ def reduced_reuse_corpus():
     for seed in range(10):
         g = generate("random_connected", n=16, seed=seed, lam_min=3, lam_max=3)
         yield f"random16_l3_s{seed}", g, (seed,)
+    # A depth-32 leaf pools 31 strata; on the random λ=3 graph most
+    # reduced sketches are self-witnessed.
+    yield "cycle64", generate("cycle", n=64), (0,)
+    yield "random40_l3_s5", generate("random_connected", n=40, seed=5, lam_min=3, lam_max=3), (0,)
 
 
 def test_reduced_from_the_k3_wave_matches_reference():
