@@ -242,9 +242,13 @@ def min_cut_oracle(g: Graph, limit: int | None = None) -> OracleResult:
     """Enumerate all minimum cuts by brute force over vertex subsets.
 
     Every cut is the boundary of a vertex set avoiding vertex 0, so it
-    suffices to scan the 2^(n-1) subsets of the remaining vertices.
-    That is exponential on purpose — this is the trusted reference, not
-    a production path — and it refuses graphs beyond ``limit`` vertices
+    suffices to scan the 2^(n-1) subsets of the remaining vertices.  The
+    scan visits them in Gray-code order, one vertex moving across per
+    step, and keeps the cut size from neighbour bitmasks.  Only a side
+    whose size is at most the best seen so far has its edge set built,
+    and that set's size is checked against the running count.  That is
+    exponential on purpose — this is the trusted reference, not a
+    production path — and it refuses graphs beyond ``limit`` vertices
     (default 16, overridable via the MINCUT_ORACLE_LIMIT environment
     variable) rather than silently burning hours.
     """
@@ -258,26 +262,31 @@ def min_cut_oracle(g: Graph, limit: int | None = None) -> OracleResult:
             f"raise {ORACLE_LIMIT_ENV} or use edge_connectivity() for the size alone"
         )
     edges = g.edges
+    nbrs = [sum(1 << w for w in ws) for ws in g.adj]
+    degree = [len(ws) for ws in g.adj]
     best = g.m + 1
     cuts: set[frozenset[int]] = set()
-    for mask in range(1, 1 << (g.n - 1)):
-        ids = []
-        small = True
-        for e, (u, v) in enumerate(edges):
-            bu = (mask >> (u - 1)) & 1 if u else 0
-            bv = (mask >> (v - 1)) & 1
-            if bu != bv:
-                ids.append(e)
-                if len(ids) > best:
-                    small = False
-                    break
-        if not small:
+    side = 0  # bit v set: vertex v is on the far side; vertex 0 never is
+    size = 0
+    for step in range(1, 1 << (g.n - 1)):
+        # Gray code: step k moves the vertex one past k's lowest set bit.
+        # Joining the side cuts its edges to the near side and uncuts
+        # those to the far side; leaving does the opposite.
+        v = (step & -step).bit_length()
+        joined = degree[v] - 2 * (nbrs[v] & side).bit_count()
+        size += -joined if side >> v & 1 else joined
+        side ^= 1 << v
+        if size > best:
             continue
-        size = len(ids)
+        ids = [e for e, (u, w) in enumerate(edges) if (side >> u ^ side >> w) & 1]
+        if len(ids) != size:
+            raise RuntimeError(
+                f"min_cut_oracle: side {side:#x} has {len(ids)} edges, counted {size}"
+            )
         if size < best:
             best = size
             cuts = {frozenset(ids)}
-        elif size == best:
+        else:
             cuts.add(frozenset(ids))
     ordered = tuple(sorted(cuts, key=lambda f: edge_pairs(g, f)))
     return OracleResult(best, ordered)

@@ -7,26 +7,33 @@ enough for a vertex id — and every atomic value a protocol transmits
 (an id, a level, a counter) is accounted as exactly one word.  The
 per-round budget is ``word_bits`` words per edge *per direction*.
 
-Programs do not send packets directly.  They append words to a per-edge
-outbound queue; at the end of each round the engine drains at most the
-budget from every queue into a frame that is delivered at the start of
-the next round.  Longer records therefore stream across consecutive
-rounds automatically, and the budget holds by construction.  Strict
-mode adds value validation: a word must stay below ``max(4, n^2)``, so
-a protocol cannot smuggle unbounded payloads through single words.
+The engine numbers the directed edges once, in ``(sender id, edge id)``
+order, and gives each phase one *wire* per directed edge, laid when the
+first word is queued on it: the list of words queued on that edge and
+three offsets into the list.  Words before ``sent`` have left the
+sender, words before ``landed`` have reached the receiver, and words
+before ``read`` belong to records the receiver has taken.  Programs
+append words to their out-wires.  At the end of each round the engine
+advances every wire's ``sent`` by at most the budget (one frame); at the
+start of the next it sets ``landed = sent``, so longer records stream
+across consecutive rounds and the budget holds by construction.  Strict
+mode adds value validation: a word must stay below ``max(4, n^2)``, so a
+protocol cannot smuggle unbounded payloads through single words.
 
 Programs read records with ``expect``: a fixed number of words, or a
-head whose words say how long the rest is (``more``).  A relay declares
-what it forwards in ``relays``, and the engine queues each chunk heard
-on such an in-edge on its out-edges in the round it arrives
+head whose words say how long the rest is (``more``).  The receiver
+slices each record straight out of the sender's list, and the engine
+calls into it only when the head record on a wire is complete.  A relay
+declares what it forwards in ``relays``, and the engine appends each
+frame heard on such an in-edge to its out-wires in the round it lands
 (cut-through), before the program reads it.  Those words were checked
-when their origin sent them, so forwarding checks nothing again.  No
-program in the package overrides ``on_chunk``.
+when their origin sent them, so forwarding checks nothing again.  A wire
+drops the prefix its receiver has read once that is more than half of
+it, and a finished phase drops its lists.
 
-Each phase has its own queues, frames in flight and round count, and
-it ends when its own wire is empty: none of its queues holds words and
-none of its frames is in flight.  A program that still waits on an
-``expect`` at that point can never be served, so the engine raises
+Each phase has its own wires and round count, and it ends when none of
+its wires holds a word that has not landed.  A program that still waits
+on an ``expect`` at that point can never be served, so the engine raises
 ``ProtocolError``; the round limit, too, applies to each phase alone.
 One round loop steps every live phase.  Besides the foreground phase,
 a *chain* (a sequence of phases, see ``Steps``) can be launched to run
@@ -34,9 +41,8 @@ alongside it on the same clock: a phase that sends only toward the root
 can share its rounds with one that sends only away from it, since the
 budget holds per direction.  Two live phases that send on the same
 directed edge in the same round are a ``ProtocolError``; they never
-share a frame.  Deliveries within a phase's round are dispatched in
-``(sender id, edge id)`` order, which makes every run bit-for-bit
-reproducible.
+share a frame.  Frames within a phase's round land in directed-edge
+order, which makes every run bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -168,14 +174,15 @@ class NodeHandle:
     else must arrive as messages.
     """
 
-    __slots__ = ("id", "n", "ports", "_engine", "_by_edge")
+    __slots__ = ("id", "n", "ports", "_engine", "_tx")
 
-    def __init__(self, engine: Engine, v: int):
+    def __init__(self, engine: Engine, v: int, tx: dict[int, int]):
         self.id = v
         self.n = engine.g.n
         self.ports: tuple[tuple[int, int], ...] = engine.g.inc[v]
         self._engine = engine
-        self._by_edge = {eid: nbr for nbr, eid in self.ports}
+        # edge id -> number of the directed edge out of this node on it
+        self._tx = tx
 
     def send(self, eid: int, *words: int) -> None:
         """Queue words on an incident edge; the engine paces the wire."""
@@ -183,32 +190,66 @@ class NodeHandle:
 
     def neighbor(self, eid: int) -> int:
         try:
-            return self._by_edge[eid]
+            d = self._tx[eid]
         except KeyError:
             raise ProtocolError(f"edge {eid} is not incident to node {self.id}") from None
+        return self._engine._ends[d][2]
 
     @property
     def round(self) -> int:
         return self._engine.round
 
 
+#: ``_Wire.need`` when the receiver waits on no record.
+_NEVER = 1 << 62
+#: Read words a wire keeps before it may drop them.
+_SLACK = 64
+
+
+class _Wire:
+    """One directed edge's words in one phase.
+
+    ``words[:read]`` belong to records the receiver has taken,
+    ``words[:landed]`` have reached it and ``words[:sent]`` have left the
+    sender.  ``need`` is where the receiver's head record ends, so the
+    engine wakes the receiver only once ``landed`` reaches it.  The wire
+    names its receiver by node id, not by program, so no reference cycle
+    keeps a finished phase's lists alive.
+    """
+
+    __slots__ = ("words", "sent", "landed", "read", "need", "dst", "eid")
+
+    def __init__(self, dst: int, eid: int):
+        self.words: list[int] = []
+        self.sent = self.landed = self.read = 0
+        self.need = _NEVER
+        self.dst = dst
+        self.eid = eid
+
+
 class WordProgram:
     """Base class for per-node state machines driven by word streams.
 
     Subclasses override ``start`` (runs before the first round) and
-    register reception handlers with ``expect``; the base class
-    reassembles records from the per-edge word streams and fires each
-    handler exactly once, with the whole record, when it is complete.
-    ``relays`` maps an in-edge to the edges on which the engine forwards
-    every chunk heard on it, unchanged and in the same round.
+    register reception handlers with ``expect``.  ``_in`` maps an
+    incident edge to the wire that carries words into the node in the
+    running phase, once a word has been queued on it.  A record is read
+    in place: once a head record's words have all landed, its handler
+    fires exactly once with those words, and the wire's ``read`` offset
+    moves past them.  ``relays`` maps an in-edge to the edges on which
+    the engine forwards every frame heard on it, unchanged and in the
+    same round.  A program has no per-frame hook: the engine refuses a
+    class that defines ``on_chunk``.
     """
 
     relays: dict[int, tuple[int, ...]] = {}
 
     def __init__(self, node: NodeHandle):
         self.node = node
-        self._buf: dict[int, list[int]] = {}
+        self._in: dict[int, _Wire] = {}
         self._want: dict[int, deque[tuple]] = {}
+        #: Words heard that no record claimed, counted when the phase ends.
+        self.stray = 0
 
     def start(self) -> None:
         pass
@@ -233,32 +274,34 @@ class WordProgram:
         self._want.setdefault(eid, deque()).append((nwords, more, handler))
         self._drain_buffer(eid)
 
-    def on_chunk(self, eid: int, words: tuple[int, ...]) -> None:
-        buf = self._buf.setdefault(eid, [])
-        buf.extend(words)
-        # A chunk that completes no head or record costs the append alone.
-        want = self._want.get(eid)
-        if want and len(buf) >= want[0][0]:
-            self._drain_buffer(eid)
-
-    @property
-    def stray(self) -> int:
-        """Words heard that no record claimed."""
-        return sum(len(buf) for buf in self._buf.values())
-
     def _drain_buffer(self, eid: int) -> None:
-        buf = self._buf.get(eid)
+        """Fire the handlers of every record on ``eid`` that has landed.
+        A handler may ``expect`` again, which drains the same wire."""
+        wire = self._in.get(eid)
         want = self._want.get(eid)
-        while buf and want and len(buf) >= want[0][0]:
+        if wire is None or not want:
+            return
+        words = wire.words
+        while want:
             nwords, more, handler = want[0]
+            start = wire.read
+            end = start + nwords
+            if end > wire.landed:
+                break
             if more is not None:
                 # The head is in: fix the record's full length once.
-                want[0] = (nwords + more(tuple(buf[:nwords])), None, handler)
+                want[0] = (nwords + more(tuple(words[start:end])), None, handler)
                 continue
             want.popleft()
-            rec = tuple(buf[:nwords])
-            del buf[:nwords]
-            handler(rec)
+            wire.read = end
+            handler(tuple(words[start:end]))
+        read = wire.read
+        if read > _SLACK and read + read > len(words):
+            del words[:read]
+            wire.sent -= read
+            wire.landed -= read
+            wire.read = read = 0
+        wire.need = read + want[0][0] if want else _NEVER
 
 
 #: A chain of phases: a generator that yields ``(label, programs)`` for
@@ -282,17 +325,25 @@ class Chain:
 
 
 class _Phase:
-    """One live phase: its programs, its own wire and its own count."""
+    """One live phase: its programs, its own wires and its own count.
 
-    __slots__ = ("label", "programs", "chain", "outbox", "pending", "rounds")
+    ``wires`` is indexed by directed edge and holds ``None`` until a word
+    is queued on that edge.  ``active`` holds the directed edges whose
+    wires have words not yet sent, ``flight`` those whose last frame has
+    not landed (ascending), and ``relay`` maps a directed in-edge to the
+    out-edges it feeds."""
 
-    def __init__(self, label: str, programs: Sequence[WordProgram], chain: Chain):
+    __slots__ = ("label", "programs", "chain", "wires", "relay", "active", "flight", "rounds")
+
+    def __init__(self, label: str, programs: Sequence[WordProgram], chain: Chain,
+                 edges: int, relay: dict[int, tuple[int, ...]]):
         self.label = label
         self.programs = programs
         self.chain = chain
-        self.outbox: dict[tuple[int, int], list[int]] = {}
-        # drained frames awaiting delivery: (destination, edge id, words)
-        self.pending: list[tuple[int, int, tuple[int, ...]]] = []
+        self.wires: list[_Wire | None] = [None] * edges
+        self.relay = relay
+        self.active: set[int] = set()
+        self.flight: list[int] = []
         self.rounds = 0
 
 
@@ -314,13 +365,21 @@ class Engine:
         self.value_cap = max(4, g.n * g.n)
         self.round = 0
         self.stats = RoundStats()
-        self.handles = tuple(NodeHandle(self, v) for v in range(g.n))
+        # directed edge number -> (sender, edge id, receiver)
+        self._ends = sorted(
+            (u, eid, w) for eid, (a, b) in enumerate(g.edges) for u, w in ((a, b), (b, a))
+        )
+        tx: list[dict[int, int]] = [{} for _ in range(g.n)]
+        for d, (u, eid, _) in enumerate(self._ends):
+            tx[u][eid] = d
+        self.handles = tuple(NodeHandle(self, v, tx[v]) for v in range(g.n))
         self._live: list[_Phase] = []
-        # the outbox of the phase whose programs are running
-        self._outbox: dict[tuple[int, int], list[int]] = {}
+        # the phase whose programs are running
+        self._phase: _Phase | None = None
 
     def _send(self, handle: NodeHandle, eid: int, words: tuple[int, ...]) -> None:
-        if eid not in handle._by_edge:
+        d = handle._tx.get(eid)
+        if d is None:
             raise ProtocolError(f"edge {eid} is not incident to node {handle.id}")
         for w in words:
             if not isinstance(w, int) or w < 0:
@@ -334,7 +393,21 @@ class Engine:
                     f"range [0, {self.value_cap})",
                 )
         if words:
-            self._outbox.setdefault((handle.id, eid), []).extend(words)
+            phase = self._phase
+            (phase.wires[d] or self._lay(phase, d)).words.extend(words)
+            phase.active.add(d)
+
+    def _lay(self, phase: _Phase, d: int) -> _Wire:
+        """Lay directed edge ``d``'s wire in ``phase`` and hand it to the
+        receiver, whose head record may already be awaited."""
+        _, eid, dst = self._ends[d]
+        wire = phase.wires[d] = _Wire(dst, eid)
+        program = phase.programs[dst]
+        program._in[eid] = wire
+        want = program._want.get(eid)
+        if want:
+            wire.need = want[0][0]
+        return wire
 
     def run_phase(self, label: str, programs: Sequence[WordProgram]) -> None:
         """Run programs (one per vertex) until this phase's wire is empty."""
@@ -367,24 +440,33 @@ class Engine:
             return
         if len(programs) != self.g.n:
             raise ValueError(f"need one program per vertex, got {len(programs)}")
+        for cls in {type(p) for p in programs}:
+            if hasattr(cls, "on_chunk"):
+                raise ProtocolError(
+                    f"{cls.__name__} defines on_chunk; programs read records with expect"
+                )
+        relay: dict[int, tuple[int, ...]] = {}
         for p in programs:
             for into, outs in p.relays.items():
                 for eid in (into, *outs):
                     p.node.neighbor(eid)  # raises unless incident
-        phase = _Phase(label, programs, chain)
+                sender = self.handles[p.node.neighbor(into)]
+                relay[sender._tx[into]] = tuple(p.node._tx[eid] for eid in outs)
+        phase = self._phase = _Phase(label, programs, chain, len(self._ends), relay)
         self._live.append(phase)
-        self._outbox = phase.outbox
         for p in programs:
             p.start()
 
     def _retire(self) -> None:
-        """Close every phase whose own wire is empty and move its chain on;
-        the chain's next phase may itself be quiet from the start."""
+        """Close every phase whose own wires are empty and move its chain
+        on; the chain's next phase may itself be quiet from the start.  A
+        closed phase's programs keep their ``stray`` counts, not its wires,
+        and the engine keeps neither, so what the protocol drops is freed."""
         live = self._live
         i = 0
         while i < len(live):
             phase = live[i]
-            if phase.pending or phase.outbox:
+            if phase.flight or phase.active:
                 i += 1
                 continue
             del live[i]
@@ -394,13 +476,17 @@ class Engine:
                         f"phase {phase.label!r} went quiet while node {p.node.id} "
                         f"still expects words"
                     )
+                p.stray = sum(wire.landed - wire.read for wire in p._in.values())
+                p._in = {}
+            phase.wires.clear()
+            if self._phase is phase:
+                self._phase = None
             self._advance(phase.chain)
 
     def join(self, chain: Chain) -> Any:
         """Run rounds until ``chain`` has finished; return its result."""
         budget = self.config.word_bits
         limit = self.config.round_limit
-        edges = self.g.edges
         stats = self.stats
         live = self._live
         while True:
@@ -413,47 +499,56 @@ class Engine:
             self.round += 1
             stats.rounds_elapsed += 1
             for phase in live:
-                outbox = self._outbox = phase.outbox
+                # Land last round's frames, in directed-edge order.
+                self._phase = phase
+                wires = phase.wires
+                active = phase.active
                 programs = phase.programs
-                pending, phase.pending = phase.pending, []
-                for dst, eid, payload in pending:
-                    program = programs[dst]
-                    for out in program.relays.get(eid, ()):
-                        outbox.setdefault((dst, out), []).extend(payload)
-                    program.on_chunk(eid, payload)
+                relay = phase.relay
+                for d in phase.flight:
+                    wire = wires[d]
+                    lo = wire.landed
+                    hi = wire.landed = wire.sent
+                    outs = relay.get(d)
+                    if outs:
+                        chunk = wire.words[lo:hi]
+                        for out in outs:
+                            (wires[out] or self._lay(phase, out)).words.extend(chunk)
+                            active.add(out)
+                    if hi >= wire.need:
+                        programs[wire.dst]._drain_buffer(wire.eid)
             # Two live phases never share a directed edge in one round.
-            busy: dict[tuple[int, int], str] | None = {} if len(live) > 1 else None
+            busy: dict[int, str] | None = {} if len(live) > 1 else None
             for phase in live:
                 phase.rounds += 1
-                outbox = phase.outbox
+                active = phase.active
                 if busy is not None:
-                    clash = busy.keys() & outbox.keys()
+                    clash = busy.keys() & active
                     if clash:
-                        src, eid = min(clash)
+                        first = min(clash)
+                        src, eid, _ = self._ends[first]
                         raise ProtocolError(
-                            f"phases {busy[src, eid]!r} and {phase.label!r} both send "
+                            f"phases {busy[first]!r} and {phase.label!r} both send "
                             f"from node {src} on edge {eid} in round {self.round}"
                         )
-                    busy.update(dict.fromkeys(outbox, phase.label))
-                pending = phase.pending
-                messages = len(outbox)
+                    busy.update(dict.fromkeys(active, phase.label))
+                # Send one frame on every wire with words to go.
+                wires = phase.wires
+                flight = phase.flight = sorted(active)
                 words = 0
                 widest = 0
-                for key in sorted(outbox):
-                    src, eid = key
-                    queue = outbox[key]
-                    payload = tuple(queue[:budget])
-                    take = len(payload)
-                    if take == len(queue):
-                        del outbox[key]
+                for d in flight:
+                    wire = wires[d]
+                    take = len(wire.words) - wire.sent
+                    if take > budget:
+                        take = budget
                     else:
-                        del queue[:take]
-                    u, v = edges[eid]
-                    pending.append((v if src == u else u, eid, payload))
+                        active.discard(d)
+                    wire.sent += take
                     words += take
                     if take > widest:
                         widest = take
-                stats.record_round(phase.label, messages, words, widest * self.word_size)
+                stats.record_round(phase.label, len(flight), words, widest * self.word_size)
 
 
 def run_protocol(

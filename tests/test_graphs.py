@@ -153,6 +153,71 @@ def test_prism_is_three_connected():
         assert is_induced_cut(g, f) is not None
 
 
+def scan_oracle(g: Graph) -> tuple[int, tuple[frozenset[int], ...]]:
+    """The oracle's former scan, kept as a reference: subsets in numeric
+    order, each side's edges counted with an early exit past the best."""
+    edges = g.edges
+    best = g.m + 1
+    cuts: set[frozenset[int]] = set()
+    for mask in range(1, 1 << (g.n - 1)):
+        ids = []
+        small = True
+        for e, (u, v) in enumerate(edges):
+            bu = (mask >> (u - 1)) & 1 if u else 0
+            bv = (mask >> (v - 1)) & 1
+            if bu != bv:
+                ids.append(e)
+                if len(ids) > best:
+                    small = False
+                    break
+        if not small:
+            continue
+        size = len(ids)
+        if size < best:
+            best = size
+            cuts = {frozenset(ids)}
+        elif size == best:
+            cuts.add(frozenset(ids))
+    return best, tuple(sorted(cuts, key=lambda f: edge_pairs(g, f)))
+
+
+def _oracle_corpus():
+    families = [
+        (family, n)
+        for family, sizes in (
+            ("path", range(2, 15)), ("cycle", range(3, 15)), ("complete", range(2, 9)),
+            ("grid", (4, 9)), ("prism", range(6, 15, 2)), ("barbell", range(6, 15, 2)),
+        )
+        for n in sizes
+    ]
+    for family, n in families:
+        yield f"{family}{n}", generate(family, n)
+    for n in range(2, 15):
+        for lam in range(1, min(4, n - 1) + 1):
+            for seed in range(3):
+                try:
+                    g = generate("random_connected", n, seed=seed, lam_min=lam, lam_max=lam)
+                except ValueError:  # no such graph within the generator's tries
+                    continue
+                yield f"random{n}_l{lam}_s{seed}", g
+
+
+def test_gray_code_oracle_matches_the_numeric_scan():
+    names = []
+    for name, g in _oracle_corpus():
+        res = min_cut_oracle(g)
+        assert (res.lam, res.min_cuts) == scan_oracle(g), name
+        names.append(name)
+    assert sum(name.startswith("random") for name in names) >= 100
+
+
+def test_oracle_raises_when_its_running_count_disagrees_with_a_side():
+    g = generate("cycle", 5)
+    g.adj = (g.adj[0], g.adj[1][:1], *g.adj[2:])  # vertex 1 forgets a neighbour
+    with pytest.raises(RuntimeError, match="has 2 edges, counted 1"):
+        min_cut_oracle(g)
+
+
 def test_edge_connectivity_reference_values():
     assert edge_connectivity(p4()) == 1
     assert edge_connectivity(generate("cycle", 5)) == 2

@@ -197,16 +197,10 @@ class Arrivals(WordProgram):
     def start(self):
         self.seen: list[int] = []
         if self.node.id == 0:
-            for _ in self.node.ports:
-                self.expect_next()
+            for _, eid in self.node.ports:
+                self.expect(eid, 1, self.seen.extend)
         else:
             self.send(self.node.ports[0][1], self.node.id)
-
-    def expect_next(self):
-        pass
-
-    def on_chunk(self, eid, words):
-        self.seen.extend(words)
 
     def output(self):
         return list(self.seen)
@@ -445,8 +439,8 @@ def test_round_limit_applies_per_phase():
 class PathStream(WordProgram):
     """Node 0 streams ``words`` up a path; every inner node passes on what
     it hears from its lower neighbour, and the far end reads the block
-    whole.  ``declared`` passes it on by a declared relay, else by a
-    ``send`` in ``on_chunk``."""
+    whole.  ``declared`` passes it on by a declared relay, else by
+    one-word records whose handlers ``send`` each word on."""
 
     def __init__(self, node, words, declared=True):
         super().__init__(node)
@@ -464,17 +458,18 @@ class PathStream(WordProgram):
             self.send(self.out, *self.words)
         elif self.out is None:
             self.expect(self.into, len(self.words), self._take)
+        elif not self.declared:
+            for _ in self.words:
+                self.expect(self.into, 1, self._pass)
 
     def _take(self, rec):
         self.got = (rec, self.node.round)
 
-    def on_chunk(self, eid, words):
-        if not self.declared and eid == self.into and self.out is not None:
-            self.send(self.out, *words)
-        super().on_chunk(eid, words)
+    def _pass(self, rec):
+        self.send(self.out, *rec)
 
 
-def test_declared_relay_matches_forwarding_in_on_chunk():
+def test_declared_relay_matches_forwarding_in_handlers():
     g = generate("path", 5)
     runs = []
     for declared in (True, False):
@@ -487,6 +482,20 @@ def test_declared_relay_matches_forwarding_in_on_chunk():
     # forwarded in the round it arrives: the last lands in round 8.
     assert runs[0][0] == (tuple(range(7)), 8)
     assert runs[0][1]["per_phase"]["path"]["messages"] == 4 * 4
+
+
+class ChunkHook(Echo):
+    """A program with the per-frame hook the engine no longer calls."""
+
+    def on_chunk(self, eid, words):
+        pass
+
+
+def test_program_defining_on_chunk_is_refused_before_round_one():
+    engine = Engine(generate("path", 3))
+    with pytest.raises(ProtocolError, match="ChunkHook defines on_chunk"):
+        engine.run_phase("hook", [ChunkHook(h) for h in engine.handles])
+    assert engine.round == 0
 
 
 class ForeignRelay(WordProgram):
