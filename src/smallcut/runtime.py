@@ -47,6 +47,7 @@ order, which makes every run bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Sequence
@@ -171,7 +172,9 @@ class NodeHandle:
 
     It exposes the node's id, the vertex count, and the local ports –
     ``(neighbor id, edge id)`` pairs sorted by neighbor.  Everything
-    else must arrive as messages.
+    else must arrive as messages.  It reaches its engine through a weak
+    proxy, so an engine and its handles form no reference cycle and are
+    freed as soon as the last outside reference goes.
     """
 
     __slots__ = ("id", "n", "ports", "_engine", "_tx")
@@ -180,7 +183,7 @@ class NodeHandle:
         self.id = v
         self.n = engine.g.n
         self.ports: tuple[tuple[int, int], ...] = engine.g.inc[v]
-        self._engine = engine
+        self._engine = weakref.proxy(engine)
         # edge id -> number of the directed edge out of this node on it
         self._tx = tx
 

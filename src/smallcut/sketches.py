@@ -94,18 +94,13 @@ class SketchSource:
 
     ``v`` alone denotes ``desc(v)``; with ``exclude=c`` it denotes
     ``desc(v) - desc(c)`` (the reduced variant, ``c`` a proper descendant
-    of ``v``); with ``whole_subtree=False`` it denotes the single vertex.
+    of ``v``).
     """
 
     v: int
     exclude: int | None = None
-    whole_subtree: bool = True
 
     def members(self, tree: RootedTree) -> frozenset[int]:
-        if not self.whole_subtree:
-            if self.exclude is not None:
-                raise ValueError("single-vertex source cannot exclude a subtree")
-            return frozenset((self.v,))
         base = tree.desc(self.v)
         if self.exclude is None:
             return base
@@ -278,13 +273,6 @@ class SketchTree:
     k: int
     meta: dict[int, SketchMeta]
     self_witnessed: bool
-
-    @property
-    def root(self) -> int:
-        for u, m in self.meta.items():
-            if m.parent is None:
-                return u
-        raise ValueError("sketch has no root")
 
     @property
     def nodes(self) -> tuple[int, ...]:

@@ -129,7 +129,6 @@ def landing_spec(name: str, pivot_level: int) -> SemigroupSpec:
         atomic=partial(_layer_atom, pivot_level),
         encode=encode,
         decode=decode,
-        head_words=1,
         tail_words=lambda head: tail if head[0] == TAG_CANDIDATE else 0,
         identity=LAYER_IDENTITY,
     )

@@ -35,9 +35,13 @@ per depth cohort, the lowest pivot level winning each slot.
 
 Detectors report *witnesses* — the subtree stack whose symmetric
 difference induces the cut — and the reported edge set is materialized
-from the witness.  A witness whose boundary is not exactly three edges
-is discarded on the spot, so a report can never name a non-cut no
-matter how the detecting predicate was reached.
+from the witness.  Every detector is exact: its predicate holds only
+when the witness bounds exactly three edges, by inclusion–exclusion
+over counts the detecting node holds.  The materializing check is
+therefore an invariant, and a witness that fails it is a protocol
+fault, not a filtered candidate.  One fact comes from the observer
+rather than the records: whether a pair record's partner lies under a
+fork deeper than the record's pivot (see :func:`detect_case5`).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, RootedTree, boundary, edge_pairs
-from .runtime import Engine, SimulatorConfig, Steps
+from .runtime import Engine, ProtocolError, SimulatorConfig, Steps
 from .small_cuts import (
     CutReport,
     EtaState,
@@ -104,22 +108,22 @@ _CASE_RANK = {c: i for i, c in enumerate((CASE1, CASE2, CASE3, CASE4, CASE5, CAS
 
 def _witness_report(
     g: Graph, tree: RootedTree, parts: Sequence[int], case: str, by: int
-) -> CutReport | None:
-    """Materialize a report from its witness, or reject it.
+) -> CutReport:
+    """Materialize the report of node ``by``'s witness for ``case``.
 
     The witness is a stack of subtree roots; the cut side is the
-    symmetric difference of their descendant sets.  Only a boundary of
-    exactly three edges survives — that check is what makes every
-    detector sound regardless of which equalities led it here.
+    symmetric difference of their descendant sets.  Every detector's
+    predicate already fixes that side's boundary at three edges, so any
+    other boundary (an empty or whole side has none) is a detector
+    fault and raises :class:`ProtocolError`.
     """
     side: frozenset[int] = frozenset()
     for p in parts:
         side = side ^ tree.desc(p)
-    if not side or len(side) == g.n:
-        return None
     eids = boundary(g, side)
     if len(eids) != 3:
-        return None
+        raise ProtocolError(f"{case} witness {tuple(parts)} of node {by} bounds "
+                            f"{len(eids)} edges, not 3")
     return CutReport(edge_pairs(g, eids), case, by)
 
 
@@ -165,9 +169,7 @@ def detect_case1(g: Graph, state: EtaState) -> list[CutReport]:
     out = []
     for v in range(g.n):
         if v != state.info.root and state.eta[v] == 3:
-            r = _witness_report(g, tree, (v,), CASE1, v)
-            if r:
-                out.append(r)
+            out.append(_witness_report(g, tree, (v,), CASE1, v))
     return out
 
 
@@ -190,9 +192,7 @@ def detect_case2(g: Graph, state: EtaState, etas: Sequence[Mapping[int, int]]) -
             h = state.subtree_cross[x][v]
             ev = etas[x][v]
             if (ev - 1 == h == ex - 2) or (ev - 2 == h == ex - 1):
-                r = _witness_report(g, tree, (v, x), CASE2, x)
-                if r:
-                    out.append(r)
+                out.append(_witness_report(g, tree, (v, x), CASE2, x))
     return out
 
 
@@ -239,10 +239,16 @@ def detect_case4(
 ) -> list[CutReport]:
     """Chain of three: desc(x) inside desc(y) inside desc(z).
 
-    The deepest node x owns the test.  Writing H(A, w) for the count of
-    A's edges that leave desc(w), the cut exists exactly when each of
-    the three subtree boundaries is one tree edge plus the crossings
-    the other two account for.
+    The deepest node x owns the test.  Writing e_w for desc(w)'s
+    boundary and h_ab for the count of desc(a)'s edges that leave
+    desc(b), inclusion–exclusion over the three boundaries gives the
+    side desc(z) - desc(y) + desc(x) the boundary
+
+        ex + ey + ez - 2·(h_xy + h_yz - h_xz)
+
+    (an edge counted by h_xz lies on all three boundaries), and the cut
+    exists exactly when that is 3.  x holds every term: its eta and
+    crossing counts, its ancestors' etas, and y's row out of ``hcast``.
     """
     info = state.info
     tree = info.tree()
@@ -260,14 +266,8 @@ def detect_case4(
                 z = nb.ancestors[lz]
                 h_xz = state.subtree_cross[x][z]
                 h_yz = hcast[x][y][lz - 1]
-                if (
-                    ex - 1 == h_xy + h_xz
-                    and ey - 1 == h_yz + h_xy
-                    and etas[x][z] - 1 == h_xz + h_yz
-                ):
-                    r = _witness_report(g, tree, (z, y, x), CASE4, x)
-                    if r:
-                        out.append(r)
+                if ex + ey + etas[x][z] - 2 * (h_xy + h_yz - h_xz) == 3:
+                    out.append(_witness_report(g, tree, (z, y, x), CASE4, x))
     return out
 
 
@@ -337,9 +337,7 @@ def detect_case3(g: Graph, state: EtaState, sketches: SketchUpResult) -> list[Cu
         for u in _partners(_preorder_spans(meta), meta, v):
             eu, guv = meta[u].eta, meta[u].gamma
             if (ev - 2 == guv == eu - 1) or (ev - 1 == guv == eu - 2):
-                r = _witness_report(g, tree, (v, u), CASE3, v)
-                if r:
-                    out.append(r)
+                out.append(_witness_report(g, tree, (v, u), CASE3, v))
     return out
 
 
@@ -427,9 +425,7 @@ def detect_case6(
         for x in tight:
             for y in by_gamma.get(ev - 1 - meta[x].gamma, ()):
                 if y > x and _sketch_disjoint(span, x, y):
-                    r = _witness_report(g, tree, (v, x, y), CASE6, v)
-                    if r:
-                        out.append(r)
+                    out.append(_witness_report(g, tree, (v, x, y), CASE6, v))
 
     # Holders of one block share its decoding (sketch_exchange), so what a
     # block yields is worked out once per decoding, not once per holder.
@@ -467,9 +463,7 @@ def detect_case6(
                     ey, gvy = sv[y].eta, sv[y].gamma
                     gxy = sx[y].gamma
                     if gxy > 0 and ex - 1 == gvx + gxy and ey - 1 == gvy + gxy:
-                        r = _witness_report(g, tree, (v, x, y), CASE6, w)
-                        if r:
-                            out.append(r)
+                        out.append(_witness_report(g, tree, (v, x, y), CASE6, w))
     return out
 
 
@@ -504,9 +498,7 @@ def detect_case7(
                 if u in anc:
                     continue
                 if ev - 1 == h + m.gamma and m.eta - 1 == m.gamma:
-                    r = _witness_report(g, tree, (v, x, u), CASE7, x)
-                    if r:
-                        out.append(r)
+                    out.append(_witness_report(g, tree, (v, x, u), CASE7, x))
     return out
 
 
@@ -571,14 +563,13 @@ class BridgeRecord(NamedTuple):
     """A node's parent edge is a bridge of some pivoted subgraph.
 
     Wire order: node id, then the shallowest such pivot's level (the
-    contention key), then the node's eta and its subtree edges that
-    leave the pivot's subtree.
+    contention key), then the node's eta.  Every subtree edge but the
+    parent edge leaves the pivot's subtree, so eta - 1 of them do.
     """
 
     node: int
     pivot_level: int
     eta: int
-    out_edges: int
 
 
 class PairRecord(NamedTuple):
@@ -618,7 +609,7 @@ def compute_cut_details(
         cross = state.subtree_cross[a]
         for lvl, u in enumerate(info[a].ancestors[:-1]):
             if eta - cross[u] == 1:
-                bridges[a] = BridgeRecord(a, lvl, eta, cross[u])
+                bridges[a] = BridgeRecord(a, lvl, eta)
                 break
         for i in sorted(two[a]):
             stay_a = eta - cross[info[a].ancestors[i]]
@@ -710,7 +701,7 @@ def convergecast_details(
     record per depth from its own level to the tree's, its own record
     first and then, for each deeper depth, the best that its children
     sent for that depth (lowest pivot level, then lowest node id).  A
-    record is 4 or 6 words behind a presence flag.  Returns, per node,
+    record is 3 or 6 words behind a presence flag.  Returns, per node,
     the present records its children sent, which is what the node
     decoded.
     """
@@ -723,46 +714,52 @@ def detect_case5(
     """A fork: two disjoint subtrees under a third, seen from no single
     chain.
 
-    A node on the path between the prongs' meeting point and the fork
+    A node x on the path between the prongs' meeting point and the fork
     subtree assembles the picture from the details that reached it:
     either two bridge records from different child edges (the prongs
-    have no edges between them) or one pair record (they do).  The fork
-    subtree itself is not named in the records — its recorded pivot may
-    sit strictly above the true fork — but the prongs' outward counts
-    do not depend on that choice (they are eta minus one minus the pair
-    count), so the observer simply tries each of its own ancestors as
-    the fork and lets the witness check settle the matter.
+    have no edges between them) or one pair record (they do).  x tries
+    its own ancestors z as the fork, from the deeper of level 1 and the
+    records' pivots down to itself.  For prongs d1 and d2 under z the
+    side desc(z) - desc(d1) - desc(d2) has the boundary
+
+        ez + e1 + e2 - 2·(H(d1, z) + H(d2, z) + between),
+
+    H(d, z) counting desc(d)'s edges that leave desc(z).  At or below a
+    record's pivot, every edge of desc(d) but the parent edge and those
+    to the partner leaves desc(z), so H(d, z) = ed - 1 - between (a
+    bridge record has no edge to its partner), and the boundary is 3
+    exactly when ez + 1 == e1 + e2 - 2·between.  Above the pivot that
+    count does not hold, so no fork there is tried.
+
+    A bridge record's prong is x's descendant, so it lies under every
+    fork x tries.  A pair record's partner need not: it lies under the
+    pivot, but whether it lies under a deeper z is the one fact the
+    record does not carry (it would cost a word per record), so x reads
+    it from the observer's tree.  This is the one place a detector does.
+    Subtrees shrink as z goes deeper, so the first fork that misses the
+    partner ends the search.
     """
     info = state.info
     tree = info.tree()
     out = []
     for x in range(g.n):
         nb = info[x]
-        forks = [
-            (etas[x][z], z) for z in nb.ancestors[1 : nb.level + 1]
-        ]
         got = received.one[x]
         for i, (c1, d1) in enumerate(got):
             for c2, d2 in got[i + 1 :]:
-                if c1 == c2 or d1.node == d2.node:
+                if c1 == c2:
                     continue
-                if d1.eta - 1 != d1.out_edges or d2.eta - 1 != d2.out_edges:
-                    continue
-                for ez, z in forks:
-                    if ez - 1 == d1.out_edges + d2.out_edges:
-                        r = _witness_report(g, tree, (z, d1.node, d2.node), CASE5, x)
-                        if r:
-                            out.append(r)
+                top = max(1, d1.pivot_level, d2.pivot_level)
+                for z in nb.ancestors[top : nb.level + 1]:
+                    if etas[x][z] + 1 == d1.eta + d2.eta:
+                        out.append(_witness_report(g, tree, (z, d1.node, d2.node), CASE5, x))
         for _, d in received.two[x]:
-            o1 = d.eta1 - 1 - d.between
-            o2 = d.eta2 - 1 - d.between
-            if o1 < 0 or o2 < 0:
-                continue
-            for ez, z in forks:
-                if ez - 1 == o1 + o2:
-                    r = _witness_report(g, tree, (z, d.node1, d.node2), CASE5, x)
-                    if r:
-                        out.append(r)
+            outward = d.eta1 + d.eta2 - 2 - 2 * d.between
+            for z in nb.ancestors[max(1, d.pivot_level) : nb.level + 1]:
+                if d.node2 not in tree.desc(z):
+                    break
+                if etas[x][z] - 1 == outward:
+                    out.append(_witness_report(g, tree, (z, d.node1, d.node2), CASE5, x))
     return out
 
 

@@ -85,10 +85,6 @@ class NodeBfs:
     def is_root(self) -> bool:
         return self.parent is None
 
-    def alpha(self, l: int) -> int:
-        """Ancestor at level ``l`` (``l`` may be ``level`` itself)."""
-        return self.ancestors[l]
-
 
 class BfsInfo:
     """Collected per-node views plus centralized conveniences for tests."""
@@ -459,11 +455,10 @@ class SemigroupSpec:
     node's atomic element for slot ``s`` (an ancestor level or a depth
     cohort, see :func:`trsf_compute`); ``state`` is whatever per-node
     object the caller passed to :func:`trsf_compute`.  ``encode``/``decode``
-    translate elements to word tuples.  Fixed-size elements declare
-    ``head_words`` alone; variable-size elements also supply
-    ``tail_words``, which reads the head and answers how many words
-    follow.  Elements must support ``==`` (used for the algebra
-    self-check).
+    translate elements to word tuples.  An element's record opens with
+    one head word, and is that word alone unless ``tail_words`` is
+    given: it reads the head and answers how many words follow.
+    Elements must support ``==`` (used for the algebra self-check).
     """
 
     name: str
@@ -471,7 +466,6 @@ class SemigroupSpec:
     atomic: Callable[[object, int], object]
     encode: Callable[[object], tuple[int, ...]]
     decode: Callable[[tuple[int, ...]], object]
-    head_words: int = 1
     tail_words: Callable[[tuple[int, ...]], int] | None = None
     identity: object = None
 
@@ -497,7 +491,7 @@ class _TrsfProgram(WordProgram):
         # A child's records arrive in ascending slot order.
         for _, eid in self.nb.children:
             for s in self.below:
-                self.expect(eid, self.spec.head_words, partial(self._record, s),
+                self.expect(eid, 1, partial(self._record, s),
                             self.spec.tail_words)
         self._settle()
 

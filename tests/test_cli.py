@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import smallcut
-from smallcut import cli, graphs
+from smallcut import cli, graphs, three_cuts
 from smallcut.cli import (
     EXIT_BANDWIDTH,
     EXIT_INPUT,
@@ -188,6 +188,19 @@ def test_protocol_error_exits_6(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_full_pipeline", explode)
     assert run_cli("run", "--family", "cycle", "--n", "6") == EXIT_PROTOCOL
     assert "node 3" in capsys.readouterr().err
+
+
+def test_witness_that_bounds_no_3_cut_exits_6(monkeypatch, capsys):
+    # A detector that builds a witness of any other boundary is at fault:
+    # here case 1 names the root, whose side is the whole graph.
+    def whole_side(g, state):
+        info = state.info
+        return [three_cuts._witness_report(g, info.tree(), (info.root,), three_cuts.CASE1,
+                                           info.root)]
+
+    monkeypatch.setattr(three_cuts, "detect_case1", whole_side)
+    assert run_cli("run", "--family", "prism", "--n", "8") == EXIT_PROTOCOL
+    assert "case1 witness (0,) of node 0 bounds 0 edges, not 3" in capsys.readouterr().err
 
 
 def test_send_on_a_foreign_edge_exits_6(monkeypatch, capsys):

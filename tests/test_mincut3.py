@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallcut import three_cuts
-from smallcut.graphs import Graph, boundary, generate, min_cut_oracle, edge_pairs
-from smallcut.runtime import Engine, SimulatorConfig
+from smallcut.graphs import Graph, RootedTree, boundary, generate, min_cut_oracle, edge_pairs
+from smallcut.runtime import Engine, ProtocolError, SimulatorConfig
 from smallcut.sketches import SketchMeta, distributed_k_sketch
 from smallcut.small_cuts import (
     LAYER_ABSORBING,
@@ -260,6 +261,51 @@ def test_exhaustive_all_roots(n):
                 assert {r.edges for r in res.reports} == expected, (g.edges, root)
 
 
+def test_forced_battery_on_every_connected_graph_up_to_6_vertices():
+    # Every witness a detector builds bounds exactly three edges (any
+    # other raises ProtocolError), on every connected graph with 2 to 6
+    # vertices under every root.
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    runs = 0
+    for nx_g in graph_atlas_g():
+        n = nx_g.number_of_nodes()
+        if not 2 <= n <= 6 or not nx.is_connected(nx_g):
+            continue
+        g = Graph(n, sorted(tuple(sorted(e)) for e in nx_g.edges))
+        for root in range(n):
+            pipeline(g, root=root, force_battery=True)
+            runs += 1
+    assert runs == 809
+
+
+@pytest.mark.parametrize("g,root", [
+    # three nested subtrees whose old per-boundary equations held at boundary 7
+    (generate("prism", 20), 0),
+    # two bridge records whose prongs' pivots sit below a fork that bounds 5
+    (Graph(7, [(0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (2, 5), (2, 6), (5, 6)]), 5),
+], ids=["case4_prism20", "case5_bridges7"])
+def test_no_witness_where_the_old_predicates_overcounted(g, root):
+    # Here a case-4 test of each boundary on its own, or a case-5 fork
+    # tried above the prongs' pivots, builds a witness that bounds 7 or 5
+    # edges, which raises.
+    pipeline(g, root=root, force_battery=True)
+
+
+# K5 with a pendant vertex 5 on vertex 4; its BFS tree from 0 is a star
+# with 5 below 4.
+K5_PENDANT = Graph(6, list(itertools.combinations(range(5), 2)) + [(4, 5)])
+
+
+@pytest.mark.parametrize("parts,size", [((5,), 1), ((1, 5), 5), ((0,), 0)])
+def test_witness_that_bounds_no_3_cut_raises(parts, size):
+    tree = RootedTree.bfs(K5_PENDANT, 0)
+    msg = re.escape(f"case4 witness {parts} of node 3 bounds {size} edges")
+    with pytest.raises(ProtocolError, match=msg):
+        three_cuts._witness_report(K5_PENDANT, tree, parts, CASE4, 3)
+
+
 # -- pipeline semantics -----------------------------------------------------
 
 def test_early_exit_sizes():
@@ -304,7 +350,8 @@ def test_battery_reuses_the_k3_wave_and_sends_lean_blocks():
     depth = res.depth
     assert depth == 8
     assert "sketch3" in per and "sketch2" not in per
-    assert per["details1"].rounds == 3 * depth + 1
+    # 3 * depth + 1 with an out-edge count in each bridge record
+    assert per["details1"].rounds == 2 * depth + 1
     assert per["details2"].rounds == 4 * depth + 1
     # 16 with a head word per row, and a separate 15-round pivot:pre phase
     assert per["hcast"].rounds == 15
@@ -324,8 +371,9 @@ def test_sketch_swap_is_one_phase_without_shared_blocks():
     assert per["sketchcast"].rounds == 205  # 209 with an owner word, 205 + 242 as two phases
     # 956 as two phases, 718 with 8-word layer candidates, 711 with a layer-0 fold,
     # 689 with owner, level and head words and a pivot:pre phase, 669 with
-    # every phase in a row (hcast and the layer folds now share rounds)
-    assert res.battery_rounds == 627
+    # every phase in a row (hcast and the layer folds now share rounds), 627
+    # with an out-edge count in each bridge record
+    assert res.battery_rounds == 619
 
     g = generate("cycle", 16)
     engine = Engine(g, SimulatorConfig(strict_bandwidth=True))
@@ -617,7 +665,7 @@ def test_one_cut_details_are_pivot_bridges():
             assert len(crossing) == 1, (d, g.edges)
             assert staying(state, d.node, pivot) == 1
             assert d.eta == state.eta[d.node]
-            assert d.out_edges == state.subtree_cross[d.node][pivot]
+            assert d.eta - 1 == state.subtree_cross[d.node][pivot]
 
 
 def test_two_cut_details_are_pivot_pair_cuts():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from smallcut.runtime import (
     run_protocol,
     word_size_bits,
 )
+from smallcut.three_cuts import run_full_pipeline
 from smallcut.trees import _Downcast, _run_relay
 
 
@@ -548,3 +552,17 @@ def test_forwarded_chunk_meeting_another_phase_raises():
     with pytest.raises(ProtocolError, match="'relay' and 'hop' both send from node 2 on edge 2"):
         engine.run_phase("hop", [Hop(h, 2, 40) for h in engine.handles])
     assert engine.round == 3
+
+
+def test_engine_is_freed_without_the_cycle_collector():
+    # Handles reach their engine through a weak proxy: once a run's result
+    # is dropped, reference counting alone frees its engine.
+    gc.disable()
+    try:
+        res = run_full_pipeline(generate("prism", 10), 0, SimulatorConfig(strict_bandwidth=True),
+                                force_battery=True)
+        engine = weakref.ref(res.engine)
+        del res
+        assert engine() is None
+    finally:
+        gc.enable()

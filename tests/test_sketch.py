@@ -58,7 +58,6 @@ def test_source_members():
     t = RootedTree.bfs(C4, 0)
     assert SketchSource(1).members(t) == frozenset({1, 2})
     assert SketchSource(0, exclude=1).members(t) == frozenset({0, 3})
-    assert SketchSource(2, whole_subtree=False).members(t) == frozenset({2})
 
 
 def test_source_rejects_bad_exclusions():
@@ -67,8 +66,6 @@ def test_source_rejects_bad_exclusions():
         SketchSource(1, exclude=3).members(t)  # 3 is not below 1
     with pytest.raises(ValueError):
         SketchSource(1, exclude=1).members(t)
-    with pytest.raises(ValueError):
-        SketchSource(1, exclude=2, whole_subtree=False).members(t)
 
 
 def test_canonical_without_witnesses_is_the_root_path():

@@ -338,7 +338,6 @@ def test_variable_length_fold_collects_subtree_ids():
         atomic=lambda state, l: (state,),
         encode=lambda x: (len(x),) + tuple(x),
         decode=lambda w: tuple(w[1:]),
-        head_words=1,
         tail_words=lambda head: head[0],
         identity=(),
     )
