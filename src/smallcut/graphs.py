@@ -3,7 +3,8 @@
 The protocols in this package run inside a message-passing simulator,
 but every answer they produce is checked against plain sequential code.
 This module holds that ground truth: a small immutable graph type with
-stable edge identifiers, exhaustive min-cut enumeration, a max-flow
+stable edge identifiers, exhaustive min-cut enumeration, a polynomial
+exact oracle for minimum cuts of size at most three, a max-flow
 edge-connectivity routine, spanning-tree enumeration, rooted spanning
 trees, and deterministic generators for the graph families used in
 tests and benchmarks.
@@ -232,7 +233,7 @@ def is_induced_cut(g: Graph, cut: Iterable[int]) -> frozenset[int] | None:
 
 
 class OracleResult(NamedTuple):
-    """Exhaustive enumeration output: cut size and every witness edge set."""
+    """An oracle's answer: the cut size and every minimum cut's edge ids."""
 
     lam: int
     min_cuts: tuple[frozenset[int], ...]
@@ -247,8 +248,9 @@ def min_cut_oracle(g: Graph, limit: int | None = None) -> OracleResult:
     step, and keeps the cut size from neighbour bitmasks.  Only a side
     whose size is at most the best seen so far has its edge set built,
     and that set's size is checked against the running count.  That is
-    exponential on purpose — this is the trusted reference, not a
-    production path — and it refuses graphs beyond ``limit`` vertices
+    exponential on purpose: this is the trusted reference that tests
+    hold :func:`small_cut_oracle` (which ``verify`` uses) and the
+    protocols to, and it refuses graphs beyond ``limit`` vertices
     (default 16, overridable via the MINCUT_ORACLE_LIMIT environment
     variable) rather than silently burning hours.
     """
@@ -290,6 +292,91 @@ def min_cut_oracle(g: Graph, limit: int | None = None) -> OracleResult:
             cuts.add(frozenset(ids))
     ordered = tuple(sorted(cuts, key=lambda f: edge_pairs(g, f)))
     return OracleResult(best, ordered)
+
+
+def small_cut_oracle(g: Graph, max_size: int = 3) -> OracleResult:
+    """Every minimum cut of size at most ``max_size`` (1, 2 or 3), in
+    polynomial time.
+
+    The size comes from max-flow (:func:`edge_connectivity`).  The cuts
+    come from cycle-space sampling (Pritchard & Thurimella, "Fast
+    computation of small cuts via cycle space sampling", ACM TALG 2011):
+    every non-tree edge of the BFS tree from vertex 0 gets a 64-bit
+    label from a fixed seed, and every tree edge the xor of the labels
+    leaving its lower subtree.  A cut meets every cycle in an even
+    number of edges, so its labels xor to 0, whatever they are: the
+    zero-xor singletons, pairs and triples hold every cut of that size,
+    and :func:`is_induced_cut` keeps exactly the real ones.  So the
+    answer is exact; the labels only decide how many false candidates
+    the filter has to turn away.
+
+    For each size up to ``min(lambda, max_size)`` every kept cut is
+    checked against max-flow: one smaller than lambda, or no cut of size
+    lambda when lambda <= ``max_size``, raises ``RuntimeError``.  The
+    result lists cuts in :func:`min_cut_oracle`'s order, and none when
+    lambda exceeds ``max_size``.  O(m^2) candidate pairs for size 3,
+    each zero-xor candidate tested in O(n + m).
+    """
+    if max_size not in (1, 2, 3):
+        raise ValueError(f"max_size must be 1, 2 or 3, not {max_size}")
+    lam = edge_connectivity(g)
+    label = _cycle_space_labels(g)
+    cuts = []
+    for size in range(1, min(lam, max_size) + 1):
+        for cand in _zero_xor_sets(label, size):
+            if is_induced_cut(g, cand) is None:
+                continue
+            if size < lam:
+                raise RuntimeError(
+                    f"small_cut_oracle: {sorted(cand)} is a cut of size {size}, "
+                    f"but max-flow gives lambda={lam}"
+                )
+            cuts.append(frozenset(cand))
+    if lam <= max_size and not cuts:
+        raise RuntimeError(f"small_cut_oracle: no cut of size lambda={lam} among the candidates")
+    return OracleResult(lam, tuple(sorted(cuts, key=lambda f: edge_pairs(g, f))))
+
+
+def _cycle_space_labels(g: Graph) -> list[int]:
+    """One label per edge id: non-tree edges of the BFS tree from 0 draw
+    64 bits from a fixed seed, tree edges carry the xor of those leaving
+    their lower subtree."""
+    rng = random.Random(0)
+    tree = RootedTree.bfs(g, 0)
+    label = [0] * g.m
+    leaving = [0] * g.n
+    parent_eid = [0] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        if tree.parent[v] == u:
+            parent_eid[v] = e
+        elif tree.parent[u] == v:
+            parent_eid[u] = e
+        else:
+            label[e] = x = rng.getrandbits(64)
+            leaving[u] ^= x
+            leaving[v] ^= x
+    for v in reversed(tree.order[1:]):
+        label[parent_eid[v]] = leaving[v]
+        leaving[tree.parent[v]] ^= leaving[v]
+    return label
+
+
+def _zero_xor_sets(label: list[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Every ascending tuple of ``size`` edge ids (1 to 3) whose labels
+    xor to 0, each once."""
+    by_label: dict[int, list[int]] = {}
+    for e, x in enumerate(label):
+        by_label.setdefault(x, []).append(e)
+    if size == 1:
+        yield from ((e,) for e in by_label.get(0, ()))
+    elif size == 2:
+        for group in by_label.values():
+            yield from itertools.combinations(group, 2)
+    else:
+        for a, b in itertools.combinations(range(len(label)), 2):
+            for c in by_label.get(label[a] ^ label[b], ()):
+                if c > b:
+                    yield (a, b, c)
 
 
 def _bfs_levels(g: Graph, root: int) -> list[int]:

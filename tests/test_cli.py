@@ -161,7 +161,6 @@ def test_run_computes_eccentricities_once(monkeypatch, capsys):
         ("run",),                                  # no source at all
         ("run", "--family", "cycle", "--n", "6", "--root", "seven"),
         ("run", "--family", "cycle", "--n", "6", "--root", "6"),
-        ("verify", "--family", "complete", "--n", "40"),  # oracle capacity
     ],
 )
 def test_input_errors(argv):
@@ -254,12 +253,24 @@ def test_verify_truncated_lambda_is_correct(capsys):
     assert capsys.readouterr().out.startswith("PASS")
 
 
+@pytest.mark.parametrize("family,n,line", [
+    ("prism", 40, "PASS lambda=3 cuts=40"),
+    ("grid", 256, "PASS lambda=2 cuts=4"),
+    ("cycle", 256, "PASS lambda=2 cuts=32640"),
+    ("prism", 256, "PASS lambda=3 cuts=256"),
+])
+def test_verify_beyond_brute_force(capsys, family, n, line):
+    code = run_cli("verify", "--family", family, "--n", str(n), "--strict-bandwidth")
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_verify_mismatch_exits_5(monkeypatch, capsys):
     g = generate("cycle", 6)
     truth = min_cut_oracle(g)
     doctored = OracleResult(truth.lam, truth.min_cuts[:-1])
 
-    monkeypatch.setattr(cli, "min_cut_oracle", lambda *a, **k: doctored)
+    monkeypatch.setattr(cli, "small_cut_oracle", lambda *a, **k: doctored)
     assert run_cli("verify", "--family", "cycle", "--n", "6") == EXIT_VERIFY
     out = capsys.readouterr().out
     assert out.startswith("FAIL")
@@ -268,7 +279,7 @@ def test_verify_mismatch_exits_5(monkeypatch, capsys):
 
 def test_run_verify_mismatch_exits_5(monkeypatch, capsys):
     monkeypatch.setattr(
-        cli, "min_cut_oracle", lambda *a, **k: OracleResult(1, (frozenset({0}),))
+        cli, "small_cut_oracle", lambda *a, **k: OracleResult(1, (frozenset({0}),))
     )
     assert run_cli("run", "--family", "cycle", "--n", "6", "--verify") == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["verification"] == "FAIL"
@@ -278,7 +289,7 @@ def test_verify_diff_names_missing_cuts(monkeypatch, capsys):
     g = generate("cycle", 5)
     truth = min_cut_oracle(g)
     extra = truth.min_cuts + (frozenset({0}),)
-    monkeypatch.setattr(cli, "min_cut_oracle", lambda *a, **k: OracleResult(truth.lam, extra))
+    monkeypatch.setattr(cli, "small_cut_oracle", lambda *a, **k: OracleResult(truth.lam, extra))
     assert run_cli("verify", "--family", "cycle", "--n", "5") == EXIT_VERIFY
     out = capsys.readouterr().out
     assert "missing:" in out

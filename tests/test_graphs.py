@@ -20,8 +20,10 @@ from smallcut.graphs import (
     loads,
     min_cut_oracle,
     non_tree_eids,
+    small_cut_oracle,
     spanning_trees,
 )
+from smallcut import graphs
 
 
 def k3() -> Graph:
@@ -216,6 +218,53 @@ def test_oracle_raises_when_its_running_count_disagrees_with_a_side():
     g.adj = (g.adj[0], g.adj[1][:1], *g.adj[2:])  # vertex 1 forgets a neighbour
     with pytest.raises(RuntimeError, match="has 2 edges, counted 1"):
         min_cut_oracle(g)
+
+
+def _atlas_graphs():
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    for nx_g in graph_atlas_g():
+        n = nx_g.number_of_nodes()
+        if 2 <= n <= 7 and nx.is_connected(nx_g):
+            yield f"atlas{n}_m{nx_g.number_of_edges()}", Graph(
+                n, sorted(tuple(sorted(e)) for e in nx_g.edges)
+            )
+
+
+def test_small_cut_oracle_matches_the_subset_scan():
+    # The polynomial oracle against the brute-force one, on every
+    # connected graph with 2..7 vertices and the oracle corpus.
+    names = []
+    for name, g in (*_oracle_corpus(), *_atlas_graphs()):
+        ref = min_cut_oracle(g)
+        for max_size in (1, 2, 3):
+            res = small_cut_oracle(g, max_size)
+            assert res.lam == ref.lam, (name, max_size)
+            want = ref.min_cuts if ref.lam <= max_size else ()
+            assert res.min_cuts == want, (name, max_size)
+        names.append(name)
+    assert sum(name.startswith("atlas") for name in names) == 995
+
+
+@pytest.mark.parametrize("max_size", [0, 4])
+def test_small_cut_oracle_takes_sizes_one_to_three(max_size):
+    with pytest.raises(ValueError, match="max_size must be 1, 2 or 3"):
+        small_cut_oracle(generate("cycle", 6), max_size)
+
+
+def test_small_cut_oracle_raises_when_no_candidate_is_a_cut(monkeypatch):
+    monkeypatch.setattr(graphs, "is_induced_cut", lambda g, cut: None)
+    with pytest.raises(RuntimeError, match="no cut of size lambda=2"):
+        small_cut_oracle(generate("cycle", 6))
+
+
+def test_small_cut_oracle_raises_when_max_flow_overstates_lambda(monkeypatch):
+    true_lam = graphs.edge_connectivity
+    monkeypatch.setattr(graphs, "edge_connectivity", lambda g: true_lam(g) + 1)
+    for g in (generate("path", 5), generate("cycle", 6), generate("prism", 8)):
+        with pytest.raises(RuntimeError, match="max-flow gives lambda"):
+            small_cut_oracle(g)
 
 
 def test_edge_connectivity_reference_values():
