@@ -49,9 +49,17 @@ def load_graph(path: str) -> Graph:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def dump_graph(g: Graph, path: str, comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(g, comment))
+    write_text(path, dumps(g, comment))
 
 
 def graph_from_args(args) -> Graph:
@@ -111,8 +119,7 @@ def emit_report(report: dict, path: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_text(path, text + "\n")
 
 
 def oracle_verdict(g: Graph, res: PipelineResult, max_size: int) -> tuple[str, list[str]]:
@@ -229,9 +236,7 @@ def cmd_bench(args) -> int:
     table = "\n".join(lines)
     print(table)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_text(args.out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -5,23 +5,18 @@ but every answer they produce is checked against plain sequential code.
 This module holds that ground truth: a small immutable graph type with
 stable edge identifiers, exhaustive min-cut enumeration, a polynomial
 exact oracle for minimum cuts of size at most three, a max-flow
-edge-connectivity routine, spanning-tree enumeration, rooted spanning
-trees, and deterministic generators for the graph families used in
-tests and benchmarks.
+edge-connectivity routine, rooted spanning trees, and deterministic
+generators for the graph families used in tests and benchmarks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from collections import deque
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
-
-ORACLE_LIMIT_ENV = "MINCUT_ORACLE_LIMIT"
-_DEFAULT_ORACLE_LIMIT = 16
 
 
 class Graph:
@@ -239,7 +234,7 @@ class OracleResult(NamedTuple):
     min_cuts: tuple[frozenset[int], ...]
 
 
-def min_cut_oracle(g: Graph, limit: int | None = None) -> OracleResult:
+def min_cut_oracle(g: Graph, limit: int = 16) -> OracleResult:
     """Enumerate all minimum cuts by brute force over vertex subsets.
 
     Every cut is the boundary of a vertex set avoiding vertex 0, so it
@@ -250,18 +245,15 @@ def min_cut_oracle(g: Graph, limit: int | None = None) -> OracleResult:
     and that set's size is checked against the running count.  That is
     exponential on purpose: this is the trusted reference that tests
     hold :func:`small_cut_oracle` (which ``verify`` uses) and the
-    protocols to, and it refuses graphs beyond ``limit`` vertices
-    (default 16, overridable via the MINCUT_ORACLE_LIMIT environment
-    variable) rather than silently burning hours.
+    protocols to, and it refuses graphs beyond ``limit`` vertices rather
+    than silently burning hours.
     """
     if g.n < 2:
         raise ValueError("a single-vertex graph has no cuts")
-    if limit is None:
-        limit = int(os.environ.get(ORACLE_LIMIT_ENV, str(_DEFAULT_ORACLE_LIMIT)))
     if g.n > limit:
         raise ValueError(
             f"refusing exhaustive min-cut enumeration for n={g.n} > {limit}; "
-            f"raise {ORACLE_LIMIT_ENV} or use edge_connectivity() for the size alone"
+            f"use small_cut_oracle() for cuts of size at most three"
         )
     edges = g.edges
     nbrs = [sum(1 << w for w in ws) for ws in g.adj]
@@ -655,12 +647,6 @@ class RootedTree:
             cached = self._anc[v] = tuple(chain)
         return cached
 
-    def alpha(self, v: int, l: int) -> int:
-        """The ancestor of ``v`` sitting at level ``l``."""
-        if not 0 <= l <= self.level[v]:
-            raise ValueError(f"level {l} is outside 0..{self.level[v]} for vertex {v}")
-        return self.ancestors(v)[l]
-
     def desc(self, v: int) -> frozenset[int]:
         """All descendants of ``v``, including ``v`` itself."""
         if self._desc is None:
@@ -684,29 +670,3 @@ def non_tree_eids(g: Graph, t: RootedTree) -> frozenset[int]:
     if len(out) != g.m - (g.n - 1):
         raise ValueError("the tree is not a spanning tree of the graph")
     return frozenset(out)
-
-
-def spanning_trees(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Yield every spanning tree of ``g`` as a sorted tuple of edge ids.
-
-    Pure enumeration over edge subsets — usable only for small graphs,
-    which is exactly where exhaustive tree-by-tree validation runs.
-    """
-    n = g.n
-    for combo in itertools.combinations(range(g.m), n - 1):
-        root = list(range(n))
-        ok = True
-        for e in combo:
-            u, v = g.edges[e]
-            while root[u] != u:
-                root[u] = root[root[u]]
-                u = root[u]
-            while root[v] != v:
-                root[v] = root[root[v]]
-                v = root[v]
-            if u == v:
-                ok = False
-                break
-            root[u] = v
-        if ok:
-            yield combo

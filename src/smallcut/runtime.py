@@ -257,9 +257,6 @@ class WordProgram:
     def start(self) -> None:
         pass
 
-    def output(self):
-        return None
-
     def send(self, eid: int, *words: int) -> None:
         self.node.send(eid, *words)
 
@@ -552,18 +549,6 @@ class Engine:
                     if take > widest:
                         widest = take
                 stats.record_round(phase.label, len(flight), words, widest * self.word_size)
-
-
-def run_protocol(
-    g: Graph,
-    program_factory: Callable[[NodeHandle], WordProgram],
-    config: SimulatorConfig | None = None,
-) -> tuple[dict[int, object], RoundStats]:
-    """Convenience wrapper: one phase, outputs collected per node."""
-    engine = Engine(g, config)
-    programs = [program_factory(h) for h in engine.handles]
-    engine.run_phase("main", programs)
-    return {v: p.output() for v, p in enumerate(programs)}, engine.stats
 
 
 def measure_diameter(g: Graph) -> int:

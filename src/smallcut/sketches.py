@@ -492,7 +492,7 @@ def _merge_sources(
     spine: Sequence[int],
     exclude: int | None = None,
     spine_gamma_table: Mapping[int, int] | None = None,
-    depth_hint: int = 1,
+    depth_hint: int,
 ) -> _MergeResult:
     """Settle a pool into the truncated sketch owned by ``v``.
 

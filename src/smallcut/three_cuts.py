@@ -75,15 +75,9 @@ from .sketches import (
     distributed_reduced_sketch,
     encode_entries,
 )
-from .trees import (
-    BfsInfo,
-    SemigroupSpec,
-    _relay_to_subtrees,
-    build_bfs,
-    trsf_steps,
-)
+from .trees import BfsInfo, SemigroupSpec, broadcast_t2, build_bfs, trsf_steps
 # Unused here, but perfbench/tracing.py wraps these bindings (tests/test_trace_sites.py).
-from .trees import broadcast_t1, broadcast_t2, trsf_compute  # noqa: F401
+from .trees import broadcast_t1, trsf_compute  # noqa: F401
 
 
 LABEL_HCAST = "hcast"
@@ -200,11 +194,9 @@ def detect_case2(g: Graph, state: EtaState, etas: Sequence[Mapping[int, int]]) -
 # case 4: three nested tree edges, enabled by the crossing-count downcast
 
 
-def downcast_h(
-    engine: Engine, info: BfsInfo, state: EtaState
-) -> list[dict[int, tuple[int, ...]]]:
+def downcast_h(engine: Engine, info: BfsInfo, state: EtaState) -> Steps:
     """Ship every node's crossing-count row to its whole subtree and
-    across its non-tree edges, in one phase.
+    across its non-tree edges: a one-phase chain.
 
     The row of a level-l node y holds H(desc(y), z) — the number of
     edges from desc(y) leaving desc(z) — for every z strictly between
@@ -214,21 +206,16 @@ def downcast_h(
     and nothing reads them, so those nodes cast nothing.  The relay
     swaps the rows across every non-tree edge on the cast's clock
     (``state.paths`` names the neighbour's chain), minus the root-path
-    prefix both ends share.  Returns, per node x, ``hcast[x][y]`` for
-    every y whose row x holds: x's own chain from level 2 on, and its
-    non-tree neighbours' chains.  One pipelined pass, quadratic in
-    depth.
+    prefix both ends share.  The rows are built here, on the observer
+    side; the chain returns, per node x, ``hcast[x][y]`` for every y
+    whose row x holds: x's own chain from level 2 on, and its non-tree
+    neighbours' chains.  One pipelined pass, quadratic in depth.
     """
-    return engine.run_chain(_hcast_steps(engine, info, state))
-
-
-def _hcast_steps(engine: Engine, info: BfsInfo, state: EtaState) -> Steps:
-    """:func:`downcast_h` as a one-phase chain."""
     rows = [
         [state.subtree_cross[y][a] for a in info[y].ancestors[1:-1]] for y in range(engine.g.n)
     ]
-    return _relay_to_subtrees(engine, info, LABEL_HCAST, rows, lambda level: level - 1, None,
-                              lo=2, paths=state.paths)
+    return broadcast_t2(engine, info, LABEL_HCAST, rows, lambda level: level - 1,
+                        lo=2, paths=state.paths)
 
 
 def detect_case4(
@@ -361,8 +348,8 @@ def sketch_exchange(
     """
     n = engine.g.n
     blocks = [(len(s.meta), *encode_entries(s.meta, n)) for s in sketches.sketches]
-    held = engine.run_chain(_relay_to_subtrees(engine, info, LABEL_SKETCH_CAST, blocks, 1,
-                                               lambda head: ENTRY_WORDS * head[0], paths=paths))
+    held = engine.run_chain(broadcast_t2(engine, info, LABEL_SKETCH_CAST, blocks, 1,
+                                         lambda head: ENTRY_WORDS * head[0], paths=paths))
     # Holders of one block share its decoding; a block that differs in
     # any word is decoded on its own.
     decoded: dict[tuple[int, ...], dict[int, SketchMeta]] = {}
@@ -513,8 +500,9 @@ def layered_min_cut(
     etas: Sequence[Mapping[int, int]],
     hcast: Sequence[Mapping[int, tuple[int, ...]]],
     zeta: Sequence[Mapping[int, LayerCand]],
-) -> tuple[dict[int, dict[int, LayerCand]], ...]:
-    """Run the size-2 search inside every pivoted subgraph at once.
+) -> Steps:
+    """The size-2 search inside every pivoted subgraph at once: a chain
+    of one fold phase per layer.
 
     Level by level, every subtree rooted below the layer folds the
     landing algebra restricted to edges that stay under its level-i
@@ -525,23 +513,11 @@ def layered_min_cut(
     from ``etas`` (:func:`preprocess_zeta`'s lookups) and the
     crossing-count rows of their chains out of ``hcast``
     (:func:`downcast_h` swapped them), all by owner id, so no phase of
-    the scan's own sends them.  Returns, per
-    node a, ``two[a][i][l]``: the layer-i fold toward the level-l
-    ancestor, candidate entries only.  The size-1 half needs no phase:
-    see :func:`compute_cut_details`.
+    the scan's own sends them.  The chain returns, per node a,
+    ``two[a][i][l]``: the layer-i fold toward the level-l ancestor,
+    candidate entries only.  The size-1 half needs no phase: see
+    :func:`compute_cut_details`.
     """
-    return engine.run_chain(_scan_steps(engine, info, state, etas, hcast, zeta))
-
-
-def _scan_steps(
-    engine: Engine,
-    info: BfsInfo,
-    state: EtaState,
-    etas: Sequence[Mapping[int, int]],
-    hcast: Sequence[Mapping[int, tuple[int, ...]]],
-    zeta: Sequence[Mapping[int, LayerCand]],
-) -> Steps:
-    """:func:`layered_min_cut` as a chain: one fold phase per layer."""
     g = engine.g
     two: list[dict[int, dict[int, LayerCand]]] = [dict() for _ in range(g.n)]
     for a, nb in enumerate(info.nodes):
@@ -804,11 +780,11 @@ def run_battery(
     quadratic bound the acceptance gate fits.
     """
     g = engine.g
-    rows = engine.launch(_hcast_steps(engine, info, state))
+    rows = engine.launch(downcast_h(engine, info, state))
     sk3 = distributed_k_sketch(engine, info, state, 3, etas)
     hcast = engine.join(rows)
 
-    scan = engine.launch(_scan_steps(engine, info, state, etas, hcast, zeta))
+    scan = engine.launch(layered_min_cut(engine, info, state, etas, hcast, zeta))
     reports: list[CutReport] = []
     reports += detect_case1(g, state)
     reports += detect_case2(g, state, etas)
@@ -847,7 +823,7 @@ class PipelineResult:
 
 def run_full_pipeline(
     g: Graph,
-    root: int | None = None,
+    root: int = 0,
     config: SimulatorConfig | None = None,
     max_size: int = 3,
     force_battery: bool = False,

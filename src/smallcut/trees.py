@@ -4,14 +4,15 @@ Everything downstream runs over one rooted BFS spanning tree.  This
 module builds that tree distributedly (``build_bfs``: one flood of
 levels with an echo of the deepest level back, then the ancestor cast,
 whose root block is the depth and which also swaps every node's root
-path across its non-tree edges), provides the two pipelined
-dissemination patterns — every node's one-word message
-(``broadcast_t1``) or word *list* (``broadcast_t2``) to its whole
-subtree, either optionally swapped across non-tree edges too — and
-implements the generic bottom-up fold engine (``trsf_compute``) that
-evaluates, for every node ``v``, the semigroup fold of per-node atomic
-values over the subtree below ``v``, one record per slot: toward each of
-its ancestors, or per depth cohort below it.
+path across its non-tree edges), provides the pipelined dissemination
+of every node's word list to its whole subtree, optionally swapped
+across non-tree edges too (``broadcast_t2``, a one-phase chain the
+caller runs or launches beside another; ``broadcast_t1`` runs it at
+once for one word per node), and implements the generic bottom-up
+fold engine (``trsf_compute``) that evaluates, for every node ``v``,
+the semigroup fold of per-node atomic values over the subtree below
+``v``, one record per slot: toward each of its ancestors, or per depth
+cohort below it.
 
 Every block that moves down the tree rides one relay, ``_Downcast``: a
 node queues its own block, declares its parent edge a relay onto its
@@ -54,7 +55,6 @@ from .runtime import Engine, NodeHandle, ProtocolError, Steps, WordProgram
 
 LABEL_BFS = "bfs"
 LABEL_BCAST1 = "broadcast1"
-LABEL_BCAST2 = "broadcast2"
 
 
 class SemigroupError(ProtocolError):
@@ -165,24 +165,22 @@ class _FloodEcho(WordProgram):
             self.send(self.parent_eid, self.deepest)
 
 
-def build_bfs(engine: Engine, root: int | None = None) -> BfsInfo:
-    """Grow a rooted BFS tree and give every node its place in it.
+def build_bfs(engine: Engine, root: int = 0) -> BfsInfo:
+    """Grow a BFS tree rooted at ``root`` and give every node its place
+    in it.
 
-    ``root=None`` means the lowest-id policy, which with contiguous ids
-    is always vertex 0.  Two sub-phases run under the ``bfs`` label:
-    the flood-and-echo (levels out with lowest-proposer parent adoption,
-    join tokens and the deepest level back), then the ancestor cast (the
-    broadcast relay, with each node's own id as its block and the
-    root's block the depth).  The cast swaps the ids across every
-    non-tree edge from level 1 down, so the depth never crosses; the
-    flood told each end the other's level, which is how many ids it
-    reads.  Afterwards every node knows its level, parent, children,
-    full ancestor list, the tree depth, the level of each neighbor and
-    the root path of each non-tree neighbor.
+    Two sub-phases run under the ``bfs`` label: the flood-and-echo
+    (levels out with lowest-proposer parent adoption, join tokens and
+    the deepest level back), then the ancestor cast (the broadcast
+    relay, with each node's own id as its block and the root's block
+    the depth).  The cast swaps the ids across every non-tree edge from
+    level 1 down, so the depth never crosses; the flood told each end
+    the other's level, which is how many ids it reads.  Afterwards
+    every node knows its level, parent, children, full ancestor list,
+    the tree depth, the level of each neighbor and the root path of
+    each non-tree neighbor.
     """
     g = engine.g
-    if root is None:
-        root = 0
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
 
@@ -351,19 +349,52 @@ def _run_relay(engine: Engine, label: str, programs: Sequence[_Downcast]) -> Non
     engine.run_chain(_relay_phase(label, programs))
 
 
-def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
-                       blocks: Sequence[Sequence[int]], width: int | Callable[[int], int],
-                       more: Callable[[tuple[int, ...]], int] | None = None, lo: int = 0,
-                       paths: Sequence[Mapping[int, Sequence[int]]] | None = None,
-                       ) -> Steps:
+def broadcast_t1(
+    engine: Engine,
+    info: BfsInfo,
+    values: Sequence[int],
+    paths: Sequence[Mapping[int, Sequence[int]]] | None = None,
+) -> list[dict[int, int]]:
+    """Deliver each node's single word to its entire subtree (the
+    :func:`broadcast_t2` chain, run at once).
+
+    Returns, per node ``u``, a map from every ancestor of ``u``
+    (including ``u`` itself) to that ancestor's word.  With ``paths``
+    the words are also swapped across non-tree edges, and the map holds
+    the rest of each neighbour's chain too (see :func:`broadcast_t2`).
+    Pipelining keeps the cost linear in the tree depth.
+    """
+    received = engine.run_chain(
+        broadcast_t2(engine, info, LABEL_BCAST1, [(x,) for x in values], 1, paths=paths))
+    return [{who: blk[0] for who, blk in got.items()} for got in received]
+
+
+def broadcast_t2(
+    engine: Engine,
+    info: BfsInfo,
+    label: str,
+    blocks: Sequence[Sequence[int]],
+    width: int | Callable[[int], int],
+    more: Callable[[tuple[int, ...]], int] | None = None,
+    lo: int = 0,
+    paths: Sequence[Mapping[int, Sequence[int]]] | None = None,
+) -> Steps:
     """Relay every node's block to its subtree and, given ``paths`` (per
     node, each non-tree neighbour's root path), across its non-tree
-    edges; key what each node holds by owner.  A one-phase chain: run it
-    with ``engine.run_chain`` or alongside another with ``engine.launch``.
+    edges.  A one-phase chain: run it with ``engine.run_chain`` or
+    alongside another with ``engine.launch``.
 
-    Nodes nearer the root than level ``lo`` cast nothing.  The blocks of
-    the root-path prefix both ends of a non-tree edge share are already
-    in both chains, so they never cross it.
+    Blocks frame themselves: ``width`` head words, then ``more(head)``
+    further words; or, without ``more``, a level-``l`` node's block is
+    ``width(l)`` words long.  Either way each ancestor's block costs
+    exactly its own length.  The relay is cut-through, so the cost is
+    one pipelined pass of each ancestor's block, quadratic in depth when
+    blocks are of depth order.  Nodes nearer the root than level ``lo``
+    cast nothing.  The blocks of the root-path prefix both ends of a
+    non-tree edge share are already in both chains, so they never cross
+    it.  The chain returns, per node, a map from every owner whose block
+    it holds (its ancestors from level ``lo``, itself, and its non-tree
+    neighbours' chains) to that block, head words kept.
     """
     programs = []
     for v, h in enumerate(engine.handles):
@@ -383,57 +414,6 @@ def _relay_to_subtrees(engine: Engine, info: BfsInfo, label: str,
             got.update(zip(reversed(paths[nb.id][eid][first:]), p.across[eid]))
         received.append(got)
     return received
-
-
-def broadcast_t1(
-    engine: Engine,
-    info: BfsInfo,
-    values: Sequence[int],
-    label: str = LABEL_BCAST1,
-    paths: Sequence[Mapping[int, Sequence[int]]] | None = None,
-) -> list[dict[int, int]]:
-    """Deliver each node's single word to its entire subtree.
-
-    Returns, per node ``u``, a map from every ancestor of ``u``
-    (including ``u`` itself) to that ancestor's word.  With ``paths``
-    (per node, each non-tree neighbour's root path) the words are also
-    swapped across non-tree edges in the same phase, minus those of the
-    root-path prefix both ends share, and the map holds the rest of each
-    neighbour's chain too.  Pipelining keeps the cost linear in the tree
-    depth.
-    """
-    received = engine.run_chain(
-        _relay_to_subtrees(engine, info, label, [(x,) for x in values], 1, paths=paths))
-    return [{who: blk[0] for who, blk in got.items()} for got in received]
-
-
-def broadcast_t2(
-    engine: Engine,
-    info: BfsInfo,
-    lists: Sequence[Sequence[int]],
-    width: int | Callable[[int], int],
-    more: Callable[[tuple[int, ...]], int] | None,
-    label: str = LABEL_BCAST2,
-    lo: int = 0,
-    paths: Sequence[Mapping[int, Sequence[int]]] | None = None,
-) -> list[dict[int, tuple[int, ...]]]:
-    """Deliver each node's word list to its entire subtree.
-
-    Lists frame themselves: ``width`` head words, then ``more(head)``
-    further words; or, without ``more``, a level-``l`` node's list is
-    ``width(l)`` words long.  Either way each ancestor's block costs
-    exactly its own length.  The relay is cut-through, so the cost is
-    one pipelined pass of each ancestor's block, quadratic in depth when
-    blocks are of depth order.  Nodes nearer the root than level ``lo``
-    cast nothing.  With ``paths``
-    (per node, each non-tree neighbour's root path) the same blocks are
-    also swapped across non-tree edges in the same phase, minus those of
-    the root-path prefix both ends share.  Returns, per node, a map from
-    every owner whose list it holds (its ancestors from level ``lo``,
-    itself, and its non-tree neighbours' chains) to that list, head
-    words kept.
-    """
-    return engine.run_chain(_relay_to_subtrees(engine, info, label, lists, width, more, lo, paths))
 
 
 def shared_prefix(path: Sequence[int], other: Sequence[int]) -> int:

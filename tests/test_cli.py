@@ -167,6 +167,23 @@ def test_input_errors(argv):
     assert run_cli(*argv) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--family", "cycle", "--n", "6", "--report"),
+        ("gen", "--family", "cycle", "--n", "6", "--out"),
+        ("bench", "--family", "cycle", "--sizes", "6", "--out"),
+    ],
+    ids=["run-report", "gen-out", "bench-out"],
+)
+def test_unwritable_output_path_is_bad_input(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "x.json")
+    assert run_cli(*argv, path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_round_limit_exceeded():
     code = run_cli("run", "--family", "cycle", "--n", "16", "--round-limit", "3")
     assert code == EXIT_TIMEOUT

@@ -53,25 +53,9 @@ def test_src_has_no_asserts():
     assert not found
 
 
-def test_protocols_define_no_word_program():
-    # Every phase small_cuts and three_cuts run is a trees fold or relay;
-    # a program of their own would be a second pipeline beside those,
-    # with its own framing and checks.
-    from smallcut import small_cuts, three_cuts
-    from smallcut.runtime import WordProgram
-
-    found = [
-        f"{mod.__name__}.{name}"
-        for mod in (small_cuts, three_cuts)
-        for name, obj in vars(mod).items()
-        if isinstance(obj, type) and issubclass(obj, WordProgram)
-        and obj.__module__ == mod.__name__
-    ]
-    assert not found
-
-
 def _package_programs():
-    """Every ``WordProgram`` subclass the package defines, by name."""
+    """Every ``WordProgram`` subclass the package defines, by
+    ``module.name``."""
     import importlib
     import pkgutil
 
@@ -79,7 +63,7 @@ def _package_programs():
     from smallcut.runtime import WordProgram
 
     return {
-        name: obj
+        f"{info.name}.{name}": obj
         for info in pkgutil.iter_modules(smallcut.__path__)
         for mod in [importlib.import_module(f"smallcut.{info.name}")]
         for name, obj in vars(mod).items()
@@ -91,8 +75,12 @@ def _package_programs():
 def test_package_programs_are_the_flood_relay_fold_and_sketch_wave():
     # Four programs carry every phase: the BFS flood, the one relay (casts
     # and their swaps across non-tree edges), the fold, and the sketch
-    # up-wave.  Another would be a second way to move the same words.
-    assert sorted(_package_programs()) == ["_Downcast", "_FloodEcho", "_SketchUp", "_TrsfProgram"]
+    # up-wave.  Another would be a second way to move the same words, and
+    # small_cuts and three_cuts define none: every phase they run is a
+    # trees fold or relay.
+    assert sorted(_package_programs()) == [
+        "sketches._SketchUp", "trees._Downcast", "trees._FloodEcho", "trees._TrsfProgram",
+    ]
 
 
 def test_no_program_overrides_on_chunk():

@@ -117,7 +117,8 @@ def battery_stage(g, root=0):
     state = compute_eta(engine, info, preprocess_eta(engine, info))
     etas = preprocess_zeta(engine, info, state)
     zeta = compute_zeta(engine, info, state, etas)
-    two = layered_min_cut(engine, info, state, etas, downcast_h(engine, info, state), zeta)
+    hcast = engine.run_chain(downcast_h(engine, info, state))
+    two = engine.run_chain(layered_min_cut(engine, info, state, etas, hcast, zeta))
     return info, state, compute_cut_details(info, state, two)
 
 
@@ -590,7 +591,7 @@ def test_hcast_swaps_rows_without_shared_or_empty_ones():
         send(handle, e, ws)
 
     engine._send = tally
-    hcast = downcast_h(engine, info, state)
+    hcast = engine.run_chain(downcast_h(engine, info, state))
     deepest = 0
     for x in range(g.n):
         for eid, path in state.paths[x].items():
@@ -719,8 +720,8 @@ def test_convergecast_delivers_fork_prongs():
     state = compute_eta(engine, info, preprocess_eta(engine, info))
     etas = preprocess_zeta(engine, info, state)
     zeta = compute_zeta(engine, info, state, etas)
-    hcast = downcast_h(engine, info, state)
-    two = layered_min_cut(engine, info, state, etas, hcast, zeta)
+    hcast = engine.run_chain(downcast_h(engine, info, state))
+    two = engine.run_chain(layered_min_cut(engine, info, state, etas, hcast, zeta))
     bridges, pairs = compute_cut_details(info, state, two)
     assert bridges[3] is not None and bridges[4] is not None
     received = convergecast_details(engine, info, bridges, pairs)

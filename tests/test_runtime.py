@@ -18,11 +18,18 @@ from smallcut.runtime import (
     SimulatorConfig,
     WordProgram,
     measure_diameter,
-    run_protocol,
     word_size_bits,
 )
 from smallcut.three_cuts import run_full_pipeline
 from smallcut.trees import _Downcast, _run_relay
+
+
+def run_protocol(g, program_factory, config=None):
+    """One phase of ``program_factory``'s programs; each node's ``output()``."""
+    engine = Engine(g, config)
+    programs = [program_factory(h) for h in engine.handles]
+    engine.run_phase("main", programs)
+    return {v: p.output() for v, p in enumerate(programs)}, engine.stats
 
 
 class Echo(WordProgram):

@@ -177,7 +177,7 @@ def test_broadcast2_path_delivers_ancestor_tables():
     engine = strict_engine(g)
     info = build_bfs(engine, 0)
     lists = [framed(info[v].ancestors) for v in range(4)]
-    got = broadcast_t2(engine, info, lists, 1, more=by_count)
+    got = engine.run_chain(broadcast_t2(engine, info, "broadcast2", lists, 1, more=by_count))
     for v in range(4):
         assert set(got[v]) == set(info[v].ancestors)
         for a in info[v].ancestors:
@@ -189,7 +189,8 @@ def test_broadcast2_rejects_a_head_that_overstates_its_block():
     engine = strict_engine(g)
     info = build_bfs(engine, 0)
     with pytest.raises(ProtocolError, match="broadcast2"):
-        broadcast_t2(engine, info, [[2, 7], [0], [0]], 1, more=by_count)
+        engine.run_chain(broadcast_t2(engine, info, "broadcast2", [[2, 7], [0], [0]], 1,
+                                      more=by_count))
 
 
 def test_broadcast2_quadratic_cost_on_grids():
@@ -198,7 +199,7 @@ def test_broadcast2_quadratic_cost_on_grids():
         engine = strict_engine(g)
         info = build_bfs(engine, 0)
         lists = [framed([1] * (info[v].level + 1)) for v in range(g.n)]
-        broadcast_t2(engine, info, lists, 1, more=by_count)
+        engine.run_chain(broadcast_t2(engine, info, "broadcast2", lists, 1, more=by_count))
         assert engine.stats.per_phase["broadcast2"].rounds <= (info.depth + 1) ** 2 + 4
 
 
