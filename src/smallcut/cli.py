@@ -10,6 +10,7 @@ sorted keys so diffs between runs stay readable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -116,10 +117,12 @@ def build_report(
 
 
 def emit_report(report: dict, path: str | None) -> None:
+    """Write the report to ``path`` (if any), then print it, so a path
+    that cannot be written fails before anything reaches stdout."""
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if path:
         write_text(path, text + "\n")
+    print(text)
 
 
 def oracle_verdict(g: Graph, res: PipelineResult, max_size: int) -> tuple[str, list[str]]:
@@ -233,10 +236,9 @@ def cmd_bench(args) -> int:
     lines = ["  ".join(c.rjust(widths[c]) for c in cols)]
     for r in rows:
         lines.append("  ".join(str(r[c]).rjust(widths[c]) for c in cols))
-    table = "\n".join(lines)
-    print(table)
     if args.out:
         write_text(args.out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -258,7 +260,10 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--round-limit", type=int, default=100_000)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every
+    :func:`main` call in the process."""
     parser = argparse.ArgumentParser(
         prog="smallcut",
         description="find all cuts of size at most three with message-passing protocols",

@@ -20,9 +20,13 @@ ends share, and the receiver names each block from the sender's root
 path.  The BFS tree's ancestor cast swaps the root paths themselves and
 the size-2 stage's eta cast the etas; here ``hcast`` swaps the
 crossing-count rows the layered scan reads, ``sketchcast`` the
-sketches case 6 reads.  A node holds each fact about another node
-once, by owner id (etas, rows, sketch entries); ``EtaState.paths`` is
-its one per-edge record of a neighbour.
+sketches case 6 reads.  For ``sketchcast`` the receiver also names,
+per non-tree edge, the lowest level it still needs there
+(``trees.swap_cutoffs``), one word ahead of its ``hcast`` rows, so a
+sketch block crosses to each node once even when several of its
+non-tree neighbours share the block's owner.  A node holds each fact
+about another node once, by owner id (etas, rows, sketch entries);
+``EtaState.paths`` is its one per-edge record of a neighbour.
 Case 5 — a fork seen from a node that is an ancestor of neither prong —
 is the one shape no single node can observe locally; it is covered by
 the layered scan (sizes 1 and 2 re-run inside every pivoted subgraph).
@@ -75,7 +79,7 @@ from .sketches import (
     distributed_reduced_sketch,
     encode_entries,
 )
-from .trees import BfsInfo, SemigroupSpec, broadcast_t2, build_bfs, trsf_steps
+from .trees import BfsInfo, SemigroupSpec, broadcast_t2, build_bfs, swap_cutoffs, trsf_steps
 # Unused here, but perfbench/tracing.py wraps these bindings (tests/test_trace_sites.py).
 from .trees import broadcast_t1, trsf_compute  # noqa: F401
 
@@ -196,26 +200,36 @@ def detect_case2(g: Graph, state: EtaState, etas: Sequence[Mapping[int, int]]) -
 
 def downcast_h(engine: Engine, info: BfsInfo, state: EtaState) -> Steps:
     """Ship every node's crossing-count row to its whole subtree and
-    across its non-tree edges: a one-phase chain.
+    across its non-tree edges, and tell each non-tree neighbour the
+    sketch cast's cutoff: a one-phase chain.
 
     The row of a level-l node y holds H(desc(y), z) — the number of
     edges from desc(y) leaving desc(z) — for every z strictly between
     the root and y, by level of z: l - 1 counts, no more and no fewer,
-    so nothing is padded to the depth and no head word is sent (every
+    so nothing is padded to the depth and no row has a head word (every
     receiver knows the owner's level).  Rows of levels 0 and 1 are empty
     and nothing reads them, so those nodes cast nothing.  The relay
     swaps the rows across every non-tree edge on the cast's clock
     (``state.paths`` names the neighbour's chain), minus the root-path
-    prefix both ends share.  The rows are built here, on the observer
-    side; the chain returns, per node x, ``hcast[x][y]`` for every y
-    whose row x holds: x's own chain from level 2 on, and its non-tree
-    neighbours' chains.  One pipelined pass, quadratic in depth.
+    prefix both ends share.  Ahead of its rows, every node sends on each
+    non-tree edge one word: the lowest level of that neighbour's chain
+    it needs in :func:`sketch_exchange` (:func:`trees.swap_cutoffs`).
+    This phase is the battery's first to cross non-tree edges, so the
+    cutoffs are in before the sketch cast starts.  The rows are built
+    here, on the observer side; the chain returns ``(hcast, cutoffs)``:
+    per node x, ``hcast[x][y]`` for every y whose row x holds (x's own
+    chain from level 2 on, and its non-tree neighbours' chains), and
+    ``cutoffs[x][eid]``, the sketch cast's ``(send_first, recv_first)``
+    on each non-tree edge.  One pipelined pass, quadratic in depth.
     """
     rows = [
         [state.subtree_cross[y][a] for a in info[y].ancestors[1:-1]] for y in range(engine.g.n)
     ]
-    return broadcast_t2(engine, info, LABEL_HCAST, rows, lambda level: level - 1,
-                        lo=2, paths=state.paths)
+    mine = [swap_cutoffs(nb.ancestors, paths) for nb, paths in zip(info.nodes, state.paths)]
+    hcast, told = yield from broadcast_t2(engine, info, LABEL_HCAST, rows, lambda level: level - 1,
+                                          lo=2, paths=state.paths, heads=mine)
+    return hcast, [{eid: (told[v][eid], first) for eid, first in mine[v].items()}
+                   for v in range(engine.g.n)]
 
 
 def detect_case4(
@@ -333,6 +347,7 @@ def sketch_exchange(
     info: BfsInfo,
     sketches: SketchUpResult,
     paths: Sequence[Mapping[int, Sequence[int]]],
+    cutoffs: Sequence[Mapping[int, tuple[int, int]]] | None = None,
 ) -> list[dict[int, dict[int, SketchMeta]]]:
     """Downcast every sketch to its subtree and swap ancestor chains
     across non-tree edges, in one phase.
@@ -340,16 +355,22 @@ def sketch_exchange(
     Every block frames itself as ``[count, entries...]``, so nothing is
     padded and no width is agreed first.  ``paths`` (``EtaState.paths``)
     holds each non-tree neighbour's root path: it names the blocks that
-    cross, and both endpoints work out the same shared prefix locally, so
-    those blocks never cross (the root's, the largest, never does).
+    cross.  ``cutoffs`` (:func:`downcast_h`'s) says, per non-tree edge,
+    down to which level the node sends its chain there, as the receiver
+    asked, and from which level it reads the neighbour's; the receiver
+    named one edge per owner, so no block reaches a node twice.  Without
+    it both ends cut at the root-path prefix they share, so a block can
+    cross to a node on each of several edges.  Either way the prefix
+    never crosses (the root's block, the largest, never does).
     Returns, per node, the k=3 sketch entries it holds, decoded, by
     owner: its own chain and its non-tree neighbours' chains.  Holders
     of the same block share one read-only decoding of it.
     """
     n = engine.g.n
     blocks = [(len(s.meta), *encode_entries(s.meta, n)) for s in sketches.sketches]
-    held = engine.run_chain(broadcast_t2(engine, info, LABEL_SKETCH_CAST, blocks, 1,
-                                         lambda head: ENTRY_WORDS * head[0], paths=paths))
+    held, _ = engine.run_chain(broadcast_t2(engine, info, LABEL_SKETCH_CAST, blocks, 1,
+                                            lambda head: ENTRY_WORDS * head[0], paths=paths,
+                                            cutoffs=cutoffs))
     # Holders of one block share its decoding; a block that differs in
     # any word is decoded on its own.
     decoded: dict[tuple[int, ...], dict[int, SketchMeta]] = {}
@@ -769,20 +790,21 @@ def run_battery(
 
     The sketch phases run in the foreground, and beside them, on the
     same clock, a chain that never sends on the same directed edge:
-    ``hcast`` (down the tree and across non-tree edges) beside
-    ``sketch3`` (up), then the layer folds (up) beside ``sketchcast``
-    (down and across) and ``rsketch2`` (down).  Each of these two stages
-    takes as many rounds as its longer side.  The detail waves (up) run
-    after both.  Hidden under the sketch phases too, they would leave
-    every battery the sum of its sketch phases alone, and those take
-    fewer rounds per D² on a cycle of 8 than on grids: the battery would
-    no longer stay within the smallest instance's rounds per D², the
-    quadratic bound the acceptance gate fits.
+    ``hcast`` (down the tree and across non-tree edges, carrying the
+    sketch cast's cutoffs too) beside ``sketch3`` (up), then the layer
+    folds (up) beside ``sketchcast`` (down and across) and ``rsketch2``
+    (down).  Each of these two stages takes as many rounds as its longer
+    side.  The detail waves (up) run after both.  Hidden under the
+    sketch phases too, they would leave every battery the sum of its
+    sketch phases alone, and those take fewer rounds per D² on a cycle
+    of 8 than on grids: the battery would no longer stay within the
+    smallest instance's rounds per D², the quadratic bound the
+    acceptance gate fits.
     """
     g = engine.g
     rows = engine.launch(downcast_h(engine, info, state))
     sk3 = distributed_k_sketch(engine, info, state, 3, etas)
-    hcast = engine.join(rows)
+    hcast, cutoffs = engine.join(rows)
 
     scan = engine.launch(layered_min_cut(engine, info, state, etas, hcast, zeta))
     reports: list[CutReport] = []
@@ -792,7 +814,8 @@ def run_battery(
     reports += detect_case3(g, state, sk3)
     # The exchange is the battery's largest object; nothing after case 6
     # reads it, so it is not kept alive past that detector.
-    reports += detect_case6(g, state, etas, sk3, sketch_exchange(engine, info, sk3, state.paths))
+    reports += detect_case6(g, state, etas, sk3,
+                            sketch_exchange(engine, info, sk3, state.paths, cutoffs))
 
     red2 = distributed_reduced_sketch(engine, info, state, 2, etas, up=sk3)
     reports += detect_case7(g, state, etas, red2)

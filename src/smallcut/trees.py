@@ -34,7 +34,12 @@ from one's own (a child's is one's own plus the child, the parent's
 one's own minus oneself).  The ancestor cast swaps every id but the
 root's, which all nodes know; after it both ends of a non-tree edge know
 the prefix of root paths they share (``shared_prefix``), so no later
-cast sends a block of that prefix across the edge.
+cast sends a block of that prefix across the edge.  A receiver can also
+name its own cutoffs (``swap_cutoffs``): one word per edge, the lowest
+level it still needs there, so an owner whose block another of its
+non-tree edges brings crosses to it once.  The relay then sends each
+edge down to the level its receiver named, which may differ from the
+level it reads there.
 
 A fold's slots are ancestor levels or depth cohorts.  A node sends its
 record for a slot up once all of its children have reported theirs,
@@ -190,7 +195,7 @@ def build_bfs(engine: Engine, root: int = 0) -> BfsInfo:
     ancs = []
     for v, (h, p) in enumerate(zip(engine.handles, flood)):
         tree_eids = {p.parent_eid, *(eid for _, eid in kids[v])}
-        swap = {eid: (1, lvl) for eid, lvl in p.neighbor_levels.items() if eid not in tree_eids}
+        swap = {eid: (1, 1, lvl) for eid, lvl in p.neighbor_levels.items() if eid not in tree_eids}
         ancs.append(_Downcast(h, p.level, p.parent_eid, kids[v],
                               (p.deepest if v == root else v,), 1, swap=swap))
     _run_relay(engine, LABEL_BFS, ancs)
@@ -255,16 +260,20 @@ class _Downcast(WordProgram):
     ``received`` holds the ``level - lo`` records, nearest ancestor
     first.
 
-    ``swap`` maps each non-tree edge to ``(first, level)``: the lowest
-    level whose block crosses the edge, and the neighbour's level.
-    Across it the node sends its own (single) block at start and each
-    ancestor's as soon as it completes in the parent stream, down to
-    level ``first``.  The neighbour does the same, so its blocks arrive
-    in a fixed order, its own first and then its ancestors nearest
-    first; ``across`` keeps them per edge in that order, and no owner
-    word crosses.  Each edge has its own budget per direction, so the
-    swap rides the cast's rounds.  :func:`_run_relay` checks that
-    nothing trails the records.
+    ``swap`` maps each non-tree edge to ``(send_first, recv_first,
+    top)``: the lowest level whose block this node sends across it, the
+    lowest level it reads there, and the neighbour's level.  Across it
+    the node sends its own (single) block at start and each ancestor's
+    as soon as it completes in the parent stream, down to level
+    ``send_first``.  The neighbour does the same, so its blocks from
+    level ``top`` down to ``recv_first`` arrive in a fixed order, its own
+    first and then its ancestors nearest first; ``across`` keeps them per
+    edge in that order, and no owner word crosses.  Each edge has its
+    own budget per direction, so the swap rides the cast's rounds.
+    ``heads`` maps non-tree edges to one word the node sends there ahead
+    of its blocks; the neighbour's word on that edge lands in
+    ``told``.  :func:`_run_relay` checks that nothing trails the
+    records.
     """
 
     def __init__(self, node: NodeHandle, level: int, parent_eid: int | None,
@@ -272,13 +281,15 @@ class _Downcast(WordProgram):
                  block: Sequence[int] | Mapping[int, Sequence[int]],
                  width: int | Callable[[int], int],
                  more: Callable[[tuple[int, ...]], int] | None = None, lo: int = 0,
-                 swap: Mapping[int, tuple[int, int]] | None = None):
+                 swap: Mapping[int, tuple[int, int, int]] | None = None,
+                 heads: Mapping[int, int] | None = None):
         super().__init__(node)
         self.level = level
         self.lo = lo
         self.parent_eid = parent_eid
         self.children = children
         self.swap = swap or {}
+        self.heads = heads or {}
         if parent_eid is not None:
             self.relays = {parent_eid: tuple(eid for _, eid in children)}
         if level < lo:
@@ -289,12 +300,13 @@ class _Downcast(WordProgram):
             own = tuple(block)
             self.blocks = dict.fromkeys((eid for _, eid in children), own)
             self.blocks.update(
-                (eid, own) for eid, (first, _) in self.swap.items() if level >= first
+                (eid, own) for eid, (first, _, _) in self.swap.items() if level >= first
             )
         self.width = width if callable(width) else lambda level: width
         self.more = more
         self.received: list[tuple[int, ...]] = []
         self.across: dict[int, list[tuple[int, ...]]] = {eid: [] for eid in self.swap}
+        self.told: dict[int, int] = {}
 
     def frames(self, words: tuple[int, ...]) -> bool:
         """Is ``words`` exactly one record of this node's level as the
@@ -305,18 +317,24 @@ class _Downcast(WordProgram):
         return len(words) == head + (self.more(words[:head]) if self.more else 0)
 
     def start(self):
+        for eid, word in self.heads.items():
+            self.send(eid, word)
+            self.expect(eid, 1, partial(self._told, eid))
         for eid, words in self.blocks.items():
             self.send(eid, *words)
         for level in range(self.level - 1, self.lo - 1, -1):
             self.expect(self.parent_eid, self.width(level), self._read, self.more)
-        for eid, (first, top) in self.swap.items():
+        for eid, (_, first, top) in self.swap.items():
             for level in range(top, first - 1, -1):
                 self.expect(eid, self.width(level), self.across[eid].append, self.more)
+
+    def _told(self, eid: int, rec: tuple[int, ...]) -> None:
+        self.told[eid] = rec[0]
 
     def _read(self, rec: tuple[int, ...]) -> None:
         self.received.append(rec)
         level = self.level - len(self.received)
-        for eid, (first, _) in self.swap.items():
+        for eid, (first, _, _) in self.swap.items():
             if level >= first:
                 self.send(eid, *rec)
 
@@ -364,7 +382,7 @@ def broadcast_t1(
     the rest of each neighbour's chain too (see :func:`broadcast_t2`).
     Pipelining keeps the cost linear in the tree depth.
     """
-    received = engine.run_chain(
+    received, _ = engine.run_chain(
         broadcast_t2(engine, info, LABEL_BCAST1, [(x,) for x in values], 1, paths=paths))
     return [{who: blk[0] for who, blk in got.items()} for got in received]
 
@@ -378,6 +396,8 @@ def broadcast_t2(
     more: Callable[[tuple[int, ...]], int] | None = None,
     lo: int = 0,
     paths: Sequence[Mapping[int, Sequence[int]]] | None = None,
+    cutoffs: Sequence[Mapping[int, tuple[int, int]]] | None = None,
+    heads: Sequence[Mapping[int, int]] | None = None,
 ) -> Steps:
     """Relay every node's block to its subtree and, given ``paths`` (per
     node, each non-tree neighbour's root path), across its non-tree
@@ -390,36 +410,66 @@ def broadcast_t2(
     exactly its own length.  The relay is cut-through, so the cost is
     one pipelined pass of each ancestor's block, quadratic in depth when
     blocks are of depth order.  Nodes nearer the root than level ``lo``
-    cast nothing.  The blocks of the root-path prefix both ends of a
-    non-tree edge share are already in both chains, so they never cross
-    it.  The chain returns, per node, a map from every owner whose block
-    it holds (its ancestors from level ``lo``, itself, and its non-tree
-    neighbours' chains) to that block, head words kept.
+    cast nothing.  By default the blocks of the root-path prefix both
+    ends of a non-tree edge share are already in both chains, so they
+    never cross it, and the rest of each chain does.  ``cutoffs`` names
+    instead, per node and non-tree edge, ``(send_first, recv_first)``:
+    the lowest level the neighbour asked for there and the lowest level
+    this node asked for (:func:`swap_cutoffs`), neither below ``lo``.
+    ``heads`` gives, per node, one word to send on each non-tree edge
+    ahead of the blocks.
+
+    The chain returns ``(held, told)``.  ``held`` maps, per node, every
+    owner whose block it holds (its ancestors from level ``lo``, itself,
+    and what it read of its non-tree neighbours' chains) to that block,
+    head words kept; ``told`` maps, per node, each non-tree edge to the
+    head word its neighbour sent there (empty without ``heads``).
     """
     programs = []
     for v, h in enumerate(engine.handles):
         nb = info[v]
-        swap = {eid: (max(shared_prefix(nb.ancestors, path), lo), len(path) - 1)
-                for eid, path in (paths[v] if paths else {}).items()}
-        programs.append(
-            _Downcast(h, nb.level, nb.parent_eid, nb.children, blocks[v], width, more, lo, swap)
-        )
+        swap = {}
+        for eid, path in (paths[v] if paths else {}).items():
+            ends = cutoffs[v][eid] if cutoffs else (max(shared_prefix(nb.ancestors, path), lo),) * 2
+            swap[eid] = (*ends, len(path) - 1)
+        programs.append(_Downcast(h, nb.level, nb.parent_eid, nb.children, blocks[v], width,
+                                  more, lo, swap, heads[v] if heads else None))
     yield from _relay_phase(label, programs)
-    received = []
+    held = []
     for nb, p, own in zip(info.nodes, programs, blocks):
         got = dict(zip(reversed(nb.ancestors[lo:-1]), p.received))
         if nb.level >= lo:
             got[nb.id] = tuple(own)
-        for eid, (first, _) in p.swap.items():
+        for eid, (_, first, _) in p.swap.items():
             got.update(zip(reversed(paths[nb.id][eid][first:]), p.across[eid]))
-        received.append(got)
-    return received
+        held.append(got)
+    return held, [p.told for p in programs]
 
 
 def shared_prefix(path: Sequence[int], other: Sequence[int]) -> int:
     """How many levels two root paths share; both ends of a non-tree edge
     work it out alike, so nothing keyed by that prefix needs to cross."""
     return sum(a == b for a, b in zip(path, other))
+
+
+def swap_cutoffs(ancestors: Sequence[int], paths: Mapping[int, Sequence[int]]) -> dict[int, int]:
+    """Per non-tree edge, the lowest level of the neighbour's chain a node
+    with root path ``ancestors`` still needs from that edge.
+
+    The edges are walked in ascending neighbour id (``paths`` holds each
+    neighbour's root path).  Each one starts at the prefix it shares
+    with this node; levels whose owners an earlier edge already brings
+    are skipped, and the edge takes the rest.  What the node holds is
+    always closed under ancestors, since an edge brings whole suffixes of
+    chains, so each edge's share is one suffix of its neighbour's chain,
+    named by one level (past the neighbour's own when it needs none).
+    """
+    have = set(ancestors)
+    first = {}
+    for eid, path in sorted(paths.items(), key=lambda item: item[1][-1]):
+        first[eid] = level = next((l for l, u in enumerate(path) if u not in have), len(path))
+        have.update(path[level:])
+    return first
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,13 @@ why in CHANGES.md:
 To see what a change moves before regenerating, ``--diff`` prints, per
 instance and phase, the committed -> fresh rounds, messages, words and
 max bits ('-' where one side lacks the figure), and any change in lambda
-or the reports; its last line, ``rose: ...``, names every figure that
-went up (a phase only the fresh run has counts as risen), or says
-``rose: none``.  It writes nothing.  It exits 1 when anything moved and
+or the reports.  Then ``net: ...`` sums, per phase label over the whole
+ledger, how many messages and words it gained or lost (a phase one side
+lacks counts as 0 there), so traffic that moved from one phase to
+another shows its net effect; it says ``net: none`` when every sum is 0.
+The last line, ``rose: ...``, names every figure that went up (a phase
+only the fresh run has counts as risen), or says ``rose: none``.  It
+writes nothing.  It exits 1 when anything moved and
 0 when it prints "no change", so a script can gate on it:
 
     PYTHONPATH=src python tests/golden_costs.py --diff
@@ -118,9 +122,11 @@ def _rose(old, new) -> bool:
 def diff(committed: dict, fresh: dict) -> list[str]:
     """One line per instance, phase or total whose numbers moved, and per
     answer that changed, committed value first; then, when anything
-    moved, a last line naming every figure that rose."""
+    moved, the net message and word change per phase label, and a last
+    line naming every figure that rose."""
     lines = []
     rose = []
+    net: dict[str, list[int]] = {}
     for name in sorted(set(committed) | set(fresh)):
         old, new = committed.get(name), fresh.get(name)
         if old is None or new is None:
@@ -138,6 +144,9 @@ def diff(committed: dict, fresh: dict) -> list[str]:
             a, b = old["phases"].get(label, {}), new["phases"].get(label, {})
             if a == b:
                 continue
+            sums = net.setdefault(label, [0, 0])
+            for i, key in enumerate(("messages", "words")):
+                sums[i] += b.get(key, 0) - a.get(key, 0)
             parts = [
                 f"{title} {a.get(key, '-')} -> {b.get(key, '-')}" for key, title in PHASE_FIELDS
             ]
@@ -148,6 +157,9 @@ def diff(committed: dict, fresh: dict) -> list[str]:
                 rose += [f"{name} {label} {title}" for key, title in PHASE_FIELDS
                          if _rose(a.get(key), b.get(key))]
     if lines:
+        moved = [f"{label} messages {dm:+d} words {dw:+d}"
+                 for label, (dm, dw) in sorted(net.items()) if dm or dw]
+        lines.append("net: " + (", ".join(moved) or "none"))
         lines.append("rose: " + (", ".join(rose) or "none"))
     return lines
 

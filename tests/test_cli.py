@@ -179,9 +179,23 @@ def test_input_errors(argv):
 def test_unwritable_output_path_is_bad_input(tmp_path, capsys, argv):
     path = str(tmp_path / "missing" / "x.json")
     assert run_cli(*argv, path) == EXIT_INPUT
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in err
+    # the file is written before anything is printed, so a failed
+    # command leaves no finished report or table on stdout
+    assert out == ""
+
+
+def test_main_calls_share_one_parser_and_print_the_same(capsys):
+    argv = ("run", "--family", "prism", "--n", "8", "--strict-bandwidth")
+    outs = []
+    for _ in range(2):
+        assert run_cli(*argv) == EXIT_OK
+        outs.append(capsys.readouterr().out.encode())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["lambda"] == 3
+    assert cli.make_parser() is cli.make_parser()
 
 
 def test_round_limit_exceeded():

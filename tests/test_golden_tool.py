@@ -47,3 +47,26 @@ def test_diff_counts_a_new_phase_as_risen(monkeypatch, capsys):
     monkeypatch.setattr(golden_costs, "collect", lambda: moved)
     assert golden_costs.main(["--diff"]) == 1
     assert capsys.readouterr().out.strip().splitlines()[-1] == f"rose: {name} new:phase"
+
+
+def test_diff_sums_each_phase_over_the_ledger(monkeypatch, capsys):
+    # Traffic that moves between phases and instances shows its net
+    # effect per label, just before the rose: line.
+    moved = copy.deepcopy(COMMITTED)
+    a, b = sorted(moved)[:2]
+    low, high = sorted(set(moved[a]["phases"]) & set(moved[b]["phases"]))[:2]
+    moved[a]["phases"][low]["messages"] -= 3
+    moved[b]["phases"][low]["messages"] += 1
+    moved[a]["phases"][high]["messages"] += 2
+    moved[a]["phases"][high]["words"] += 2
+    monkeypatch.setattr(golden_costs, "collect", lambda: moved)
+    assert golden_costs.main(["--diff"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-2] == f"net: {low} messages -2 words +0, {high} messages +2 words +2"
+    assert lines[-1].startswith("rose: ")
+
+    moved = copy.deepcopy(COMMITTED)
+    moved[a]["phases"][low]["rounds"] += 1
+    monkeypatch.setattr(golden_costs, "collect", lambda: moved)
+    assert golden_costs.main(["--diff"]) == 1
+    assert capsys.readouterr().out.strip().splitlines()[-2] == "net: none"

@@ -41,7 +41,7 @@ from smallcut.three_cuts import (
     run_full_pipeline,
     sketch_exchange,
 )
-from smallcut.trees import build_bfs
+from smallcut.trees import build_bfs, swap_cutoffs
 
 from golden_costs import INSTANCES, build_graph
 
@@ -117,7 +117,7 @@ def battery_stage(g, root=0):
     state = compute_eta(engine, info, preprocess_eta(engine, info))
     etas = preprocess_zeta(engine, info, state)
     zeta = compute_zeta(engine, info, state, etas)
-    hcast = engine.run_chain(downcast_h(engine, info, state))
+    hcast, _ = engine.run_chain(downcast_h(engine, info, state))
     two = engine.run_chain(layered_min_cut(engine, info, state, etas, hcast, zeta))
     return info, state, compute_cut_details(info, state, two)
 
@@ -354,8 +354,9 @@ def test_battery_reuses_the_k3_wave_and_sends_lean_blocks():
     # 3 * depth + 1 with an out-edge count in each bridge record
     assert per["details1"].rounds == 2 * depth + 1
     assert per["details2"].rounds == 4 * depth + 1
-    # 16 with a head word per row, and a separate 15-round pivot:pre phase
-    assert per["hcast"].rounds == 15
+    # 15 without the sketch cast's cutoff word on the non-tree edge; 16
+    # also with a head word per row and a separate 15-round pivot:pre phase
+    assert per["hcast"].rounds == 16
     # a layer-fold candidate is 5 words, (tag, w, stay, eta, gamma), with no level word;
     # layer 0 is the size-2 stage's zeta fold, so layers 1..7 alone run (49 with layer 0)
     layers = [p for label, p in per.items() if label.startswith("trsf:layer")]
@@ -574,7 +575,8 @@ def test_preorder_spans_agree_with_parent_walks(meta):
 def test_hcast_swaps_rows_without_shared_or_empty_ones():
     # The crossing-count rows cross non-tree edges in the hcast phase
     # itself, so no pivot:pre phase runs; a row on the root-path prefix
-    # both ends share, or of level 0 or 1 (empty), never crosses.
+    # both ends share, or of level 0 or 1 (empty), never crosses.  Each
+    # end also sends one word there, the sketch cast's cutoff.
     res = pipeline(generate("grid", 16), force_battery=True)
     assert "hcast" in res.engine.stats.per_phase
     assert "pivot:pre" not in res.engine.stats.per_phase
@@ -591,7 +593,7 @@ def test_hcast_swaps_rows_without_shared_or_empty_ones():
         send(handle, e, ws)
 
     engine._send = tally
-    hcast = engine.run_chain(downcast_h(engine, info, state))
+    hcast, cutoffs = engine.run_chain(downcast_h(engine, info, state))
     deepest = 0
     for x in range(g.n):
         for eid, path in state.paths[x].items():
@@ -601,8 +603,11 @@ def test_hcast_swaps_rows_without_shared_or_empty_ones():
             deepest = max(deepest, shared)
             first = max(shared, 2)
             chains = info[x].ancestors[first:] + info[y].ancestors[first:]
-            # a level-l row is l - 1 counts, and nothing else crosses
-            assert words.get(eid, 0) == sum(info[a].level - 1 for a in chains)
+            # a level-l row is l - 1 counts, and only the two cutoffs cross besides
+            assert words.get(eid, 0) == 2 + sum(info[a].level - 1 for a in chains)
+            mine = swap_cutoffs(info[x].ancestors, state.paths[x])[eid]
+            told = swap_cutoffs(info[y].ancestors, state.paths[y])[eid]
+            assert cutoffs[x][eid] == (told, mine)
             for a in info[y].ancestors[2:]:
                 assert hcast[x][a] == hcast[y][a]
     assert deepest > 2  # some edge's ends share more than the root and level 1
@@ -720,7 +725,7 @@ def test_convergecast_delivers_fork_prongs():
     state = compute_eta(engine, info, preprocess_eta(engine, info))
     etas = preprocess_zeta(engine, info, state)
     zeta = compute_zeta(engine, info, state, etas)
-    hcast = engine.run_chain(downcast_h(engine, info, state))
+    hcast, _ = engine.run_chain(downcast_h(engine, info, state))
     two = engine.run_chain(layered_min_cut(engine, info, state, etas, hcast, zeta))
     bridges, pairs = compute_cut_details(info, state, two)
     assert bridges[3] is not None and bridges[4] is not None

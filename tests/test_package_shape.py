@@ -100,6 +100,7 @@ def test_every_function_a_command_skips_has_a_reason(tmp_path, capsys):
         return None  # call events only, no line tracing
 
     cmds = _commands(tmp_path)
+    cli.make_parser.cache_clear()  # the traced commands build the parser, as a fresh process does
     outer = sys.gettrace()
     sys.settrace(on_call)
     try:

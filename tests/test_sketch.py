@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from smallcut.graphs import Graph, RootedTree, boundary, generate
 from smallcut.runtime import Engine, SimulatorConfig, word_size_bits
 from smallcut.sketches import (
+    ENTRY_WORDS,
     SIZE_BOUND_FACTOR,
     SketchSource,
     branching_number,
@@ -22,8 +23,8 @@ from smallcut.sketches import (
 )
 from smallcut.small_cuts import compute_eta, preprocess_eta, preprocess_zeta
 from smallcut import three_cuts
-from smallcut.three_cuts import sketch_exchange
-from smallcut.trees import build_bfs
+from smallcut.three_cuts import downcast_h, sketch_exchange
+from smallcut.trees import build_bfs, shared_prefix, swap_cutoffs
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K4 = generate("complete", n=4)
@@ -443,6 +444,71 @@ def test_sketch_exchange_decodes_each_block_once(g, monkeypatch):
     for x in range(g.n):
         for a, entries in held[x].items():
             assert entries is held[a][a]
+
+
+def _sketch_cast(g, root, named):
+    """The sketch cast's words per directed edge ``(sender, edge id)``,
+    what it left at each node, and the receivers' cutoffs; with
+    ``named``, each receiver's cutoffs ride hcast first."""
+    engine, info, state, etas = sketch_stage(g, root)
+    up = distributed_k_sketch(engine, info, state, 3, etas)
+    _, cutoffs = engine.run_chain(downcast_h(engine, info, state))
+    words: dict[tuple[int, int], int] = {}
+    send = engine._send
+
+    def tally(handle, e, ws):
+        words[handle.id, e] = words.get((handle.id, e), 0) + len(ws)
+        send(handle, e, ws)
+
+    engine._send = tally
+    held = sketch_exchange(engine, info, up, state.paths, cutoffs if named else None)
+    mine = [swap_cutoffs(nb.ancestors, paths) for nb, paths in zip(info.nodes, state.paths)]
+    return engine, info, state, up, words, held, mine
+
+
+@pytest.mark.parametrize("g", [
+    generate("random_connected", n=14, seed=11, lam_min=3, lam_max=3),
+    generate("random_connected", n=40, seed=5, lam_min=3, lam_max=3),
+    generate("random_connected", n=40, seed=7, lam_min=3, lam_max=3),
+], ids=["random14_l3", "random40_l3_s5", "random40_l3_s7"])
+def test_sketch_cast_brings_each_owner_to_a_node_once(g):
+    repeats = 0
+    for root in (0, g.n // 2):
+        engine, info, state, up, words, held, mine = _sketch_cast(g, root, True)
+        *_, shared_held, _ = _sketch_cast(g, root, False)
+        assert held == shared_held, root  # what case 6 reads does not move
+        for x, nb in enumerate(info.nodes):
+            owners = list(nb.ancestors)
+            shared = list(nb.ancestors)
+            for eid, path in state.paths[x].items():
+                y = engine.handles[x].neighbor(eid)
+                first = mine[x][eid]
+                # the sender sends exactly the suffix its receiver named
+                assert words.get((y, eid), 0) == sum(
+                    1 + ENTRY_WORDS * len(up.sketches[a].meta) for a in path[first:])
+                owners += path[first:]
+                shared += path[shared_prefix(nb.ancestors, path):]
+            assert len(owners) == len(set(owners)), (root, x)
+            repeats += len(shared) - len(set(shared))
+    assert repeats > 0  # the shared-prefix swap repeats some blocks here
+
+
+def test_sketch_cast_sends_a_shared_off_path_ancestor_once():
+    # Node 5 (root path 0, 2, 5) has non-tree neighbours 3 and 4, both
+    # under node 1, which is off 5's root path.  The shared-prefix swap
+    # sends 1's block on both edges; the named cutoffs take it from 3
+    # alone, and nothing else moves.
+    g = Graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
+    engine, info, state, up, words, held, mine = _sketch_cast(g, 0, True)
+    shared_engine, *_, shared_held, _ = _sketch_cast(g, 0, False)
+    assert info[5].ancestors == (0, 2, 5)
+    assert info[3].ancestors == (0, 1, 3) and info[4].ancestors == (0, 1, 4)
+    assert mine[5] == {g.eid(3, 5): 1, g.eid(4, 5): 2}
+    assert held == shared_held
+    block = 1 + ENTRY_WORDS * len(up.sketches[1].meta)
+    got, want = (e.stats.per_phase["sketchcast"] for e in (engine, shared_engine))
+    assert want.words - got.words == block
+    assert got.rounds <= want.rounds
 
 
 # -- complexity ---------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_broadcast2_path_delivers_ancestor_tables():
     engine = strict_engine(g)
     info = build_bfs(engine, 0)
     lists = [framed(info[v].ancestors) for v in range(4)]
-    got = engine.run_chain(broadcast_t2(engine, info, "broadcast2", lists, 1, more=by_count))
+    got, _ = engine.run_chain(broadcast_t2(engine, info, "broadcast2", lists, 1, more=by_count))
     for v in range(4):
         assert set(got[v]) == set(info[v].ancestors)
         for a in info[v].ancestors:
